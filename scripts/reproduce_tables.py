@@ -8,8 +8,9 @@ classes across the two classifications, and finishes with the parameter
 sieve. Prints everything as text; --out DIR additionally writes the two
 classifications as JSON.
 
-Expected runtime is a few minutes on one core. Use --workers N to
-parallelize the orbit scans.
+Expected runtime is a few minutes on one core. Use --workers N to spread
+the certificate computations of each classification (and the sieve's
+per-q evaluations) over N processes; the orbit scans stay single-process.
 """
 
 import argparse

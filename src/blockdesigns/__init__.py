@@ -3,7 +3,6 @@ actions, k-subset orbit classification up to isomorphism, and a numeric
 elimination sieve for t-(k^2, k, lambda) parameter sets."""
 
 from .design import (
-    Block,
     Design,
     DesignClass,
     classify,
@@ -13,7 +12,6 @@ from .design import (
     lambda_of,
     lambda_vector,
     orbit_design,
-    representatives,
 )
 from .grouplib import BUILTIN_NAMES, builtin, pair_action, projective_group
 from .isomorph import are_isomorphic, certificate, isomorphism_witness
@@ -25,7 +23,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "BUILTIN_NAMES",
-    "Block",
     "Design",
     "DesignClass",
     "PermGroup",
@@ -49,6 +46,5 @@ __all__ = [
     "pair_action",
     "parse_cycles",
     "projective_group",
-    "representatives",
     "sieve_run",
 ]

@@ -21,7 +21,6 @@ import sys
 
 from . import golden
 from .design import (
-    Block,
     Design,
     classify,
     classify_builtin,
@@ -64,9 +63,12 @@ def _resolve_group(args) -> tuple[PermGroup, str, bool]:
         return builtin(args.group), args.group, True
     if args.q is None:
         raise UsageError("a group is required: --group NAME or --q Q [--variant V] [--action A]")
-    G, labeling = projective_group(args.q, args.variant)
-    if args.action == "pairs":
-        G, labeling = pair_action(G, labeling)
+    try:
+        G, labeling = projective_group(args.q, args.variant)
+        if args.action == "pairs":
+            G, labeling = pair_action(G, labeling)
+    except ValueError as exc:
+        raise UsageError(f"--q {args.q}: {exc}")
     name = f"projective(q={args.q},variant={args.variant},action={args.action})"
     return G, name, False
 
@@ -101,7 +103,9 @@ def _one_based(block: tuple[int, ...]) -> list[int]:
 def cmd_construct(args) -> int:
     G, name, _ = _resolve_group(args)
     base = _parse_base(args.base, G.degree)
-    design = orbit_design(G, base, group_name=name)
+    if not 1 <= args.t <= len(base):
+        raise UsageError(f"--t must be in 1..{len(base)}, the base block size")
+    design = orbit_design(G, base)
     lam = lambda_of(design, args.t)
     record = {
         "v": design.v,
@@ -110,7 +114,7 @@ def cmd_construct(args) -> int:
         "lambda": lam,
         "base_block": _one_based(base),
         "group": name,
-        "blocks": [_one_based(blk.points()) for blk in design.blocks],
+        "blocks": [_one_based(blk) for blk in design.blocks],
         "b": design.b,
         "block_transitive": True,
         "flag_transitive": is_flag_transitive(G, design),
@@ -124,6 +128,8 @@ def cmd_construct(args) -> int:
 
 def _classification(args) -> tuple[list, str]:
     G, name, is_builtin = _resolve_group(args)
+    if not 1 <= args.t < args.k < G.degree:
+        raise UsageError(f"need 1 <= t < k < {G.degree} (the degree); got t={args.t}, k={args.k}")
     if is_builtin:
         classes = classify_builtin(name, args.k, args.t, workers=args.workers)
     else:
@@ -212,17 +218,9 @@ def _load_design(path: str) -> Design:
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}")
     try:
-        v = int(data["v"])
-        blocks = [tuple(int(p) - 1 for p in blk) for blk in data["blocks"]]
+        return Design(int(data["v"]), [[int(p) - 1 for p in blk] for blk in data["blocks"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"{path} lacks a valid design record: {exc}")
-    if not blocks:
-        raise UsageError(f"{path}: design has no blocks")
-    try:
-        k = len(blocks[0])
-        return Design(v, k, tuple(Block.from_points(blk) for blk in blocks))
-    except ValueError as exc:
-        raise UsageError(f"{path}: {exc}")
 
 
 def cmd_iso(args) -> int:

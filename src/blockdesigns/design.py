@@ -1,12 +1,11 @@
 """Block designs as orbits of a base block, and their classification.
 
-A design here is always a set of distinct k-subsets of {0..v-1} with v <= 64,
-stored as bit masks. orbit_design() realizes the block-transitive
-construction: the block set is one group orbit. classify() enumerates every
-orbit of k-subsets, keeps the orbits whose designs are t-designs, and merges
-them into isomorphism classes by canonical certificate; representatives()
-is the pure-Python orbit enumeration that the vectorized path is checked
-against.
+A design is v points 0..v-1 and a lexicographically sorted tuple of distinct
+blocks of one size k, each block a sorted point tuple. orbit_design()
+realizes the block-transitive construction: the block set is one group
+orbit. classify() enumerates every orbit of k-subsets, keeps the orbits
+whose designs are t-designs, and merges them into isomorphism classes by
+canonical certificate.
 """
 
 from __future__ import annotations
@@ -14,91 +13,61 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
 from math import comb
 
 import numpy as np
 
 from . import isomorph
 from .grouplib import builtin
-from .kcombs import _colex_ranks, _colex_table, rank_colex, subset_orbits
+from .kcombs import _colex_ranks, _colex_table, lex_combinations, subset_orbits
 from .permcore import PermGroup, Permutation
-
-
-@dataclass(frozen=True, order=True)
-class Block:
-    """A block as a point bit mask (point i present iff bit i set)."""
-
-    mask: int
-
-    @classmethod
-    def from_points(cls, points) -> "Block":
-        mask = 0
-        for p in points:
-            if not 0 <= p < 64:
-                raise ValueError("points must lie in 0..63")
-            bit = 1 << p
-            if mask & bit:
-                raise ValueError(f"point {p} repeated in block")
-            mask |= bit
-        return cls(mask)
-
-    def points(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.mask.bit_length()) if self.mask >> i & 1)
-
-    @property
-    def size(self) -> int:
-        return self.mask.bit_count()
-
-
-def _apply_to_mask(g: Permutation, mask: int) -> int:
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << g.images[low.bit_length() - 1]
-        mask ^= low
-    return out
 
 
 @dataclass(frozen=True)
 class Design:
-    """v points, a sorted tuple of distinct k-sized blocks, and provenance."""
+    """v points and b distinct blocks of one size k. Any iterable of point
+    collections is accepted as blocks; it is stored as a lexicographically
+    sorted tuple of sorted point tuples. This is the one place a design is
+    checked."""
 
     v: int
-    k: int
-    blocks: tuple[Block, ...]
-    group_name: str | None = None
-    base_block: Block | None = None
+    blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if not 0 < self.v <= 64:
-            raise ValueError("v must be in 1..64")
-        if not 0 < self.k <= self.v:
-            raise ValueError("k must be in 1..v")
-        blocks = tuple(sorted(self.blocks, key=Block.points))
+        blocks = tuple(sorted(tuple(sorted(blk)) for blk in self.blocks))
         if not blocks:
             raise ValueError("a design needs at least one block")
+        k = len(blocks[0])
+        if k == 0:
+            raise ValueError("blocks must not be empty")
         for blk in blocks:
-            if blk.size != self.k:
-                raise ValueError("all blocks must have size k")
-            if blk.mask >> self.v:
-                raise ValueError("block contains a point >= v")
-        if len({blk.mask for blk in blocks}) != len(blocks):
+            if len(blk) != k:
+                raise ValueError("all blocks must have one size")
+            if blk[0] < 0 or blk[-1] >= self.v:
+                raise ValueError(f"block {blk} has a point outside 0..{self.v - 1}")
+            if len(set(blk)) != k:
+                raise ValueError(f"point repeated in block {blk}")
+        if any(a == b for a, b in zip(blocks, blocks[1:])):
             raise ValueError("duplicate blocks")
         object.__setattr__(self, "blocks", blocks)
+
+    @property
+    def k(self) -> int:
+        return len(self.blocks[0])
 
     @property
     def b(self) -> int:
         return len(self.blocks)
 
     def block_rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(blk.points() for blk in self.blocks)
+        return self.blocks
 
     def relabel(self, sigma: Permutation) -> "Design":
         if sigma.degree != self.v:
             raise ValueError("degree mismatch")
-        blocks = tuple(Block(_apply_to_mask(sigma, blk.mask)) for blk in self.blocks)
-        return Design(self.v, self.k, blocks)
+        im = sigma.images
+        return Design(self.v, tuple(tuple(im[p] for p in blk) for blk in self.blocks))
 
 
 @dataclass(frozen=True)
@@ -126,43 +95,51 @@ def lambda_vector(v: int, k: int, t: int, lambda_t: int) -> LambdaVector:
     return LambdaVector(vals)
 
 
-def orbit_design(G: PermGroup, base, group_name: str | None = None) -> Design:
+def orbit_design(G: PermGroup, base) -> Design:
     """The G-orbit of a base block, as a design. G is block-transitive on the
     result by construction, and the block count divides the group order."""
-    if G.degree > 64:
-        raise ValueError("mask form requires degree <= 64")
-    blk = base if isinstance(base, Block) else Block.from_points(base)
-    if blk.mask >> G.degree:
-        raise ValueError("base block contains a point outside the action")
-    if not 0 < blk.size < G.degree:
-        raise ValueError("base block size must be in 1..degree-1")
-    seen = {blk.mask}
-    frontier = [blk.mask]
+    start = Design(G.degree, [base]).blocks[0]
+    gens = [g.images for g in G.generators]
+    seen = {start}
+    frontier = [start]
     while frontier:
         nxt = []
-        for m in frontier:
-            for g in G.generators:
-                im = _apply_to_mask(g, m)
-                if im not in seen:
-                    seen.add(im)
-                    nxt.append(im)
+        for blk in frontier:
+            for im in gens:
+                img = tuple(sorted([im[p] for p in blk]))
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
         frontier = nxt
-    blocks = tuple(Block(m) for m in seen)
-    return Design(G.degree, blk.size, blocks, group_name=group_name, base_block=blk)
+    return Design(G.degree, tuple(seen))
+
+
+@lru_cache(maxsize=None)
+def _count_tables(v: int, k: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Colex weights of t-subsets of 0..v-1, and the positions of the
+    t-subsets of one k-block in lex order. Read-only: every caller shares
+    them."""
+    table, positions = _colex_table(v, t), lex_combinations(k, t)
+    table.flags.writeable = positions.flags.writeable = False
+    return table, positions
+
+
+def _uniform_lambda(rows: np.ndarray, v: int, t: int) -> int | None:
+    """lambda_t of the blocks in rows (one sorted block per row) if every
+    t-subset of 0..v-1 lies in equally many of them, else None. Counts the
+    coverage of all C(v,t) subsets exactly."""
+    table, positions = _count_tables(v, rows.shape[1], t)
+    subs = rows[:, positions].reshape(-1, t)
+    counts = np.bincount(_colex_ranks(subs, table), minlength=comb(v, t))
+    return int(counts[0]) if counts.min() == counts.max() else None
 
 
 def lambda_of(design: Design, t: int) -> int | None:
     """lambda_t if every t-subset of points lies in equally many blocks, else
-    None. Counts coverage of all C(v,t) subsets exactly."""
+    None."""
     if not 1 <= t <= design.k:
         raise ValueError("t must be in 1..k")
-    counts = [0] * comb(design.v, t)
-    for blk in design.blocks:
-        pts = blk.points()
-        for sub in combinations(pts, t):
-            counts[rank_colex(sub)] += 1
-    lam = counts[0]
-    return lam if all(c == lam for c in counts) else None
+    return _uniform_lambda(np.asarray(design.blocks, dtype=np.int64), design.v, t)
 
 
 def is_flag_transitive(G: PermGroup, design: Design) -> bool:
@@ -170,69 +147,28 @@ def is_flag_transitive(G: PermGroup, design: Design) -> bool:
     does not stabilize the block set."""
     if G.degree != design.v:
         raise ValueError("degree mismatch")
-    masks = {blk.mask for blk in design.blocks}
+    index = {blk: j for j, blk in enumerate(design.blocks)}
+    moves = []  # (point images, block-index images) per generator
     for g in G.generators:
-        if any(_apply_to_mask(g, m) not in masks for m in masks):
-            raise ValueError("group does not preserve the block set")
-    first = design.blocks[0]
-    start = (first.points()[0], first.mask)
+        im = g.images
+        try:
+            block_im = [index[tuple(sorted([im[p] for p in blk]))] for blk in design.blocks]
+        except KeyError:
+            raise ValueError("group does not preserve the block set") from None
+        moves.append((im, block_im))
+    start = (design.blocks[0][0], 0)
     seen = {start}
     frontier = [start]
     while frontier:
         nxt = []
-        for p, m in frontier:
-            for g in G.generators:
-                flag = (g.images[p], _apply_to_mask(g, m))
+        for p, j in frontier:
+            for im, block_im in moves:
+                flag = (im[p], block_im[j])
                 if flag not in seen:
                     seen.add(flag)
                     nxt.append(flag)
         frontier = nxt
     return len(seen) == design.b * design.k
-
-
-def representatives(G: PermGroup, k: int):
-    """Yield the lexicographically least block of every G-orbit of k-subsets,
-    in lexicographic order (pure-Python reference enumeration).
-
-    Scans all C(n,k) subsets in lex order with a visited bitmap indexed by
-    colex rank; each unvisited subset starts a new orbit, which is walked
-    breadth-first and marked. Memory is C(n,k)/8 bytes.
-    """
-    n = G.degree
-    if not 0 < k < n:
-        raise ValueError("k must be in 1..degree-1")
-    if n > 64:
-        raise ValueError("degree <= 64 required")
-    total = comb(n, k)
-    if total > 1 << 32:
-        raise ValueError("C(degree,k) exceeds the 2^32 rank bitmap capacity")
-    table = [[comb(x, i + 1) for i in range(k)] for x in range(n)]
-
-    def crank(sub) -> int:
-        r = 0
-        for i, x in enumerate(sub):
-            r += table[x][i]
-        return r
-
-    visited = bytearray((total + 7) // 8)
-    gens = G.generators
-    for sub in combinations(range(n), k):
-        r = crank(sub)
-        if visited[r >> 3] >> (r & 7) & 1:
-            continue
-        yield Block.from_points(sub)
-        frontier = [sub]
-        visited[r >> 3] |= 1 << (r & 7)
-        while frontier:
-            nxt = []
-            for s in frontier:
-                for g in gens:
-                    im = tuple(sorted(g.images[x] for x in s))
-                    ri = crank(im)
-                    if not visited[ri >> 3] >> (ri & 7) & 1:
-                        visited[ri >> 3] |= 1 << (ri & 7)
-                        nxt.append(im)
-            frontier = nxt
 
 
 def fixed_k_subsets(p: Permutation, k: int) -> int:
@@ -267,12 +203,9 @@ class DesignClass:
     orbit_reps: tuple[tuple[int, ...], ...]
 
 
-def _certificate_task(args):
-    idx, v, rows, aut_images = args
-    cert = isomorph.certificate(
-        isomorph.RawDesign(v, rows), known_automorphisms=[Permutation(im) for im in aut_images]
-    )
-    return idx, cert
+def _certificate_task(args) -> isomorph.Certificate:
+    design, aut_images = args
+    return isomorph.certificate(design, known_automorphisms=aut_images)
 
 
 def classify(G: PermGroup, k: int, t: int = 2, workers: int = 1) -> list[DesignClass]:
@@ -291,44 +224,31 @@ def classify(G: PermGroup, k: int, t: int = 2, workers: int = 1) -> list[DesignC
     so = subset_orbits(G, k)
     per_block = comb(k, t)
     denom = comb(v, t)
-    tsub_idx = np.asarray(list(combinations(range(k), t)), dtype=np.int64)
-    table = _colex_table(v, t)
 
-    found: list[tuple[int, int]] = []  # (orbit index, lambda_t)
+    found: list[tuple[int, Design]] = []  # (lambda_t, orbit design)
     for i in range(so.orbit_count):
         size = int(so.sizes[i])
-        if size == comb(v, k):
-            continue  # complete design is trivial
-        if (size * per_block) % denom:
-            continue
-        lam = size * per_block // denom
+        if size == comb(v, k) or (size * per_block) % denom:
+            continue  # the complete design is trivial; the rest fail divisibility
         rows = so.orbit_rows(i)
-        subs = rows[:, tsub_idx].reshape(-1, t).astype(np.int64)
-        counts = np.bincount(_colex_ranks(subs, table), minlength=denom)
-        if counts.min() == counts.max():
-            found.append((i, lam))
+        lam = _uniform_lambda(rows, v, t)
+        if lam is not None:
+            found.append((lam, Design(v, rows.tolist())))
 
-    aut_images = [tuple(g.images) for g in G.generators]
-    tasks = []
-    for i, _ in found:
-        rows = tuple(tuple(int(x) for x in row) for row in so.orbit_rows(i))
-        tasks.append((i, v, rows, aut_images))
-    certs: dict[int, isomorph.Certificate] = {}
+    aut_images = [g.images for g in G.generators]
+    tasks = [(d, aut_images) for _, d in found]
     if workers == 1 or len(tasks) <= 1:
-        for task in tasks:
-            idx, cert = _certificate_task(task)
-            certs[idx] = cert
+        certs = [_certificate_task(task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for idx, cert in pool.map(_certificate_task, tasks, chunksize=8):
-                certs[idx] = cert
+            certs = list(pool.map(_certificate_task, tasks, chunksize=8))
 
+    # orbit rows are lex sorted, so an orbit design's first block is the
+    # orbit's lex-least member
     by_cert: dict[bytes, list[tuple[tuple[int, ...], int, int]]] = {}
     cert_obj: dict[bytes, isomorph.Certificate] = {}
-    for i, lam in found:
-        base = tuple(int(x) for x in so.rows[so.rep_ranks[i]])
-        cert = certs[i]
-        by_cert.setdefault(cert.data, []).append((base, lam, int(so.sizes[i])))
+    for (lam, d), cert in zip(found, certs):
+        by_cert.setdefault(cert.data, []).append((d.blocks[0], lam, d.b))
         cert_obj.setdefault(cert.data, cert)
 
     classes = []

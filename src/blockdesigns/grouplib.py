@@ -15,7 +15,7 @@ constructions compare invariants or isomorphism certificates, never indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 from .numth import prime_power, smallest_primitive_root

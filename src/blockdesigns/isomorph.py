@@ -19,24 +19,12 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from hashlib import sha256
-from itertools import permutations
 
 import numpy as np
 
 from .permcore import PermGroup, Permutation
 
 MAX_VERTICES = 5000
-
-
-@dataclass(frozen=True)
-class RawDesign:
-    """Minimal incidence structure: v points, blocks as sorted point tuples."""
-
-    v: int
-    rows: tuple
-
-    def block_rows(self) -> tuple:
-        return self.rows
 
 
 @dataclass(frozen=True)
@@ -87,8 +75,6 @@ class _Refiner:
             self.pb_arr[i, : len(pb)] = pb
 
     def refine(self, pcol: np.ndarray) -> np.ndarray:
-        if self.b == 0:
-            return _unique_rows_inverse(pcol.reshape(-1, 1))
         ncol = int(pcol.max()) + 1
         while True:
             bsig = np.sort(pcol[self.rows_arr], axis=1)
@@ -129,23 +115,18 @@ def _leaf_bytes(v: int, b: int, k: int, rows, pcol) -> bytes:
     return header + b"".join(r.to_bytes(nbytes, "big") for r in rowints)
 
 
-def certificate(design, known_automorphisms=(), max_vertices: int = MAX_VERTICES) -> Certificate:
-    """Canonical certificate of a design (anything with .v and .block_rows()).
+def certificate(design, known_automorphisms=()) -> Certificate:
+    """Canonical certificate of a design.Design with at most MAX_VERTICES
+    points plus blocks.
 
     known_automorphisms seeds the pruning group; every seed is verified to
     map the block set onto itself before use, so a wrong seed raises instead
     of corrupting the canonical form.
     """
-    v = design.v
-    rows = [tuple(sorted(row)) for row in design.block_rows()]
-    b = len(rows)
-    k = len(rows[0]) if rows else 0
-    if v + b > max_vertices:
-        raise ValueError(f"{v} points + {b} blocks exceeds the {max_vertices}-vertex bound")
-    if len(set(rows)) != b:
-        raise ValueError("duplicate blocks")
-    if any(len(r) != k for r in rows):
-        raise ValueError("blocks must share one size")
+    v, b, k = design.v, design.b, design.k
+    rows = design.blocks
+    if v + b > MAX_VERTICES:
+        raise ValueError(f"{v} points + {b} blocks exceeds the {MAX_VERTICES}-vertex bound")
 
     rowset = set(rows)
     auts: list[Permutation] = []
@@ -212,11 +193,7 @@ def isomorphism_witness(d1, d2):
     """A Permutation mapping d1's points to d2's so blocks map onto blocks,
     or None. Recovered from the two canonical labelings and then verified,
     so a true return value is self-checking."""
-    rows1 = [tuple(sorted(r)) for r in d1.block_rows()]
-    rows2 = [tuple(sorted(r)) for r in d2.block_rows()]
-    if d1.v != d2.v or len(rows1) != len(rows2):
-        return None
-    if sorted(len(r) for r in rows1) != sorted(len(r) for r in rows2):
+    if (d1.v, d1.b, d1.k) != (d2.v, d2.b, d2.k):
         return None
     c1 = certificate(d1)
     c2 = certificate(d2)
@@ -226,28 +203,10 @@ def isomorphism_witness(d1, d2):
     for i, c in enumerate(c2.labeling):
         inv2[c] = i
     sigma = Permutation([inv2[c1.labeling[i]] for i in range(d1.v)])
-    rowset2 = set(rows2)
-    if any(tuple(sorted(sigma.images[p] for p in row)) not in rowset2 for row in rows1):
+    if d1.relabel(sigma) != d2:
         raise AssertionError("certificates matched but the recovered map is not an isomorphism")
     return sigma
 
 
 def are_isomorphic(d1, d2) -> bool:
     return isomorphism_witness(d1, d2) is not None
-
-
-def brute_force_isomorphic(d1, d2) -> bool:
-    """Oracle: try all v! point maps. v <= 9 enforced."""
-    if d1.v != d2.v:
-        return False
-    v = d1.v
-    if v > 9:
-        raise ValueError("brute force limited to v <= 9")
-    rows1 = [tuple(sorted(r)) for r in d1.block_rows()]
-    rows2set = {tuple(sorted(r)) for r in d2.block_rows()}
-    if len(rows1) != len(rows2set) or len(set(rows1)) != len(rows1):
-        return False
-    for images in permutations(range(v)):
-        if all(tuple(sorted(images[p] for p in row)) in rows2set for row in rows1):
-            return True
-    return False

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
-from itertools import islice
 
 
 class Permutation:
@@ -499,26 +497,3 @@ class PermGroup:
 
     def __repr__(self):
         return f"PermGroup(degree={self._degree}, order={self._order}, ngens={len(self._generators)})"
-
-
-def brute_force_elements(generators, cap: int = 200_000) -> set[Permutation]:
-    """Closure of a generator list by repeated multiplication; independent oracle
-    for chain-based orders on small groups."""
-    gens = [g for g in generators]
-    if not gens:
-        raise ValueError("need at least one generator")
-    ident = Permutation.identity(gens[0].degree)
-    elems = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for e in frontier:
-            for g in gens:
-                x = compose(e, g)
-                if x not in elems:
-                    elems.add(x)
-                    new.append(x)
-                    if len(elems) > cap:
-                        raise ValueError(f"closure exceeded cap {cap}")
-        frontier = new
-    return elems

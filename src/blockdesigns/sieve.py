@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
-from .numth import is_perfect_square, prime_power, prime_powers_upto
+from .numth import factorize, is_perfect_square, prime_power, prime_powers_upto
 
 CONSTRAINT_ORDER = ("square", "k_guard", "subdegree", "block_count", "stabilizer")
 
@@ -171,7 +171,7 @@ def _odd_cases(q: int, p: int, f: int) -> list[CaseSpec]:
     if f % 2 == 0:
         q0 = p ** (f // 2)
         socle("odd-4", q0 * (q0 * q0 + 1) // 2, q0 * (q0 * q0 - 1))
-    for r in sorted({r for r in _prime_divisors(f) if r % 2 == 1}):
+    for r in sorted(r for r in factorize(f) if r % 2 == 1):
         q0 = p ** (f // r)
         v = q0 ** (r - 1) * (q0 ** (2 * r) - 1) // (q0 * q0 - 1)
         socle("odd-5", v, q0 * (q0 * q0 - 1) // 2)
@@ -212,7 +212,7 @@ def _even_cases(q: int, p: int, f: int) -> list[CaseSpec]:
     socle("even-1", q + 1, q * (q - 1), trivial_if_survivor=(q == 8))
     socle("even-2", q * (q - 1) // 2, 2 * (q + 1), subdegrees=(q + 1,))
     socle("even-3", q * (q + 1) // 2, 2 * (q - 1), subdegrees=(2 * (q - 1), q - 1))
-    for r in sorted(_prime_divisors(f)):
+    for r in sorted(factorize(f)):
         if f // r < 2:
             continue  # q0 = 2 is excluded
         q0 = 2 ** (f // r)
@@ -253,20 +253,6 @@ def _table1_cases(q: int, p: int, f: int) -> list[CaseSpec]:
         )
         for line, g_order, m_order, v in rows
     ]
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def case_catalog(q: int) -> list[CaseSpec]:

@@ -1,0 +1,88 @@
+"""Slow, independent reference implementations the library is checked against."""
+
+from itertools import combinations, permutations
+from math import comb
+
+from blockdesigns.permcore import Permutation, compose
+
+
+def representatives(G, k: int):
+    """Yield the lexicographically least block of every G-orbit of k-subsets,
+    as sorted point tuples in lexicographic order.
+
+    Scans all C(n,k) subsets in lex order with a visited bitmap indexed by
+    colex rank; each unvisited subset starts a new orbit, which is walked
+    breadth-first and marked. Memory is C(n,k)/8 bytes.
+    """
+    n = G.degree
+    if not 0 < k < n:
+        raise ValueError("k must be in 1..degree-1")
+    total = comb(n, k)
+    if total > 1 << 32:
+        raise ValueError("C(degree,k) exceeds the 2^32 rank bitmap capacity")
+    table = [[comb(x, i + 1) for i in range(k)] for x in range(n)]
+
+    def crank(sub) -> int:
+        r = 0
+        for i, x in enumerate(sub):
+            r += table[x][i]
+        return r
+
+    visited = bytearray((total + 7) // 8)
+    gens = G.generators
+    for sub in combinations(range(n), k):
+        r = crank(sub)
+        if visited[r >> 3] >> (r & 7) & 1:
+            continue
+        yield sub
+        frontier = [sub]
+        visited[r >> 3] |= 1 << (r & 7)
+        while frontier:
+            nxt = []
+            for s in frontier:
+                for g in gens:
+                    im = tuple(sorted(g.images[x] for x in s))
+                    ri = crank(im)
+                    if not visited[ri >> 3] >> (ri & 7) & 1:
+                        visited[ri >> 3] |= 1 << (ri & 7)
+                        nxt.append(im)
+            frontier = nxt
+
+
+def brute_force_isomorphic(d1, d2) -> bool:
+    """Try all v! point maps between two Designs. v <= 9 enforced."""
+    if d1.v != d2.v:
+        return False
+    v = d1.v
+    if v > 9:
+        raise ValueError("brute force limited to v <= 9")
+    if d1.b != d2.b:
+        return False
+    rows2set = set(d2.blocks)
+    for images in permutations(range(v)):
+        if all(tuple(sorted(images[p] for p in row)) in rows2set for row in d1.blocks):
+            return True
+    return False
+
+
+def brute_force_elements(generators, cap: int = 200_000) -> set[Permutation]:
+    """Closure of a generator list by repeated multiplication; independent of
+    the stabilizer chain, for checking chain-based orders on small groups."""
+    gens = [g for g in generators]
+    if not gens:
+        raise ValueError("need at least one generator")
+    ident = Permutation.identity(gens[0].degree)
+    elems = {ident}
+    frontier = [ident]
+    while frontier:
+        new = []
+        for e in frontier:
+            for g in gens:
+                x = compose(e, g)
+                if x not in elems:
+                    elems.add(x)
+                    new.append(x)
+                    if len(elems) > cap:
+                        raise ValueError(f"closure exceeded cap {cap}")
+        frontier = new
+    return elems

@@ -12,21 +12,19 @@ from math import comb
 
 from blockdesigns import golden
 from blockdesigns.design import (
+    Design,
     classify,
     count_orbits_burnside,
     is_flag_transitive,
     orbit_design,
 )
-from blockdesigns.isomorph import (
-    RawDesign,
-    are_isomorphic,
-    brute_force_isomorphic,
-)
+from blockdesigns.isomorph import are_isomorphic
 from blockdesigns.kcombs import subset_orbits
 from blockdesigns.permcore import PermGroup, Permutation
 from blockdesigns.sieve import run as sieve_run
 
 from conftest import TIMINGS
+from oracles import brute_force_isomorphic
 
 # flag-transitive classes among the 330, under the full group (1-based bases)
 EXPECTED_FT_FULL = {
@@ -213,17 +211,13 @@ def test_criterion_6c_certificate_vs_brute_force():
             blocks = set()
             while len(blocks) < nb:
                 blocks.add(tuple(sorted(rng.sample(range(v), k))))
-            return RawDesign(v, tuple(sorted(blocks)))
+            return Design(v, blocks)
 
         d1 = rand_design()
         if designs_checked % 4 == 0:
             images = list(range(v))
             rng.shuffle(images)
-            sigma = Permutation(tuple(images))
-            rows = tuple(
-                sorted(tuple(sorted(sigma.images[x] for x in row)) for row in d1.block_rows())
-            )
-            d2 = RawDesign(v, rows)
+            d2 = d1.relabel(Permutation(tuple(images)))
         else:
             d2 = rand_design()
         designs_checked += 2

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import random
 
 import pytest
 
@@ -106,6 +107,55 @@ class TestConstruct:
         rec = json.loads(out.read_text())
         assert rec["v"] == 15 and rec["lambda"] == 2 and rec["b"] == 15
         assert rec["group"] == "projective(q=5,variant=socle,action=pairs)"
+
+
+class TestBadParameters:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["classify", "--q", "6"],  # not a prime power
+            ["classify", "--q", "3"],  # socle not simple
+            ["construct", "--group", "psl28_paper36", "--base", "1,2,3", "--t", "9"],  # t > k
+            ["classify", "--group", "psl28_paper36", "--k", "40"],  # k > degree
+        ],
+    )
+    def test_usage_error_without_traceback(self, args, capsys):
+        code, _, err = run_cli(args, capsys)
+        assert code == 2
+        assert any(line.startswith("error:") for line in err.splitlines())
+        assert "Traceback" not in err
+
+
+class TestMoreThan64Points:
+    """PSL(2,16) on the 136 unordered pairs of projective points."""
+
+    def construct(self, path, capsys):
+        code, _, _ = run_cli(
+            ["construct", "--q", "16", "--action", "pairs", "--base", "1,2,3,4", "-o", str(path)],
+            capsys,
+        )
+        assert code == 0
+        return json.loads(path.read_text())
+
+    def test_construct(self, tmp_path, capsys):
+        rec = self.construct(tmp_path / "q16.json", capsys)
+        assert rec["v"] == 136 and rec["b"] == 1020
+        assert rec["flag_transitive"] is True
+
+    def test_iso_relabeled_copy(self, tmp_path, capsys):
+        a = tmp_path / "q16.json"
+        rec = self.construct(a, capsys)
+        images = list(range(1, rec["v"] + 1))
+        random.Random(16).shuffle(images)
+        relabeled = {
+            "v": rec["v"],
+            "blocks": [sorted(images[p - 1] for p in blk) for blk in rec["blocks"]],
+        }
+        c = tmp_path / "c.json"
+        c.write_text(json.dumps(relabeled))
+        code, out, _ = run_cli(["iso", str(a), str(c)], capsys)
+        assert code == 0
+        assert out.strip() == "isomorphic"
 
 
 class TestClassify:

@@ -1,6 +1,7 @@
 """Design construction, lambda computation, transitivity, orbit counting."""
 
 import random
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -9,7 +10,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from blockdesigns.design import (
-    Block,
     Design,
     classify,
     count_orbits_burnside,
@@ -18,10 +18,11 @@ from blockdesigns.design import (
     lambda_of,
     lambda_vector,
     orbit_design,
-    representatives,
 )
 from blockdesigns.kcombs import subset_orbits
 from blockdesigns.permcore import PermGroup, Permutation, parse_cycles
+
+from oracles import representatives
 
 
 def cyclic(n):
@@ -32,48 +33,66 @@ FANO_BASE = (0, 1, 3)  # difference set mod 7
 
 
 class TestBlock:
+    """A block is stored as a sorted point tuple; Design checks each one."""
+
     def test_roundtrip(self):
-        blk = Block.from_points((5, 0, 63))
-        assert blk.points() == (0, 5, 63)
-        assert blk.size == 3
+        d = Design(64, [[5, 0, 63]])
+        assert d.blocks == ((0, 5, 63),)
+        assert d.k == 3
 
     def test_rejects_repeats(self):
-        with pytest.raises(ValueError):
-            Block.from_points((1, 1, 2))
+        with pytest.raises(ValueError, match="repeated"):
+            Design(4, [(1, 1, 2)])
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            Block.from_points((0, 64))
+        with pytest.raises(ValueError, match="outside"):
+            Design(64, [(0, 64)])
+        with pytest.raises(ValueError, match="outside"):
+            Design(64, [(-1, 2)])
 
     def test_design_block_rows_are_lex_sorted(self):
-        blocks = tuple(Block.from_points(p) for p in [(1, 2), (0, 3), (0, 1)])
-        d = Design(4, 2, blocks)
+        d = Design(4, [(1, 2), (0, 3), (0, 1)])
         assert d.block_rows() == ((0, 1), (0, 3), (1, 2))
 
 
 class TestDesign:
     def test_sorts_blocks(self):
-        d = Design(4, 2, (Block.from_points((2, 3)), Block.from_points((0, 1))))
+        d = Design(4, [(2, 3), (0, 1)])
         assert d.block_rows() == ((0, 1), (2, 3))
-        assert d.b == 2
+        assert (d.v, d.k, d.b) == (4, 2, 2)
 
     def test_rejects_duplicate_blocks(self):
-        with pytest.raises(ValueError):
-            Design(4, 2, (Block.from_points((0, 1)), Block.from_points((1, 0))))
+        with pytest.raises(ValueError, match="duplicate"):
+            Design(4, [(0, 1), (1, 0)])
 
     def test_rejects_wrong_size(self):
-        with pytest.raises(ValueError):
-            Design(4, 2, (Block.from_points((0, 1, 2)),))
+        with pytest.raises(ValueError, match="one size"):
+            Design(4, [(0, 1), (0, 1, 2)])
 
     def test_rejects_point_outside_v(self):
+        with pytest.raises(ValueError, match="outside"):
+            Design(4, [(3, 4)])
+
+    def test_rejects_empty_design_and_empty_block(self):
         with pytest.raises(ValueError):
-            Design(4, 2, (Block.from_points((3, 4)),))
+            Design(4, [])
+        with pytest.raises(ValueError):
+            Design(4, [()])
+
+    def test_more_than_64_points(self):
+        d = Design(200, [(0, 199), (64, 130)])
+        assert d.block_rows() == ((0, 199), (64, 130))
 
     def test_relabel_permutes_points(self):
-        d = Design(4, 2, (Block.from_points((0, 1)), Block.from_points((0, 2))))
+        d = Design(4, [(0, 1), (0, 2)])
         sigma = Permutation((3, 2, 1, 0))
         r = d.relabel(sigma)
         assert r.block_rows() == ((1, 3), (2, 3))
+
+    def test_relabel_rejects_degree_mismatch(self):
+        d = Design(4, [(0, 1), (0, 2)])
+        with pytest.raises(ValueError, match="degree"):
+            d.relabel(Permutation((1, 0, 2)))
 
 
 class TestOrbitDesign:
@@ -88,16 +107,44 @@ class TestOrbitDesign:
         assert d.b == 7
         assert lambda_of(d, 2) is None
 
-    def test_base_block_recorded(self):
-        d = orbit_design(cyclic(7), FANO_BASE, group_name="C7")
-        assert d.base_block.points() == FANO_BASE
-        assert d.group_name == "C7"
+    def test_base_block_is_validated(self):
+        with pytest.raises(ValueError):
+            orbit_design(cyclic(7), (0, 7))
+        with pytest.raises(ValueError):
+            orbit_design(cyclic(7), (2, 2))
+
+    def test_degree_above_64(self):
+        d = orbit_design(cyclic(100), (0, 1, 3))
+        assert (d.v, d.k, d.b) == (100, 3, 100)
+        assert d.blocks[0] == (0, 1, 3)
+        assert lambda_of(d, 1) == 3
 
     def test_complete_design(self):
         G = PermGroup([parse_cycles("(1,2)", 5), parse_cycles("(1,2,3,4,5)", 5)])
         d = orbit_design(G, (0, 1))
         assert d.b == comb(5, 2)
         assert lambda_of(d, 2) == 1
+
+
+class TestLambdaOf:
+    @given(st.integers(3, 9), st.data())
+    def test_matches_python_count(self, v, data):
+        k = data.draw(st.integers(1, v - 1))
+        t = data.draw(st.integers(1, k))
+        blocks = data.draw(
+            st.sets(st.sets(st.integers(0, v - 1), min_size=k, max_size=k).map(frozenset),
+                    min_size=1, max_size=8)
+        )
+        d = Design(v, blocks)
+        counts = Counter(sub for blk in d.blocks for sub in combinations(blk, t))
+        uniform = len(counts) == comb(v, t) and len(set(counts.values())) == 1
+        assert lambda_of(d, t) == (next(iter(counts.values())) if uniform else None)
+
+    def test_t_outside_1_to_k_rejected(self):
+        d = orbit_design(cyclic(7), FANO_BASE)
+        for t in (0, 4):
+            with pytest.raises(ValueError):
+                lambda_of(d, t)
 
 
 class TestLambdaVector:
@@ -146,14 +193,14 @@ class TestRepresentatives:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_agrees_with_subset_orbits(self, k):
         G = PermGroup([parse_cycles("(1,2,3)(4,5)", 6), parse_cycles("(1,4)", 6)])
-        reps = [blk.points() for blk in representatives(G, k)]
+        reps = list(representatives(G, k))
         so = subset_orbits(G, k)
         expect = [tuple(so.rows[r]) for r in so.rep_ranks]
         assert reps == expect
 
     def test_reps_are_lex_least_and_sorted(self):
         G = cyclic(9)
-        reps = [blk.points() for blk in representatives(G, 3)]
+        reps = list(representatives(G, 3))
         assert reps == sorted(reps)
         all_seen = set()
         for rep in reps:

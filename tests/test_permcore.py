@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 from blockdesigns.permcore import (
     PermGroup,
     Permutation,
-    brute_force_elements,
     compose,
     format_cycles,
     group,
     inverse,
     parse_cycles,
 )
+
+from oracles import brute_force_elements
 
 
 def perms(degree):
