@@ -218,6 +218,8 @@ def classify(G: PermGroup, k: int, t: int = 2, workers: int = 1) -> list[DesignC
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if t < 1:
+        raise ValueError("t must be >= 1")
     v = G.degree
     if not t < k < v:
         return []

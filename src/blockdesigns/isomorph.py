@@ -11,7 +11,9 @@ Pruning: a candidate in the target cell is skipped when a known automorphism
 fixing all previously individualized points maps an already explored
 candidate to it; the skipped subtree then only repeats leaf encodings of the
 explored one. "Known" automorphisms are the seeded generators, each verified
-on entry, plus any discovered when two leaves encode equally.
+on entry, plus any discovered when two leaves encode equally. The stabilizer
+of the individualized prefix, whose orbits decide the skips, is built once
+per search node and again only after a new automorphism has been found.
 """
 
 from __future__ import annotations
@@ -45,8 +47,15 @@ class Certificate:
 
 
 def _unique_rows_inverse(arr: np.ndarray) -> np.ndarray:
-    _, inv = np.unique(arr, axis=0, return_inverse=True)
-    return inv.reshape(-1)
+    """Lex rank of each row of a 2-d array among its distinct rows: the
+    inverse that np.unique(arr, axis=0, return_inverse=True) returns."""
+    order = np.lexsort(arr.T[::-1])  # lexsort's last key is the primary one
+    srt = arr[order]
+    ranks = np.zeros(len(arr), dtype=np.intp)
+    np.cumsum(np.any(srt[1:] != srt[:-1], axis=1), out=ranks[1:])
+    inv = np.empty_like(ranks)
+    inv[order] = ranks
+    return inv
 
 
 class _Refiner:
@@ -100,19 +109,14 @@ def _individualize(pcol: np.ndarray, x: int) -> np.ndarray:
     return out
 
 
-def _leaf_bytes(v: int, b: int, k: int, rows, pcol) -> bytes:
+def _leaf_bytes(v: int, b: int, k: int, rows_arr: np.ndarray, pcol: np.ndarray) -> bytes:
     """Incidence bitmap under the discrete labeling pcol: one row per
     canonical point, one column per canonical block, left-aligned bits."""
-    blocks = sorted(tuple(sorted(pcol[p] for p in row)) for row in rows)
-    nbytes = (b + 7) // 8
-    pad = 8 * nbytes - b
-    rowints = [0] * v
-    for j, blk in enumerate(blocks):
-        bit = 1 << (b - 1 - j + pad)
-        for p in blk:
-            rowints[p] |= bit
-    header = struct.pack(">HIH", v, b, k)
-    return header + b"".join(r.to_bytes(nbytes, "big") for r in rowints)
+    blocks = np.sort(pcol[rows_arr], axis=1)
+    blocks = blocks[np.lexsort(blocks.T[::-1])]
+    bits = np.zeros((v, 8 * ((b + 7) // 8)), dtype=np.uint8)
+    bits[blocks, np.arange(b)[:, None]] = 1
+    return struct.pack(">HIH", v, b, k) + np.packbits(bits, axis=1).tobytes()
 
 
 def certificate(design, known_automorphisms=()) -> Certificate:
@@ -163,7 +167,7 @@ def certificate(design, known_automorphisms=()) -> Certificate:
         nonsingleton = [c for c in np.nonzero(counts > 1)[0]]
         if not nonsingleton:
             plist = pcol.tolist()
-            data = _leaf_bytes(v, b, k, rows, plist)
+            data = _leaf_bytes(v, b, k, refiner.rows_arr, pcol)
             if best_data is None or data < best_data:
                 best_data, best_pcol = data, plist
             elif data == best_data and plist != best_pcol:
@@ -176,9 +180,11 @@ def certificate(design, known_automorphisms=()) -> Certificate:
         target = min(nonsingleton, key=lambda c: (counts[c], c))
         candidates = [int(i) for i in np.nonzero(pcol == target)[0]]
         explored: list[int] = []
+        stab_of = stab = None  # stab is the pointwise stabilizer of sequence in stab_of
         for x in candidates:
             if explored and aut_group is not None:
-                stab = aut_group.pointwise_stabilizer(sequence)
+                if stab_of is not aut_group:
+                    stab_of, stab = aut_group, aut_group.pointwise_stabilizer(sequence)
                 if any(x in stab.orbit(e) for e in explored):
                     explored.append(x)
                     continue

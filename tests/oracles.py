@@ -1,5 +1,6 @@
 """Slow, independent reference implementations the library is checked against."""
 
+import struct
 from itertools import combinations, permutations
 from math import comb
 
@@ -86,3 +87,19 @@ def brute_force_elements(generators, cap: int = 200_000) -> set[Permutation]:
                         raise ValueError(f"closure exceeded cap {cap}")
         frontier = new
     return elems
+
+
+def leaf_bytes(v: int, b: int, k: int, rows, pcol) -> bytes:
+    """Incidence bitmap of a design under a discrete labeling pcol (a list),
+    built bit by bit in Python integers: one row per canonical point, one
+    column per canonical block, left-aligned bits, after a >HIH header."""
+    blocks = sorted(tuple(sorted(pcol[p] for p in row)) for row in rows)
+    nbytes = (b + 7) // 8
+    pad = 8 * nbytes - b
+    rowints = [0] * v
+    for j, blk in enumerate(blocks):
+        bit = 1 << (b - 1 - j + pad)
+        for p in blk:
+            rowints[p] |= bit
+    header = struct.pack(">HIH", v, b, k)
+    return header + b"".join(r.to_bytes(nbytes, "big") for r in rowints)

@@ -259,6 +259,11 @@ class TestClassify:
         assert classify(cyclic(7), 7, 2) == []  # k = v
         assert classify(cyclic(7), 2, 2) == []  # t = k
 
+    def test_t_below_1_rejected(self):
+        for t in (0, -1):
+            with pytest.raises(ValueError, match="t must be >= 1"):
+                classify(cyclic(7), 3, t)
+
     def test_complete_design_excluded(self):
         # S5 on 2-subsets: single orbit = complete design, excluded as trivial
         G = PermGroup([parse_cycles("(1,2)", 5), parse_cycles("(1,2,3,4,5)", 5)])

@@ -3,19 +3,31 @@
 import random
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from blockdesigns.design import Design
+from blockdesigns import golden, isomorph
+from blockdesigns.design import Design, orbit_design
 from blockdesigns.isomorph import (
     are_isomorphic,
     certificate,
     isomorphism_witness,
 )
-from blockdesigns.permcore import Permutation, parse_cycles
+from blockdesigns.permcore import PermGroup, Permutation, parse_cycles
 
-from oracles import brute_force_isomorphic
+from oracles import brute_force_isomorphic, leaf_bytes
+
+# Table 2 rows of b = 504, 252 and 84 blocks, some reaching 9 search nodes, some 7
+TABLE2_ROWS = (0, 11, 32, 37, 42, 43)
+
+
+def table2_design(G, row):
+    base, _ = golden.TABLE2[row]
+    return orbit_design(G, tuple(p - 1 for p in base))
+
 
 FANO = Design(7, [((0 + i) % 7, (1 + i) % 7, (3 + i) % 7) for i in range(7)])
 
@@ -134,3 +146,68 @@ class TestBruteForceAgreement:
                 disagreements += 1
         assert designs_seen >= 120
         assert disagreements == 0
+
+
+class TestSearchPruning:
+    @pytest.mark.parametrize("row", TABLE2_ROWS)
+    def test_seeding_does_not_change_data_or_labeling(self, psl_group, row):
+        # the result is the first lex-least leaf in full traversal order, so
+        # how much of the tree the seeded group prunes must not show
+        d = table2_design(psl_group, row)
+        seeded = certificate(d, psl_group.generators)
+        plain = certificate(d)
+        assert seeded.data == plain.data
+        assert seeded.labeling == plain.labeling
+
+    @pytest.mark.parametrize("row", TABLE2_ROWS[::2])
+    def test_at_most_one_stabilizer_build_per_search_node(self, psl_group, row, monkeypatch):
+        counts = {"stabilizers": 0, "nodes": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            PermGroup,
+            "pointwise_stabilizer",
+            counted("stabilizers", PermGroup.pointwise_stabilizer),
+        )
+        # refine runs exactly once per search node
+        monkeypatch.setattr(
+            isomorph._Refiner, "refine", counted("nodes", isomorph._Refiner.refine)
+        )
+        certificate(table2_design(psl_group, row), psl_group.generators)
+        assert counts["nodes"] > 1
+        assert 0 < counts["stabilizers"] <= counts["nodes"]
+
+
+class TestKernels:
+    @given(
+        arrays(
+            np.int64,
+            array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12),
+            elements=st.integers(0, 4),
+        )
+    )
+    def test_unique_rows_inverse_matches_np_unique(self, arr):
+        expected = np.unique(arr, axis=0, return_inverse=True)[1].reshape(-1)
+        assert np.array_equal(isomorph._unique_rows_inverse(arr), expected)
+
+    def test_leaf_bytes_matches_loop(self):
+        rng = random.Random(2025)
+        for b in range(1, 41):  # every residue of b mod 8, several times
+            v = rng.randrange(8, 13)
+            k = rng.randrange(3, v - 2)  # C(v, k) >= C(8, 3) = 56 > 40 distinct blocks
+            blocks = set()
+            while len(blocks) < b:
+                blocks.add(tuple(sorted(rng.sample(range(v), k))))
+            d = Design(v, blocks)
+            labeling = list(range(v))
+            rng.shuffle(labeling)
+            got = isomorph._leaf_bytes(
+                v, b, k, np.asarray(d.blocks, dtype=np.int64), np.asarray(labeling)
+            )
+            assert got == leaf_bytes(v, b, k, d.blocks, labeling)
