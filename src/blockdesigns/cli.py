@@ -18,6 +18,7 @@ import json
 import logging
 import os
 import sys
+from math import comb
 
 from . import golden
 from .design import (
@@ -30,6 +31,7 @@ from .design import (
 )
 from .grouplib import BUILTIN_NAMES, builtin, pair_action, projective_group
 from .isomorph import are_isomorphic
+from .kcombs import MAX_POINTS
 from .permcore import PermGroup
 from .sieve import run as sieve_run
 
@@ -127,6 +129,14 @@ def cmd_construct(args) -> int:
 
 
 def _classification(args) -> tuple[list, str]:
+    if args.group is None and args.q is not None:
+        # checked before the group is built, which is slow for large q: q + 1
+        # points on the line, C(q + 1, 2) of them for pair_action
+        degree = args.q + 1 if args.action == "line" else comb(args.q + 1, 2)
+        if degree > MAX_POINTS:
+            raise UsageError(
+                f"--q {args.q} gives degree {degree}; classify takes at most {MAX_POINTS}"
+            )
     G, name, is_builtin = _resolve_group(args)
     if not 1 <= args.t < args.k < G.degree:
         raise UsageError(f"need 1 <= t < k < {G.degree} (the degree); got t={args.t}, k={args.k}")

@@ -18,41 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .numth import prime_power, smallest_primitive_root
+from .numth import factorize, prime_power, smallest_primitive_root
 from .permcore import PermGroup, Permutation, parse_cycles
-
-# generated by scripts/gen_field_table.py; do not edit by hand.
-# (p, f) -> non-leading coefficients (a0, ..., a_{f-1}) of a monic primitive
-# polynomial x^f + a_{f-1} x^{f-1} + ... + a0 over GF(p), the smallest such
-# coefficient vector in base-p order. Its root x generates GF(p^f)*.
-PRIMITIVE_POLY = {
-    (2, 2): (1, 1),
-    (2, 3): (1, 1, 0),
-    (3, 2): (2, 1),
-    (2, 4): (1, 1, 0, 0),
-    (5, 2): (2, 1),
-    (3, 3): (1, 2, 0),
-    (2, 5): (1, 0, 1, 0, 0),
-    (7, 2): (3, 1),
-    (2, 6): (1, 1, 0, 0, 0, 0),
-    (3, 4): (2, 1, 0, 0),
-    (11, 2): (7, 1),
-    (5, 3): (2, 3, 0),
-    (2, 7): (1, 1, 0, 0, 0, 0, 0),
-    (13, 2): (2, 1),
-    (3, 5): (1, 2, 0, 0, 0),
-    (2, 8): (1, 0, 1, 1, 1, 0, 0, 0),
-    (17, 2): (3, 1),
-    (7, 3): (2, 3, 0),
-    (19, 2): (2, 1),
-    (2, 9): (1, 0, 0, 0, 1, 0, 0, 0, 0),
-    (23, 2): (7, 1),
-    (5, 4): (2, 2, 1, 0),
-    (3, 6): (2, 1, 0, 0, 0, 0),
-    (29, 2): (3, 1),
-    (31, 2): (12, 1),
-    (2, 10): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0),
-}
 
 # sentinel for the point at infinity; field elements are coefficient tuples,
 # so a bare string can never collide with one
@@ -62,9 +29,12 @@ INFINITY = "oo"
 class FiniteField:
     """GF(p^f) with elements as length-f coefficient tuples, low degree first.
 
-    For f >= 2 arithmetic is polynomial arithmetic modulo the fixed primitive
-    polynomial from PRIMITIVE_POLY, so x = (0,1,0,...) is a primitive element.
-    For f = 1 the primitive element is the smallest primitive root mod p.
+    For f >= 2 arithmetic is polynomial arithmetic modulo a monic primitive
+    polynomial x^f + a_{f-1} x^{f-1} + ... + a0 over GF(p): the one whose
+    coefficient vector (a0, ..., a_{f-1}), read as a base-p number, is
+    smallest. Its root x = (0,1,0,...) is a primitive element; the choice
+    fixes the element labeling, so it must never change. For f = 1 the
+    primitive element is the smallest primitive root mod p.
     """
 
     def __init__(self, q: int):
@@ -73,17 +43,27 @@ class FiniteField:
             raise ValueError(f"{q} is not a prime power")
         self.p, self.f = pf
         self.q = q
-        if self.f == 1:
-            self.modulus = None
-        else:
-            if (self.p, self.f) not in PRIMITIVE_POLY:
-                raise ValueError(
-                    f"no embedded polynomial for GF({self.p}^{self.f}); table covers q <= 1024"
-                )
-            a = PRIMITIVE_POLY[(self.p, self.f)]
-            self.modulus = tuple(a) + (1,)
         self.zero = (0,) * self.f
         self.one = (1,) + (0,) * (self.f - 1)
+        self.modulus = None
+        if self.f > 1:
+            self.modulus = self._smallest_primitive_modulus()
+
+    def _smallest_primitive_modulus(self) -> tuple[int, ...]:
+        # x has order q-1 modulo m iff x^(q-1) = 1 and x^((q-1)/r) != 1 for
+        # every prime r | q-1. A reducible m has fewer than q-1 units, so
+        # this also proves m irreducible.
+        x = self.primitive_element()
+        cofactors = [(self.q - 1) // r for r in factorize(self.q - 1)]
+        for code in range(1, self.q):
+            if code % self.p == 0:  # a0 = 0: x divides the polynomial
+                continue
+            self.modulus = self.from_index(code) + (1,)
+            if self.pow(x, self.q - 1) == self.one and all(
+                self.pow(x, c) != self.one for c in cofactors
+            ):
+                return self.modulus
+        raise AssertionError(f"no primitive polynomial of degree {self.f} over GF({self.p})")
 
     def elements(self) -> list[tuple[int, ...]]:
         return [self.from_index(i) for i in range(self.q)]

@@ -11,9 +11,11 @@ Pruning: a candidate in the target cell is skipped when a known automorphism
 fixing all previously individualized points maps an already explored
 candidate to it; the skipped subtree then only repeats leaf encodings of the
 explored one. "Known" automorphisms are the seeded generators, each verified
-on entry, plus any discovered when two leaves encode equally. The stabilizer
-of the individualized prefix, whose orbits decide the skips, is built once
-per search node and again only after a new automorphism has been found.
+on entry, plus any discovered when two leaves encode equally, each extending
+the group's chain (PermGroup.extend). The skips use the orbits of the
+pointwise stabilizer of the individualized prefix: the point stabilizer of
+its last point in the parent prefix's stabilizer, memoized by prefix until a
+new automorphism enlarges the group.
 """
 
 from __future__ import annotations
@@ -109,13 +111,22 @@ def _individualize(pcol: np.ndarray, x: int) -> np.ndarray:
     return out
 
 
+def _image_rows(images: np.ndarray, rows_arr: np.ndarray) -> np.ndarray:
+    """Blocks under the point map images, as lex-sorted rows of sorted points
+    (rows_arr itself iff images maps the block set onto itself)."""
+    blocks = np.sort(images[rows_arr], axis=1)
+    return blocks[np.lexsort(blocks.T[::-1])]
+
+
+def _is_automorphism(rows_arr: np.ndarray, g: Permutation) -> bool:
+    return np.array_equal(_image_rows(np.asarray(g.images), rows_arr), rows_arr)
+
+
 def _leaf_bytes(v: int, b: int, k: int, rows_arr: np.ndarray, pcol: np.ndarray) -> bytes:
     """Incidence bitmap under the discrete labeling pcol: one row per
     canonical point, one column per canonical block, left-aligned bits."""
-    blocks = np.sort(pcol[rows_arr], axis=1)
-    blocks = blocks[np.lexsort(blocks.T[::-1])]
     bits = np.zeros((v, 8 * ((b + 7) // 8)), dtype=np.uint8)
-    bits[blocks, np.arange(b)[:, None]] = 1
+    bits[_image_rows(pcol, rows_arr), np.arange(b)[:, None]] = 1
     return struct.pack(">HIH", v, b, k) + np.packbits(bits, axis=1).tobytes()
 
 
@@ -128,39 +139,42 @@ def certificate(design, known_automorphisms=()) -> Certificate:
     of corrupting the canonical form.
     """
     v, b, k = design.v, design.b, design.k
-    rows = design.blocks
     if v + b > MAX_VERTICES:
         raise ValueError(f"{v} points + {b} blocks exceeds the {MAX_VERTICES}-vertex bound")
 
-    rowset = set(rows)
+    refiner = _Refiner(v, design.blocks)
     auts: list[Permutation] = []
     for g in known_automorphisms:
         if not isinstance(g, Permutation):
             g = Permutation(g)
         if g.degree != v:
             raise ValueError("automorphism degree does not match point count")
-        if any(tuple(sorted(g.images[p] for p in row)) not in rowset for row in rows):
+        if not _is_automorphism(refiner.rows_arr, g):
             raise ValueError("seeded permutation is not an automorphism of the design")
-        if not g.is_identity():
-            auts.append(g)
+        auts.append(g)
 
-    refiner = _Refiner(v, rows)
     best_data: bytes | None = None
     best_pcol: list[int] | None = None
-    aut_group: PermGroup | None = PermGroup(auts) if auts else None
+    aut_group = PermGroup(auts or [Permutation.identity(v)])
+    stabilizers: dict[tuple[int, ...], PermGroup] = {}  # of prefixes, in aut_group
+
+    def stabilizer(prefix: tuple[int, ...]) -> PermGroup:
+        if not prefix:
+            return aut_group
+        if prefix not in stabilizers:
+            stabilizers[prefix] = stabilizer(prefix[:-1]).point_stabilizer(prefix[-1])
+        return stabilizers[prefix]
 
     def add_automorphism(sigma: Permutation) -> None:
         nonlocal aut_group
-        if sigma.is_identity():
-            return
-        if aut_group is not None and aut_group.contains(sigma):
-            return
-        if any(tuple(sorted(sigma.images[p] for p in row)) not in rowset for row in rows):
+        if not _is_automorphism(refiner.rows_arr, sigma):
             return  # equal leaf encodings always yield a real automorphism; stay safe anyway
-        gens = list(aut_group.generators) if aut_group is not None else []
-        aut_group = PermGroup(gens + [sigma])
+        grown = aut_group.extend(sigma)
+        if grown is not aut_group:
+            aut_group = grown
+            stabilizers.clear()
 
-    def search(pcol: np.ndarray, sequence: list[int]) -> None:
+    def search(pcol: np.ndarray, prefix: tuple[int, ...]) -> None:
         nonlocal best_data, best_pcol
         pcol = refiner.refine(pcol)
         counts = np.bincount(pcol, minlength=int(pcol.max()) + 1)
@@ -180,18 +194,16 @@ def certificate(design, known_automorphisms=()) -> Certificate:
         target = min(nonsingleton, key=lambda c: (counts[c], c))
         candidates = [int(i) for i in np.nonzero(pcol == target)[0]]
         explored: list[int] = []
-        stab_of = stab = None  # stab is the pointwise stabilizer of sequence in stab_of
         for x in candidates:
-            if explored and aut_group is not None:
-                if stab_of is not aut_group:
-                    stab_of, stab = aut_group, aut_group.pointwise_stabilizer(sequence)
+            if explored and aut_group.order() > 1:
+                stab = stabilizer(prefix)
                 if any(x in stab.orbit(e) for e in explored):
                     explored.append(x)
                     continue
-            search(_individualize(pcol, x), sequence + [x])
+            search(_individualize(pcol, x), prefix + (x,))
             explored.append(x)
 
-    search(np.zeros(v, dtype=np.int64), [])
+    search(np.zeros(v, dtype=np.int64), ())
     return Certificate(best_data, tuple(best_pcol))
 
 

@@ -21,6 +21,9 @@ import numpy as np
 
 from .permcore import PermGroup
 
+# points are stored as uint8 in the k-subset arrays
+MAX_POINTS = 255
+
 
 def rank_colex(subset) -> int:
     r = 0
@@ -61,8 +64,8 @@ def unrank_lex(n: int, k: int, rank: int) -> tuple[int, ...]:
 
 def lex_combinations(n: int, k: int) -> np.ndarray:
     """All k-subsets as a (C(n,k), k) uint8 array; row index = lex rank."""
-    if n > 255:
-        raise ValueError("uint8 point labels require n <= 255")
+    if n > MAX_POINTS:
+        raise ValueError(f"uint8 point labels require n <= {MAX_POINTS}")
     count = comb(n, k)
     flat = np.fromiter(
         chain.from_iterable(combinations(range(n), k)), dtype=np.uint8, count=count * k

@@ -4,17 +4,26 @@ Composition convention, used everywhere in this package: compose(p, q) is the
 permutation mapping i -> q(p(i)), i.e. p acts first, then q. Inside the library
 all points are 0-based; cycle-notation text I/O is 1-based by default.
 
-Groups carry a deterministic Schreier-Sims stabilizer chain, built eagerly at
-construction and never mutated afterwards. Base points are the smallest moved
-points, transversals are grown by breadth-first search with generators applied
-in their listed order, so identical generator lists always produce identical
-chains, identical orders and identical element streams.
+Groups carry a stabilizer chain built by one deterministic Schreier-Sims
+routine, _Chain.add: sift the new element, make a non-trivial residue a strong
+generator of every level it reached (appending its smallest moved point as a
+base point if it passed the whole base), and close those levels again. A
+transversal keeps its words and grows by breadth-first search with generators
+in listed order; only Schreier generators not checked before are sifted.
+PermGroup(gens) adds the generators one by one to an empty chain, extend(g)
+adds g to a copy of the group's chain, and pointwise_stabilizer(pts) is the
+tail, from level len(pts) on, of a chain whose base starts with pts. A chain a
+group holds is never mutated: adding assigns fresh per-level lists and dicts,
+so a copy can share the levels it does not change. Identical inputs (the
+generator list, plus the point list for a stabilizer) give identical chains,
+orders and element streams.
 """
 
 from __future__ import annotations
 
 import re
 from collections import deque
+from math import prod
 
 
 class Permutation:
@@ -160,121 +169,108 @@ def format_cycles(p: Permutation, index_base: int = 1) -> str:
     return "".join("(" + ",".join(str(x + index_base) for x in c) + ")" for c in cycs)
 
 
-class _Level:
-    """One stabilizer-chain level: base point, level generators, transversal.
+class _Chain:
+    """A base with, per level, strong generators and a transversal.
 
-    gens is the set of strong generators fixing all earlier base points;
-    transversal[d] is a product of gens mapping the base point to d.
+    Level i holds base[i], gens[i], which generate the pointwise stabilizer
+    of base[:i], and trans[i], which maps each point a of the orbit of
+    base[i] under gens[i] to a product of gens[i] carrying base[i] to a.
+    The product of the transversal sizes is the group order.
     """
 
-    __slots__ = ("point", "gens", "transversal")
+    __slots__ = ("degree", "base", "gens", "trans")
 
-    def __init__(self, point: int):
-        self.point = point
-        self.gens: list[Permutation] = []
-        self.transversal: dict[int, Permutation] = {}
+    def __init__(self, degree: int, base=()):
+        self.degree = degree
+        self.base: list[int] = []
+        self.gens: list[list[Permutation]] = []
+        self.trans: list[dict[int, Permutation]] = []
+        for b in base:
+            self._new_level(b)
 
+    def _new_level(self, point: int) -> None:
+        self.base.append(point)
+        self.gens.append([])
+        self.trans.append({point: Permutation.identity(self.degree)})
 
-def _bfs_transversal(degree: int, point: int, gens: list[Permutation]) -> dict[int, Permutation]:
-    # BFS from the base point, generators in listed order: deterministic.
-    t = {point: Permutation.identity(degree)}
-    queue = deque([point])
-    while queue:
-        a = queue.popleft()
-        ua = t[a]
-        for g in gens:
-            b = g.images[a]
-            if b not in t:
-                t[b] = compose(ua, g)
-                queue.append(b)
-    return t
+    def tail(self, level: int) -> "_Chain":
+        """Levels level.. as a new chain sharing them; tail(0) is a copy."""
+        c = _Chain(self.degree)
+        c.base, c.gens, c.trans = self.base[level:], self.gens[level:], self.trans[level:]
+        return c
 
+    def group(self, generators=None) -> "PermGroup":
+        """This chain as a group on generators (default: its level-0 strong
+        generators), without rebuilding it."""
+        if generators is None:
+            generators = self.gens[0] if self.gens else ()
+        G = object.__new__(PermGroup)
+        G._degree, G._chain = self.degree, self
+        G._generators = tuple(generators) or (Permutation.identity(self.degree),)
+        return G
 
-def _build_chain(degree: int, generators: list[Permutation],
-                 base_prefix: tuple[int, ...] = ()) -> list[_Level]:
-    """Deterministic (non-randomized) Schreier-Sims.
-
-    Maintains a strong generator list and a base; level i works with the
-    strong generators fixing the first i base points. Levels are closed from
-    the deepest up: every Schreier generator of a closed level sifts to the
-    identity through the levels below it, which makes the transversal-size
-    product the group order. base_prefix forces the first base points (used
-    for point stabilizers); further base points are the smallest point moved
-    by the strong generator that needs one.
-    """
-    base: list[int] = []
-    for b in base_prefix:
-        if b not in base:
-            base.append(b)
-    strong: list[Permutation] = []
-    trans: list[dict[int, Permutation]] = []
-
-    def fixes_prefix(g: Permutation, i: int) -> bool:
-        return all(g.images[b] == b for b in base[:i])
-
-    def level_gens(i: int) -> list[Permutation]:
-        return [g for g in strong if fixes_prefix(g, i)]
-
-    def strip(p: Permutation, start: int) -> tuple[Permutation, int]:
-        i = start
-        while i < len(base):
-            delta = p.images[base[i]]
-            if delta != base[i]:
+    def sift(self, p: Permutation, start: int = 0) -> tuple[Permutation, int]:
+        """Strip p through the levels from start on. Returns the residue and
+        the level where stripping stopped (len(base) if it went through);
+        p is in the level-start group iff the residue is the identity."""
+        base, trans = self.base, self.trans
+        for i in range(start, len(base)):
+            b = base[i]
+            delta = p.images[b]
+            if delta != b:
                 u = trans[i].get(delta)
                 if u is None:
                     return p, i
                 p = compose(p, u.inverse())
-            i += 1
         return p, len(base)
 
-    def close_level(i: int) -> None:
-        # precondition: levels > i are closed and their transversals are current
-        while True:
-            si = level_gens(i)
-            trans[i] = _bfs_transversal(degree, base[i], si)
-            inserted = False
-            for a in sorted(trans[i]):
-                ua = trans[i][a]
-                for s in si:
-                    ub = trans[i][s.images[a]]
-                    schreier = compose(compose(ua, s), ub.inverse())
-                    if schreier.is_identity():
-                        continue
-                    residue, j = strip(schreier, i + 1)
-                    if residue.is_identity():
-                        continue
-                    if j == len(base):
-                        base.append(min(residue.moved_points()))
-                        trans.append({})
-                    strong.append(residue)
-                    for m in range(j, i, -1):
-                        close_level(m)
-                    inserted = True
-                    break
-                if inserted:
-                    break
-            if not inserted:
-                return
+    def add(self, g: Permutation) -> bool:
+        """Extend the group by g; False, with nothing changed, if g is a member."""
+        residue, j = self.sift(g)
+        if residue.is_identity():
+            return False
+        self._insert(residue, 0, j)
+        return True
 
-    for g in generators:
-        if g.is_identity():
-            continue
-        strong.append(g)
-        if fixes_prefix(g, len(base)):
-            base.append(min(g.moved_points()))
-            trans.append({})
-    while len(trans) < len(base):
-        trans.append({})
-    for i in range(len(base) - 1, -1, -1):
-        close_level(i)
+    def _insert(self, h: Permutation, lo: int, hi: int) -> None:
+        # h lies in the level-lo group and fixes base[:hi]: levels lo..hi gain
+        # it, a new base point (its smallest moved point) if hi is past the end
+        if hi == len(self.base):
+            self._new_level(min(h.moved_points()))
+        for i in range(lo, hi + 1):
+            self.gens[i] = self.gens[i] + [h]
+        for i in range(hi, lo - 1, -1):
+            self._close(i)
 
-    levels = []
-    for i, b in enumerate(base):
-        lvl = _Level(b)
-        lvl.gens = level_gens(i)
-        lvl.transversal = trans[i] if trans[i] else {b: Permutation.identity(degree)}
-        levels.append(lvl)
-    return levels
+    def _close(self, i: int) -> None:
+        """Absorb the newest generator of level i; levels after i are closed.
+        Schreier generators not checked before pair an old orbit point with
+        the new generator, or a new orbit point with any generator."""
+        gens = self.gens[i]
+        new = gens[-1]
+        t = dict(self.trans[i])
+        old = list(t)
+        added = []
+        for a in old:
+            b = new.images[a]
+            if b not in t:
+                t[b] = compose(t[a], new)
+                added.append(b)
+        for a in added:  # grows while it is scanned
+            for s in gens:
+                b = s.images[a]
+                if b not in t:
+                    t[b] = compose(t[a], s)
+                    added.append(b)
+        self.trans[i] = t
+        pairs = [(a, new) for a in old] + [(a, s) for a in added for s in gens]
+        for a, s in pairs:
+            schreier = compose(compose(t[a], s), t[s.images[a]].inverse())
+            if schreier.is_identity():
+                continue
+            residue, j = self.sift(schreier, i + 1)
+            if not residue.is_identity():
+                self._insert(residue, i + 1, j)
 
 
 class PermGroup:
@@ -290,13 +286,10 @@ class PermGroup:
                 raise ValueError("generators must be Permutation instances")
             if g.degree != degree:
                 raise ValueError("all generators must share one degree")
-        self._degree = degree
-        self._generators = gens
-        self._chain = _build_chain(degree, list(gens))
-        order = 1
-        for lvl in self._chain:
-            order *= len(lvl.transversal)
-        self._order = order
+        chain = _Chain(degree)
+        for g in gens:
+            chain.add(g)
+        self._degree, self._generators, self._chain = degree, gens, chain
 
     @property
     def degree(self) -> int:
@@ -308,10 +301,10 @@ class PermGroup:
 
     @property
     def base(self) -> tuple[int, ...]:
-        return tuple(lvl.point for lvl in self._chain)
+        return tuple(self._chain.base)
 
     def order(self) -> int:
-        return self._order
+        return prod(len(t) for t in self._chain.trans)
 
     def identity(self) -> Permutation:
         return Permutation.identity(self._degree)
@@ -320,15 +313,17 @@ class PermGroup:
         """Residue of p after sifting through the chain; identity iff p is a member."""
         if p.degree != self._degree:
             raise ValueError("degree mismatch")
-        for lvl in self._chain:
-            delta = p.images[lvl.point]
-            if delta == lvl.point:
-                continue
-            u = lvl.transversal.get(delta)
-            if u is None:
-                return p
-            p = compose(p, u.inverse())
-        return p
+        return self._chain.sift(p)[0]
+
+    def extend(self, g: Permutation) -> "PermGroup":
+        """The group generated by this one and g, its chain extended from
+        this group's chain; this group itself when g is already a member."""
+        if not isinstance(g, Permutation) or g.degree != self._degree:
+            raise ValueError("g must be a Permutation of the group's degree")
+        chain = self._chain.tail(0)
+        if not chain.add(g):
+            return self
+        return chain.group(self._generators + (g,))
 
     def contains(self, p: Permutation) -> bool:
         if p.degree != self._degree:
@@ -370,11 +365,12 @@ class PermGroup:
         return len(self.orbit(0)) == self._degree if self._degree else True
 
     def point_stabilizer(self, point: int) -> "PermGroup":
-        """Stabilizer of a point, as a new group (chain rebuilt with that base point first)."""
+        """Stabilizer of a point, as a new group."""
         return self.pointwise_stabilizer((point,))
 
     def pointwise_stabilizer(self, points) -> "PermGroup":
-        """Subgroup fixing every listed point, via a chain based on those points.
+        """Subgroup fixing every listed point: the tail of a chain whose base
+        starts with those points (this group's own chain if its base does).
 
         The strong generators that fix the whole forced prefix generate the
         pointwise stabilizer; that is the defining property of a base."""
@@ -386,11 +382,12 @@ class PermGroup:
                 pts.append(p)
         if not pts:
             return self
-        chain = _build_chain(self._degree, list(self._generators), base_prefix=tuple(pts))
-        gens = list(chain[len(pts)].gens) if len(pts) < len(chain) else []
-        if not gens:
-            gens = [Permutation.identity(self._degree)]
-        return PermGroup(gens)
+        chain = self._chain
+        if chain.base[: len(pts)] != pts:
+            chain = _Chain(self._degree, pts)
+            for g in self._generators:
+                chain.add(g)
+        return chain.tail(len(pts)).group()
 
     def subdegrees(self, point: int = 0) -> tuple[int, ...]:
         """Orbit lengths of a point stabilizer on all points, sorted ascending.
@@ -455,45 +452,40 @@ class PermGroup:
         level, then the second, and so on. Raises if the group order exceeds
         max_order.
         """
-        if self._order > max_order:
-            raise ValueError(
-                f"group order {self._order} exceeds the iteration bound {max_order}")
+        order = self.order()
+        if order > max_order:
+            raise ValueError(f"group order {order} exceeds the iteration bound {max_order}")
         ident = Permutation.identity(self._degree)
-        levels = self._chain
+        trans = self._chain.trans
 
         def gen(i: int):
-            if i == len(levels):
+            if i == len(trans):
                 yield ident
                 return
-            for pt in sorted(levels[i].transversal):
-                u = levels[i].transversal[pt]
+            for pt in sorted(trans[i]):
+                u = trans[i][pt]
                 for tail in gen(i + 1):
                     yield compose(tail, u)
 
         return gen(0)
 
     def derived_subgroup(self) -> "PermGroup":
-        """Commutator subgroup, via normal closure of generator commutators."""
-        ident = Permutation.identity(self._degree)
-        work: list[Permutation] = []
+        """Commutator subgroup: the normal closure of the generator
+        commutators, grown on one chain. Its generators are the commutators
+        and conjugates that each enlarged it, in the order they were added."""
+        chain = _Chain(self._degree)
+        gens: list[Permutation] = []
         for a in self._generators:
             for b in self._generators:
                 c = compose(compose(a.inverse(), b.inverse()), compose(a, b))
-                if not c.is_identity() and c not in work:
-                    work.append(c)
-        if not work:
-            return PermGroup([ident])
-        sub = PermGroup(work)
-        changed = True
-        while changed:
-            changed = False
-            for h in list(sub.generators):
-                for s in self._generators:
-                    conj = compose(compose(s.inverse(), h), s)
-                    if not sub.contains(conj):
-                        sub = PermGroup(tuple(sub.generators) + (conj,))
-                        changed = True
-        return sub
+                if chain.add(c):
+                    gens.append(c)
+        for h in gens:  # grows while it is scanned
+            for s in self._generators:
+                conj = compose(compose(s.inverse(), h), s)
+                if chain.add(conj):
+                    gens.append(conj)
+        return chain.group(gens)
 
     def __repr__(self):
-        return f"PermGroup(degree={self._degree}, order={self._order}, ngens={len(self._generators)})"
+        return f"PermGroup(degree={self._degree}, order={self.order()}, ngens={len(self._generators)})"

@@ -117,6 +117,10 @@ class TestBadParameters:
             ["classify", "--q", "3"],  # socle not simple
             ["construct", "--group", "psl28_paper36", "--base", "1,2,3", "--t", "9"],  # t > k
             ["classify", "--group", "psl28_paper36", "--k", "40"],  # k > degree
+            ["classify", "--q", "256", "--k", "3", "--t", "2"],  # degree 257 > 255
+            ["classify", "--q", "257", "--k", "3", "--t", "2"],  # degree 258 > 255
+            ["classify", "--q", "2048", "--k", "3", "--t", "2"],  # degree 2049
+            ["classify", "--q", "23", "--action", "pairs"],  # degree 276 > 255
         ],
     )
     def test_usage_error_without_traceback(self, args, capsys):

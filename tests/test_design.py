@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from hashlib import sha256
 from itertools import combinations
 from math import comb
 
@@ -295,3 +296,25 @@ class TestDeterminism:
         assert [(c.base, c.lam, c.b, c.certificate.data, c.orbit_reps) for c in one] == [
             (c.base, c.lam, c.b, c.certificate.data, c.orbit_reps) for c in two
         ]
+
+
+class TestHeadlineCertificates:
+    """The certificates of the 46 and 330 classes, in class order, pinned as
+    one sha256 each: any change to the canonical form or to the merging
+    shows here."""
+
+    @staticmethod
+    def digest(classes):
+        return sha256("\n".join(c.certificate.hexdigest for c in classes).encode()).hexdigest()
+
+    def test_psl_classes(self, psl_classes):
+        assert len(psl_classes) == 46
+        assert self.digest(psl_classes) == (
+            "e459f92e4f133334f99c744c2a2772a7785e4c77441d33743cddd590a3fe58fe"
+        )
+
+    def test_pgl_classes(self, pgl_classes):
+        assert len(pgl_classes) == 330
+        assert self.digest(pgl_classes) == (
+            "fb3d8095c95b35e1228771e681c44e0b9dd2140ea143a86b692033bc89cd18a6"
+        )

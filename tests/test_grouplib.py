@@ -8,16 +8,47 @@ from hypothesis import strategies as st
 from blockdesigns.grouplib import (
     BUILTIN_NAMES,
     INFINITY,
-    PRIMITIVE_POLY,
     FiniteField,
     builtin,
     pair_action,
     projective_group,
 )
-from blockdesigns.numth import prime_power
+from blockdesigns.numth import prime_power, prime_powers_upto
 from blockdesigns.permcore import PermGroup, Permutation
 
 SMALL_Q = [4, 5, 7, 8, 9, 11, 13, 16, 25, 27]
+
+# (p, f) -> (a0, ..., a_{f-1}) of the modulus x^f + a_{f-1} x^{f-1} + ... + a0
+# for every q = p^f <= 1024 with f >= 2. The moduli fix the element labeling,
+# so FiniteField's search must reproduce them exactly.
+PRIMITIVE_POLY = {
+    (2, 2): (1, 1),
+    (2, 3): (1, 1, 0),
+    (3, 2): (2, 1),
+    (2, 4): (1, 1, 0, 0),
+    (5, 2): (2, 1),
+    (3, 3): (1, 2, 0),
+    (2, 5): (1, 0, 1, 0, 0),
+    (7, 2): (3, 1),
+    (2, 6): (1, 1, 0, 0, 0, 0),
+    (3, 4): (2, 1, 0, 0),
+    (11, 2): (7, 1),
+    (5, 3): (2, 3, 0),
+    (2, 7): (1, 1, 0, 0, 0, 0, 0),
+    (13, 2): (2, 1),
+    (3, 5): (1, 2, 0, 0, 0),
+    (2, 8): (1, 0, 1, 1, 1, 0, 0, 0),
+    (17, 2): (3, 1),
+    (7, 3): (2, 3, 0),
+    (19, 2): (2, 1),
+    (2, 9): (1, 0, 0, 0, 1, 0, 0, 0, 0),
+    (23, 2): (7, 1),
+    (5, 4): (2, 2, 1, 0),
+    (3, 6): (2, 1, 0, 0, 0, 0),
+    (29, 2): (3, 1),
+    (31, 2): (12, 1),
+    (2, 10): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0),
+}
 
 
 def field_elems(q):
@@ -30,6 +61,13 @@ class TestPolynomialTable:
         for (p, f), coeffs in PRIMITIVE_POLY.items():
             assert f >= 2 and len(coeffs) == f
             assert prime_power(p ** f) == (p, f)
+        assert {p ** f for p, f in PRIMITIVE_POLY} == {
+            q for q in prime_powers_upto(4, 1024) if prime_power(q)[1] >= 2
+        }
+
+    def test_search_reproduces_table(self):
+        for (p, f), coeffs in PRIMITIVE_POLY.items():
+            assert FiniteField(p ** f).modulus == coeffs + (1,), (p, f)
 
     def test_table_polynomials_are_irreducible(self):
         # independent oracle: sympy factorization over GF(p)
@@ -40,7 +78,7 @@ class TestPolynomialTable:
 
     def test_root_is_primitive(self):
         # x generates the unit group: ord(x) = q-1, checked via field powers
-        for q in [4, 8, 9, 16, 27, 25, 64]:
+        for q in [4, 8, 9, 16, 27, 25, 64, 2048]:
             F = FiniteField(q)
             seen = set()
             a = F.one

@@ -1,6 +1,7 @@
 """Permutation and stabilizer-chain unit tests."""
 
 import random
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -196,3 +197,50 @@ class TestOrbitStabilizerRandom:
             S = G.point_stabilizer(x)
             assert len(G.orbit(x)) * S.order() == G.order()
             assert all(g.images[x] == x for g in S.generators)
+
+
+@st.composite
+def group_perm_prefix(draw):
+    n = draw(st.integers(3, 6))
+    gens = draw(st.lists(perms(n), min_size=1, max_size=3))
+    prefix = draw(st.lists(st.integers(0, n - 1), max_size=n))
+    return PermGroup(gens), draw(perms(n)), prefix
+
+
+class TestChainPaths:
+    """extend and pointwise_stabilizer read their chains off existing ones;
+    check both against closure by multiplication, which uses no chain."""
+
+    @given(group_perm_prefix())
+    def test_extend_matches_rebuild(self, args):
+        G, g, _ = args
+        E = G.extend(g)
+        if G.contains(g):
+            assert E is G
+        else:
+            assert E.generators == G.generators + (g,)
+        rebuilt = PermGroup(G.generators + (g,))
+        elems = brute_force_elements(rebuilt.generators)
+        assert E.order() == rebuilt.order() == len(elems)
+        assert set(E.elements()) == elems
+        for images in permutations(range(G.degree)):
+            p = Permutation(images)
+            assert E.contains(p) == (p in elems)
+
+    @given(group_perm_prefix())
+    def test_pointwise_stabilizer(self, args):
+        G, _, prefix = args
+        # a fresh chain; G's own chain; a fresh one whose base starts like G's
+        for pts in (prefix, G.base[: len(prefix)], G.base[:1] + tuple(prefix)):
+            pts = list(dict.fromkeys(pts))
+            S = G.pointwise_stabilizer(pts)
+            assert all(s.images[p] == p for s in S.generators for p in pts)
+            fixing = {
+                g for g in brute_force_elements(G.generators) if all(g.images[p] == p for p in pts)
+            }
+            assert set(S.elements()) == fixing
+            orbit_lengths = 1
+            for i, p in enumerate(pts):
+                orbit_lengths *= len(G.pointwise_stabilizer(pts[:i]).orbit(p))
+            assert S.order() * orbit_lengths == G.order()
+
