@@ -10,6 +10,8 @@ canonical certificate.
 
 from __future__ import annotations
 
+import logging
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,6 +24,8 @@ from . import isomorph
 from .grouplib import builtin
 from .kcombs import _colex_ranks, _colex_table, lex_combinations, subset_orbits
 from .permcore import PermGroup, Permutation
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -223,7 +227,10 @@ def classify(G: PermGroup, k: int, t: int = 2, workers: int = 1) -> list[DesignC
     v = G.degree
     if not t < k < v:
         return []
+    start = time.perf_counter()
     so = subset_orbits(G, k)
+    log.info("orbit scan: %d orbits of %d-subsets in %.2f s",
+             so.orbit_count, k, time.perf_counter() - start)
     per_block = comb(k, t)
     denom = comb(v, t)
 
@@ -236,7 +243,9 @@ def classify(G: PermGroup, k: int, t: int = 2, workers: int = 1) -> list[DesignC
         lam = _uniform_lambda(rows, v, t)
         if lam is not None:
             found.append((lam, Design(v, rows.tolist())))
+    log.info("filter: %d of %d orbits give %d-designs", len(found), so.orbit_count, t)
 
+    start = time.perf_counter()
     aut_images = [g.images for g in G.generators]
     tasks = [(d, aut_images) for _, d in found]
     if workers == 1 or len(tasks) <= 1:
@@ -244,6 +253,7 @@ def classify(G: PermGroup, k: int, t: int = 2, workers: int = 1) -> list[DesignC
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             certs = list(pool.map(_certificate_task, tasks, chunksize=8))
+    log.info("certificates: %d in %.2f s", len(certs), time.perf_counter() - start)
 
     # orbit rows are lex sorted, so an orbit design's first block is the
     # orbit's lex-least member
@@ -270,6 +280,7 @@ def classify(G: PermGroup, k: int, t: int = 2, workers: int = 1) -> list[DesignC
             )
         )
     classes.sort(key=lambda c: (c.lam, c.base))
+    log.info("merging: %d classes", len(classes))
     return classes
 
 

@@ -15,7 +15,9 @@ on entry, plus any discovered when two leaves encode equally, each extending
 the group's chain (PermGroup.extend). The skips use the orbits of the
 pointwise stabilizer of the individualized prefix: the point stabilizer of
 its last point in the parent prefix's stabilizer, memoized by prefix until a
-new automorphism enlarges the group.
+new automorphism enlarges the group. A search node keeps the union of the
+orbits of its explored candidates, so each orbit is computed once per node
+and stabilizer.
 """
 
 from __future__ import annotations
@@ -194,10 +196,18 @@ def certificate(design, known_automorphisms=()) -> Certificate:
         target = min(nonsingleton, key=lambda c: (counts[c], c))
         candidates = [int(i) for i in np.nonzero(pcol == target)[0]]
         explored: list[int] = []
+        # union of the stabilizer orbits of explored[:folded], for stab only
+        stab, covered, folded = None, set(), 0
         for x in candidates:
             if explored and aut_group.order() > 1:
-                stab = stabilizer(prefix)
-                if any(x in stab.orbit(e) for e in explored):
+                current = stabilizer(prefix)
+                if current is not stab:
+                    stab, covered, folded = current, set(), 0
+                for e in explored[folded:]:
+                    if e not in covered:
+                        covered.update(stab.orbit(e))
+                folded = len(explored)
+                if x in covered:
                     explored.append(x)
                     continue
             search(_individualize(pcol, x), prefix + (x,))

@@ -1,20 +1,22 @@
 """Ranking, unranking and group-orbit labeling of k-subsets of {0..n-1}.
 
 Subsets are kept as sorted tuples (pure-Python side) or as rows of a
-lexicographically ordered (C(n,k), k) array (numpy side). Two rank systems
-appear: lexicographic rank, which is the row index in that array and the
-order every public iterator follows, and colexicographic rank, which has the
-closed form sum C(s[i], i+1) and is what the vectorized code computes; a
-precomputed permutation converts colex to lex. Orbit labeling propagates
-minimum lex ranks along generator images until stable, so each subset ends
+lexicographically ordered (C(n,k), k) array (numpy side). The lex rank is
+the row index in that array and the order every public iterator follows;
+the colex rank sum C(s[i], i+1) serves t-subset counting in design.py.
+
+The orbit scan ranks the image of every subset under each generator
+directly: it gathers the image points, sorts each row with a min/max
+network, and applies the closed form lex rank
+C(n,k) - 1 - sum_i C(n-1-s[i], k-i). Orbit labeling propagates minimum lex
+ranks along those maps and their inverses until stable, so each subset ends
 up labeled by the lex rank of the lexicographically least subset in its
-orbit.
+orbit. No stage sorts whole rows or loops over subsets in Python.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -63,14 +65,32 @@ def unrank_lex(n: int, k: int, rank: int) -> tuple[int, ...]:
 
 
 def lex_combinations(n: int, k: int) -> np.ndarray:
-    """All k-subsets as a (C(n,k), k) uint8 array; row index = lex rank."""
+    """All k-subsets as a (C(n,k), k) uint8 array; row index = lex rank.
+
+    Built column by column, from the last column forward. The lex list of
+    j-subsets of {m..n-1} is m prepended to the (j-1)-subsets of
+    {m+1..n-1}, followed by the j-subsets of {m+1..n-1}; so the subsets of
+    every suffix {y..n-1} are a tail of the list for {k-j..n-1}, the only
+    start the last j points of a k-subset need. Size j is that one list,
+    C(n-k+j, j) rows, never the subsets of every suffix.
+    """
     if n > MAX_POINTS:
         raise ValueError(f"uint8 point labels require n <= {MAX_POINTS}")
-    count = comb(n, k)
-    flat = np.fromiter(
-        chain.from_iterable(combinations(range(n), k)), dtype=np.uint8, count=count * k
-    )
-    return flat.reshape(count, k)
+    if not 0 < k <= n:
+        return np.zeros((comb(n, k), k), dtype=np.uint8)
+    cols: list[np.ndarray] = []
+    size = 1  # rows of the list for size j - 1
+    for j in range(1, k + 1):
+        firsts = np.arange(k - j, n - j + 1)
+        lengths = np.array([comb(n - 1 - y, j - 1) for y in firsts], dtype=np.int64)
+        ends = np.cumsum(lengths)
+        if cols:
+            # the rows after first point y are the last lengths[y] of the list
+            src = np.arange(ends[-1]) - np.repeat(ends - size, lengths)
+            cols = [c[src] for c in cols]
+        cols.insert(0, np.repeat(firsts.astype(np.uint8), lengths))
+        size = int(ends[-1])
+    return np.stack(cols, axis=1)
 
 
 def _colex_table(n: int, k: int) -> np.ndarray:
@@ -120,29 +140,55 @@ class SubsetOrbits:
         return self.rows[self.members(i)]
 
 
-def subset_orbits(G: PermGroup, k: int) -> SubsetOrbits:
+def _lex_ranks(cols: list[np.ndarray], n: int, count: int) -> np.ndarray:
+    """Lex ranks of count k-subsets of {0..n-1} given column-wise, in any
+    order within a row: sort each row with an odd-even transposition network
+    of np.minimum/np.maximum (overwriting the given columns), then rank
+    s_0 < ... < s_{k-1} as C(n,k) - 1 - sum_i C(n-1-s_i, k-i)."""
+    k = len(cols)
+    cols = list(cols)
+    for step in range(k):
+        for i in range(step % 2, k - 1, 2):
+            lo = np.minimum(cols[i], cols[i + 1])
+            np.maximum(cols[i], cols[i + 1], out=cols[i + 1])
+            cols[i] = lo
+    # int64: the weights outgrow int32 well before C(n, k) does, e.g. C(35, 17)
+    # in the table for n = 36, k = 34
+    ranks = np.full(count, comb(n, k) - 1, dtype=np.int64)
+    for i, col in enumerate(cols):
+        weights = np.array([comb(n - 1 - x, k - i) for x in range(n)], dtype=np.int64)
+        ranks -= weights[col.astype(np.intp)]
+    return ranks
+
+
+def _orbit_labels(G: PermGroup, rows: np.ndarray) -> np.ndarray:
+    """For each row of the lex-ordered k-subsets, the lex rank of the least
+    subset in its G-orbit."""
+    count, k = rows.shape
     n = G.degree
-    count = comb(n, k)
-    rows = lex_combinations(n, k)
-    table = _colex_table(n, k)
-    colex_all = _colex_ranks(rows, table)
-    lex_of_colex = np.empty(count, dtype=np.int64)
-    lex_of_colex[colex_all] = np.arange(count, dtype=np.int64)
+    # the image points of every subset, column-wise per generator; numpy
+    # gathers faster with an intp index than with the uint8 one
+    images = [np.asarray(g.images, dtype=np.uint8) for g in G.generators]
+    moved: list[list[np.ndarray]] = [[] for _ in images]
+    for i in range(k):
+        col = rows[:, i].astype(np.intp)
+        for img, cols in zip(images, moved):
+            cols.append(img[col])
 
     # one subset-level image map per generator and per inverse generator,
     # so min-label propagation can flow both ways along orbit edges
     maps = []
-    gens = list(G.generators) + [g.inverse() for g in G.generators]
-    for g in gens:
-        img = np.asarray(g.images, dtype=np.uint8)
-        moved = np.sort(img[rows], axis=1)
-        maps.append(lex_of_colex[_colex_ranks(moved, table)])
+    while moved:
+        image = _lex_ranks(moved.pop(0), n, count)
+        inverse = np.empty(count, dtype=np.int64)
+        inverse[image] = np.arange(count)
+        maps += [image, inverse]
 
-    labels = np.arange(count, dtype=np.int64)
+    labels = np.arange(count, dtype=np.int32 if count < 2**31 else np.int64)
     while True:
-        before = labels
+        before = labels.copy()
         for m in maps:
-            labels = np.minimum(labels, labels[m])
+            np.minimum(labels, labels.take(m), out=labels)
         # pointer jumping: chase labels toward their orbit minimum
         while True:
             jumped = labels[labels]
@@ -150,13 +196,26 @@ def subset_orbits(G: PermGroup, k: int) -> SubsetOrbits:
                 break
             labels = jumped
         if np.array_equal(labels, before):
-            break
+            return labels
 
-    rep_ranks, inverse_idx, sizes = np.unique(labels, return_inverse=True, return_counts=True)
-    order = np.argsort(inverse_idx, kind="stable")
+
+def subset_orbits(G: PermGroup, k: int) -> SubsetOrbits:
+    rows = lex_combinations(G.degree, k)
+    count = len(rows)
+    labels = _orbit_labels(G, rows)
+
+    # a label is the least rank of its orbit, so counting the subsets that
+    # are their own label numbers the orbits in ascending representative order
+    is_rep = labels == np.arange(count)
+    rep_ranks = np.flatnonzero(is_rep)
+    orbit_of = (np.cumsum(is_rep) - 1)[labels]
+    sizes = np.bincount(orbit_of, minlength=len(rep_ranks))
+    # stable sort on the smallest unsigned key: numpy radix-sorts 8- and 16-bit keys
+    key = orbit_of.astype(np.min_scalar_type(max(len(rep_ranks) - 1, 0)))
+    order = np.argsort(key, kind="stable")
     starts = np.concatenate(([0], np.cumsum(sizes)))
     return SubsetOrbits(
-        n=n,
+        n=G.degree,
         k=k,
         rows=rows,
         labels=labels,

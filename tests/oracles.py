@@ -1,9 +1,12 @@
 """Slow, independent reference implementations the library is checked against."""
 
 import struct
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from math import comb
 
+import numpy as np
+
+from blockdesigns.kcombs import SubsetOrbits, _colex_ranks, _colex_table
 from blockdesigns.permcore import Permutation, compose
 
 
@@ -103,3 +106,47 @@ def leaf_bytes(v: int, b: int, k: int, rows, pcol) -> bytes:
             rowints[p] |= bit
     header = struct.pack(">HIH", v, b, k)
     return header + b"".join(r.to_bytes(nbytes, "big") for r in rowints)
+
+
+def subset_orbits(G, k: int) -> SubsetOrbits:
+    """The sort-based k-subset orbit scan: rows from itertools, each
+    generator image sorted row-wise, ranked in colex and converted to lex
+    through a precomputed permutation, labels grouped with np.unique."""
+    n = G.degree
+    count = comb(n, k)
+    flat = np.fromiter(
+        chain.from_iterable(combinations(range(n), k)), dtype=np.uint8, count=count * k
+    )
+    rows = flat.reshape(count, k)
+    table = _colex_table(n, k)
+    colex_all = _colex_ranks(rows, table)
+    lex_of_colex = np.empty(count, dtype=np.int64)
+    lex_of_colex[colex_all] = np.arange(count, dtype=np.int64)
+
+    maps = []
+    gens = list(G.generators) + [g.inverse() for g in G.generators]
+    for g in gens:
+        img = np.asarray(g.images, dtype=np.uint8)
+        moved = np.sort(img[rows], axis=1)
+        maps.append(lex_of_colex[_colex_ranks(moved, table)])
+
+    labels = np.arange(count, dtype=np.int64)
+    while True:
+        before = labels
+        for m in maps:
+            labels = np.minimum(labels, labels[m])
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+        if np.array_equal(labels, before):
+            break
+
+    rep_ranks, inverse_idx, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    order = np.argsort(inverse_idx, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    return SubsetOrbits(
+        n=n, k=k, rows=rows, labels=labels, rep_ranks=rep_ranks, sizes=sizes,
+        _order=order, _starts=starts,
+    )

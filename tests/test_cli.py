@@ -3,10 +3,15 @@
 import csv
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import blockdesigns
 from blockdesigns.cli import main
 
 
@@ -227,6 +232,40 @@ class TestClassify:
         code, out, _ = run_cli(["sieve", "--qmax", "32"], capsys)
         assert code == 0
         assert "no nontrivial survivors" not in out  # q=8 survivor inside range
+
+
+class TestVerboseStages:
+    """-v logs one line per classify stage to stderr; stdout is unchanged.
+    Run in a fresh interpreter: logging is configured once per process."""
+
+    ARGS = ["classify", "--q", "13", "--k", "5", "--t", "2", "--format", "json"]
+
+    @staticmethod
+    def run(args):
+        env = dict(os.environ)
+        src = str(Path(blockdesigns.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env["BLOCKDESIGNS_WORKERS"] = "1"
+        proc = subprocess.run(
+            [sys.executable, "-m", "blockdesigns", *args],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout, proc.stderr
+
+    def test_one_line_per_stage(self):
+        quiet_out, quiet_err = self.run(self.ARGS)
+        out, err = self.run(self.ARGS + ["-v"])
+        assert out == quiet_out
+        assert quiet_err == ""
+        lines = err.splitlines()
+        assert len(lines) == 4
+        assert lines[0].startswith("INFO blockdesigns.design: orbit scan: 5 orbits of 5-subsets in ")
+        assert lines[1] == "INFO blockdesigns.design: filter: 5 of 5 orbits give 2-designs"
+        assert lines[2].startswith("INFO blockdesigns.design: certificates: 5 in ")
+        assert lines[3] == "INFO blockdesigns.design: merging: 3 classes"
+        assert lines[0].endswith(" s") and lines[2].endswith(" s")
+        assert len(json.loads(out)["classes"]) == 3
 
 
 class TestSieve:

@@ -183,6 +183,20 @@ class TestSearchPruning:
         assert counts["nodes"] > 1
         assert 0 < counts["stabilizers"] <= counts["nodes"]
 
+    @pytest.mark.parametrize("row", TABLE2_ROWS[::2])
+    def test_each_stabilizer_orbit_computed_once(self, psl_group, row, monkeypatch):
+        calls = []  # (group, point); holding the groups keeps their ids unique
+        orbit = PermGroup.orbit
+
+        def counted(self, point):
+            calls.append((self, point))
+            return orbit(self, point)
+
+        monkeypatch.setattr(PermGroup, "orbit", counted)
+        certificate(table2_design(psl_group, row), psl_group.generators)
+        keys = [(id(group), point) for group, point in calls]
+        assert keys and len(set(keys)) == len(keys)
+
 
 class TestKernels:
     @given(

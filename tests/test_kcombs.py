@@ -1,11 +1,12 @@
 """Subset ranking and the vectorized k-subset orbit scan."""
 
+import tracemalloc
 from itertools import combinations
 from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockdesigns.kcombs import (
@@ -16,6 +17,7 @@ from blockdesigns.kcombs import (
     unrank_lex,
 )
 from blockdesigns.permcore import PermGroup, Permutation, parse_cycles
+from oracles import subset_orbits as sorting_scan
 
 
 @st.composite
@@ -53,13 +55,32 @@ class TestRanking:
 
 
 class TestLexCombinations:
-    @pytest.mark.parametrize("n,k", [(5, 2), (8, 3), (10, 4), (6, 6)])
+    @pytest.mark.parametrize(
+        "n,k",
+        [(5, 2), (8, 3), (10, 4), (6, 6), (9, 1), (9, 8), (9, 9), (1, 1), (4, 0), (3, 4)],
+    )
     def test_rows_match_itertools(self, n, k):
         rows = lex_combinations(n, k)
         assert rows.shape == (comb(n, k), k)
         assert rows.dtype == np.uint8
         expect = np.array(list(combinations(range(n), k)), dtype=np.uint8)
-        assert np.array_equal(rows, expect)
+        assert np.array_equal(rows, expect.reshape(comb(n, k), k))
+
+    def test_no_intermediate_blowup(self):
+        # C(40, 20) partial rows would be 1.4e11; only C(n-k+j, j) per size j
+        # may be built, here j + 1 rows
+        tracemalloc.start()
+        rows = lex_combinations(40, 39)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 1 << 20
+        assert rows.shape == (40, 39)
+        for r in range(40):
+            assert rows[r].tolist() == [x for x in range(40) if x != 39 - r]
+
+    def test_degree_limit(self):
+        with pytest.raises(ValueError):
+            lex_combinations(256, 2)
 
 
 def brute_orbits(G, k):
@@ -83,6 +104,24 @@ def brute_orbits(G, k):
         seen |= orbit
         orbits.append((sub, len(orbit)))
     return orbits
+
+
+@st.composite
+def generator_sets(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    count = draw(st.integers(min_value=1, max_value=3))
+    return [Permutation(draw(st.permutations(range(n)))) for _ in range(count)]
+
+
+def assert_same_scan(got, want):
+    """Equal orbit scans: the same values in all six arrays (labels may be a
+    narrower integer type)."""
+    assert (got.n, got.k) == (want.n, want.k)
+    for field in ("rows", "labels", "rep_ranks", "sizes", "_order", "_starts"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.shape == b.shape, field
+        assert np.array_equal(a, b), field
+    assert got.rows.dtype == np.uint8
 
 
 SMALL_GROUPS = [
@@ -118,6 +157,21 @@ class TestSubsetOrbits:
             rows = [tuple(r) for r in so.orbit_rows(i)]
             assert rows == sorted(rows)
             assert rows[0] == tuple(so.rows[so.rep_ranks[i]])
+
+    def test_image_ranks_use_int64_weights(self, psl_group):
+        # at k = 34 the weight table holds C(35, 17) > 2**31
+        assert_same_scan(subset_orbits(psl_group, 34), sorting_scan(psl_group, 34))
+
+    def test_degree36_k5_matches_oracle(self, psl_group):
+        assert_same_scan(subset_orbits(psl_group, 5), sorting_scan(psl_group, 5))
+
+    @settings(max_examples=60, deadline=None)
+    @given(generator_sets(), st.data())
+    def test_matches_sort_based_oracle(self, gens, data):
+        n = gens[0].degree
+        k = data.draw(st.integers(min_value=1, max_value=n))
+        G = PermGroup(gens)
+        assert_same_scan(subset_orbits(G, k), sorting_scan(G, k))
 
     def test_degree36_orbit_count(self, psl_group):
         so = subset_orbits(psl_group, 2)
