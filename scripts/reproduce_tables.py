@@ -9,8 +9,8 @@ sieve. Prints everything as text; --out DIR additionally writes the two
 classifications as JSON.
 
 Expected runtime is a few minutes on one core. Use --workers N to spread
-the certificate computations of each classification (and the sieve's
-per-q evaluations) over N processes; the orbit scans stay single-process.
+the certificate computations of each classification over N processes; the
+orbit scans and the sieve stay single-process.
 """
 
 import argparse
@@ -110,7 +110,7 @@ def main(argv=None):
     print(f"  {matched} of {len(psl_classes)} classes also occur in the larger classification")
 
     print("\n== parameter sieve ==")
-    report = sieve_run(args.qmax, workers=max(1, args.workers))
+    report = sieve_run(args.qmax)
     print(report.summary_text())
 
     if args.out is not None:

@@ -187,7 +187,7 @@ def cmd_classify(args) -> int:
 def cmd_sieve(args) -> int:
     if args.qmax < 4:
         raise UsageError("--qmax must be >= 4")
-    report = sieve_run(args.qmax, workers=args.workers)
+    report = sieve_run(args.qmax)
     if args.format == "json":
         text = report.json_lines()
     else:

@@ -11,6 +11,7 @@ canonical certificate.
 from __future__ import annotations
 
 import logging
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -22,7 +23,8 @@ import numpy as np
 
 from . import isomorph
 from .grouplib import builtin
-from .kcombs import _colex_ranks, _colex_table, lex_combinations, subset_orbits
+from .kcombs import _colex_ranks, _colex_table, block_permutation, image_rows, lex_combinations
+from .kcombs import orbit_labels, subset_orbits
 from .permcore import PermGroup, Permutation
 
 log = logging.getLogger(__name__)
@@ -70,8 +72,7 @@ class Design:
     def relabel(self, sigma: Permutation) -> "Design":
         if sigma.degree != self.v:
             raise ValueError("degree mismatch")
-        im = sigma.images
-        return Design(self.v, tuple(tuple(im[p] for p in blk) for blk in self.blocks))
+        return Design(self.v, image_rows(sigma.images, np.array(self.blocks))[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -83,11 +84,6 @@ class LambdaVector:
     @property
     def integral(self) -> bool:
         return all(x.denominator == 1 for x in self.values)
-
-    def as_ints(self) -> tuple[int, ...]:
-        if not self.integral:
-            raise ValueError("non-integral lambda vector")
-        return tuple(int(x) for x in self.values)
 
 
 def lambda_vector(v: int, k: int, t: int, lambda_t: int) -> LambdaVector:
@@ -102,20 +98,17 @@ def lambda_vector(v: int, k: int, t: int, lambda_t: int) -> LambdaVector:
 def orbit_design(G: PermGroup, base) -> Design:
     """The G-orbit of a base block, as a design. G is block-transitive on the
     result by construction, and the block count divides the group order."""
-    start = Design(G.degree, [base]).blocks[0]
-    gens = [g.images for g in G.generators]
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for blk in frontier:
-            for im in gens:
-                img = tuple(sorted([im[p] for p in blk]))
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return Design(G.degree, tuple(seen))
+    seen = np.array(Design(G.degree, [base]).blocks)
+    gens = [np.asarray(g.images) for g in G.generators]
+    frontier = seen
+    while len(frontier):
+        rows = np.concatenate([seen] + [image_rows(im, frontier)[0] for im in gens])
+        order = np.lexsort(rows.T[::-1])  # stable: a seen block sorts first among equals
+        srt = rows[order]
+        first = np.concatenate(([True], np.any(srt[1:] != srt[:-1], axis=1)))
+        frontier = srt[first & (order >= len(seen))]
+        seen = srt[first]
+    return Design(G.degree, seen.tolist())
 
 
 @lru_cache(maxsize=None)
@@ -151,28 +144,18 @@ def is_flag_transitive(G: PermGroup, design: Design) -> bool:
     does not stabilize the block set."""
     if G.degree != design.v:
         raise ValueError("degree mismatch")
-    index = {blk: j for j, blk in enumerate(design.blocks)}
-    moves = []  # (point images, block-index images) per generator
+    v = design.v
+    rows = np.array(design.blocks)
+    # flag (p, block j) has key j*v + p; listed block by block, keys ascend
+    keys = (np.arange(design.b)[:, None] * v + rows).ravel()
+    maps = []
     for g in G.generators:
-        im = g.images
-        try:
-            block_im = [index[tuple(sorted([im[p] for p in blk]))] for blk in design.blocks]
-        except KeyError:
-            raise ValueError("group does not preserve the block set") from None
-        moves.append((im, block_im))
-    start = (design.blocks[0][0], 0)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for p, j in frontier:
-            for im, block_im in moves:
-                flag = (im[p], block_im[j])
-                if flag not in seen:
-                    seen.add(flag)
-                    nxt.append(flag)
-        frontier = nxt
-    return len(seen) == design.b * design.k
+        im = np.asarray(g.images)
+        perm = block_permutation(im, rows)
+        if perm is None:
+            raise ValueError("group does not preserve the block set")
+        maps.append(np.searchsorted(keys, (perm[:, None] * v + im[rows]).ravel()))
+    return not orbit_labels(maps, len(keys)).any()
 
 
 def fixed_k_subsets(p: Permutation, k: int) -> int:
@@ -248,10 +231,12 @@ def classify(G: PermGroup, k: int, t: int = 2, workers: int = 1) -> list[DesignC
     start = time.perf_counter()
     aut_images = [g.images for g in G.generators]
     tasks = [(d, aut_images) for _, d in found]
-    if workers == 1 or len(tasks) <= 1:
+    # no more processes than tasks or CPUs, however many workers are asked for
+    procs = min(workers, len(tasks), os.cpu_count() or 1)
+    if procs <= 1:
         certs = [_certificate_task(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=procs) as pool:
             certs = list(pool.map(_certificate_task, tasks, chunksize=8))
     log.info("certificates: %d in %.2f s", len(certs), time.perf_counter() - start)
 

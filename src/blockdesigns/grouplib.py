@@ -18,6 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+import numpy as np
+
+from .kcombs import block_permutation
 from .numth import factorize, prime_power, smallest_primitive_root
 from .permcore import PermGroup, Permutation, parse_cycles
 
@@ -76,12 +79,6 @@ class FiniteField:
             digits.append(i % self.p)
             i //= self.p
         return tuple(digits)
-
-    def to_index(self, a: tuple[int, ...]) -> int:
-        i = 0
-        for c in reversed(a):
-            i = i * self.p + c
-        return i
 
     def primitive_element(self) -> tuple[int, ...]:
         if self.f == 1:
@@ -227,16 +224,10 @@ def pair_action(G: PermGroup, labeling: ActionLabeling | None = None) -> tuple[P
     n = G.degree
     if n < 3:
         raise ValueError("pair action needs degree >= 3")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    index = {pair: m for m, pair in enumerate(pairs)}
-    gens = []
-    for g in G.generators:
-        imgs = []
-        for i, j in pairs:
-            a, b = g.images[i], g.images[j]
-            imgs.append(index[(a, b) if a < b else (b, a)])
-        gens.append(Permutation(imgs))
-    H = PermGroup(gens)
+    rows = np.stack(np.triu_indices(n, 1), axis=1)  # the pairs i < j in lex order
+    H = PermGroup([Permutation(block_permutation(g.images, rows).tolist())
+                   for g in G.generators])
+    pairs = rows.tolist()
     if H.order() != G.order():
         raise AssertionError("pair action is not faithful; order changed")
     if labeling is None:

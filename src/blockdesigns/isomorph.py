@@ -12,10 +12,12 @@ fixing all previously individualized points maps an already explored
 candidate to it; the skipped subtree then only repeats leaf encodings of the
 explored one. "Known" automorphisms are the seeded generators, each verified
 on entry, plus any discovered when two leaves encode equally, each extending
-the group's chain (PermGroup.extend). The skips use the orbits of the
-pointwise stabilizer of the individualized prefix: the point stabilizer of
-its last point in the parent prefix's stabilizer, memoized by prefix until a
-new automorphism enlarges the group. A search node keeps the union of the
+the group's chain (PermGroup.extend). Both are checked with
+kcombs.block_permutation, and leaves are laid out with kcombs.image_rows:
+the one block-image kernel. The skips use the orbits of the pointwise
+stabilizer of the individualized prefix: the point stabilizer of its last
+point in the parent prefix's stabilizer, memoized by prefix until a new
+automorphism enlarges the group. A search node keeps the union of the
 orbits of its explored candidates, so each orbit is computed once per node
 and stabilizer.
 """
@@ -28,6 +30,7 @@ from hashlib import sha256
 
 import numpy as np
 
+from .kcombs import block_permutation, image_rows
 from .permcore import PermGroup, Permutation
 
 MAX_VERTICES = 5000
@@ -113,22 +116,11 @@ def _individualize(pcol: np.ndarray, x: int) -> np.ndarray:
     return out
 
 
-def _image_rows(images: np.ndarray, rows_arr: np.ndarray) -> np.ndarray:
-    """Blocks under the point map images, as lex-sorted rows of sorted points
-    (rows_arr itself iff images maps the block set onto itself)."""
-    blocks = np.sort(images[rows_arr], axis=1)
-    return blocks[np.lexsort(blocks.T[::-1])]
-
-
-def _is_automorphism(rows_arr: np.ndarray, g: Permutation) -> bool:
-    return np.array_equal(_image_rows(np.asarray(g.images), rows_arr), rows_arr)
-
-
 def _leaf_bytes(v: int, b: int, k: int, rows_arr: np.ndarray, pcol: np.ndarray) -> bytes:
     """Incidence bitmap under the discrete labeling pcol: one row per
     canonical point, one column per canonical block, left-aligned bits."""
     bits = np.zeros((v, 8 * ((b + 7) // 8)), dtype=np.uint8)
-    bits[_image_rows(pcol, rows_arr), np.arange(b)[:, None]] = 1
+    bits[image_rows(pcol, rows_arr)[0], np.arange(b)[:, None]] = 1
     return struct.pack(">HIH", v, b, k) + np.packbits(bits, axis=1).tobytes()
 
 
@@ -151,7 +143,7 @@ def certificate(design, known_automorphisms=()) -> Certificate:
             g = Permutation(g)
         if g.degree != v:
             raise ValueError("automorphism degree does not match point count")
-        if not _is_automorphism(refiner.rows_arr, g):
+        if block_permutation(g.images, refiner.rows_arr) is None:
             raise ValueError("seeded permutation is not an automorphism of the design")
         auts.append(g)
 
@@ -169,7 +161,7 @@ def certificate(design, known_automorphisms=()) -> Certificate:
 
     def add_automorphism(sigma: Permutation) -> None:
         nonlocal aut_group
-        if not _is_automorphism(refiner.rows_arr, sigma):
+        if block_permutation(sigma.images, refiner.rows_arr) is None:
             return  # equal leaf encodings always yield a real automorphism; stay safe anyway
         grown = aut_group.extend(sigma)
         if grown is not aut_group:

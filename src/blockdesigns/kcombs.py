@@ -1,17 +1,24 @@
-"""Ranking, unranking and group-orbit labeling of k-subsets of {0..n-1}.
+"""k-subsets of {0..n-1}, the block-image kernel, and orbit labeling.
 
-Subsets are kept as sorted tuples (pure-Python side) or as rows of a
-lexicographically ordered (C(n,k), k) array (numpy side). The lex rank is
-the row index in that array and the order every public iterator follows;
-the colex rank sum C(s[i], i+1) serves t-subset counting in design.py.
+Subsets are kept as rows of a lexicographically ordered (C(n,k), k) array.
+The lex rank is the row index in that array and the order every public
+iterator follows; the colex rank sum C(s[i], i+1) serves t-subset counting
+in design.py.
 
-The orbit scan ranks the image of every subset under each generator
-directly: it gathers the image points, sorts each row with a min/max
-network, and applies the closed form lex rank
-C(n,k) - 1 - sum_i C(n-1-s[i], k-i). Orbit labeling propagates minimum lex
-ranks along those maps and their inverses until stable, so each subset ends
-up labeled by the lex rank of the lexicographically least subset in its
-orbit. No stage sorts whole rows or loops over subsets in Python.
+The block-image kernel is the one place blocks are mapped through a point
+permutation: image_rows() sorts the image blocks, and block_permutation()
+says where each block of a lex-sorted list goes, or that the list is not
+preserved. orbit_labels() labels every index by the least index in its
+orbit under a list of index permutations, propagating minima along the maps
+and their inverses with pointer jumping. Orbit designs, flag orbits,
+automorphism checks and the pair action all use them.
+
+The orbit scan needs no search for its images, since every k-subset is a
+row: it gathers the image points under each generator, sorts each row with
+a min/max network and applies the closed form lex rank
+C(n,k) - 1 - sum_i C(n-1-s[i], k-i). orbit_labels() then labels each subset
+by the lex rank of the least subset in its orbit. No stage sorts whole rows
+or loops over subsets in Python.
 """
 
 from __future__ import annotations
@@ -25,43 +32,6 @@ from .permcore import PermGroup
 
 # points are stored as uint8 in the k-subset arrays
 MAX_POINTS = 255
-
-
-def rank_colex(subset) -> int:
-    r = 0
-    for i, x in enumerate(sorted(subset)):
-        r += comb(x, i + 1)
-    return r
-
-
-def rank_lex(n: int, k: int, subset) -> int:
-    s = sorted(subset)
-    if len(s) != k or any(not 0 <= x < n for x in s) or len(set(s)) != k:
-        raise ValueError("not a k-subset of 0..n-1")
-    r = 0
-    prev = -1
-    for i, x in enumerate(s):
-        for j in range(prev + 1, x):
-            r += comb(n - 1 - j, k - 1 - i)
-        prev = x
-    return r
-
-
-def unrank_lex(n: int, k: int, rank: int) -> tuple[int, ...]:
-    if not 0 <= rank < comb(n, k):
-        raise ValueError("rank out of range")
-    out = []
-    x = 0
-    for i in range(k):
-        while True:
-            block = comb(n - 1 - x, k - 1 - i)
-            if rank < block:
-                break
-            rank -= block
-            x += 1
-        out.append(x)
-        x += 1
-    return tuple(out)
 
 
 def lex_combinations(n: int, k: int) -> np.ndarray:
@@ -161,33 +131,40 @@ def _lex_ranks(cols: list[np.ndarray], n: int, count: int) -> np.ndarray:
     return ranks
 
 
-def _orbit_labels(G: PermGroup, rows: np.ndarray) -> np.ndarray:
-    """For each row of the lex-ordered k-subsets, the lex rank of the least
-    subset in its G-orbit."""
-    count, k = rows.shape
-    n = G.degree
-    # the image points of every subset, column-wise per generator; numpy
-    # gathers faster with an intp index than with the uint8 one
-    images = [np.asarray(g.images, dtype=np.uint8) for g in G.generators]
-    moved: list[list[np.ndarray]] = [[] for _ in images]
-    for i in range(k):
-        col = rows[:, i].astype(np.intp)
-        for img, cols in zip(images, moved):
-            cols.append(img[col])
+def image_rows(images, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks rows (one per row) under the point map images, as
+    lex-sorted rows of sorted points, and order: row i of the result is the
+    image of rows[order[i]]."""
+    blocks = np.sort(np.asarray(images)[rows], axis=1)
+    order = np.lexsort(blocks.T[::-1])  # lexsort's last key is the primary one
+    return blocks[order], order
 
-    # one subset-level image map per generator and per inverse generator,
-    # so min-label propagation can flow both ways along orbit edges
-    maps = []
-    while moved:
-        image = _lex_ranks(moved.pop(0), n, count)
-        inverse = np.empty(count, dtype=np.int64)
-        inverse[image] = np.arange(count)
-        maps += [image, inverse]
 
+def block_permutation(images, rows: np.ndarray) -> np.ndarray | None:
+    """For distinct lex-sorted blocks of sorted points rows, the index in rows
+    of each block's image under the point map images; None if the images
+    are not the same block set."""
+    moved, order = image_rows(images, rows)
+    if not np.array_equal(moved, rows):
+        return None
+    perm = np.empty(len(rows), dtype=np.intp)
+    perm[order] = np.arange(len(rows))
+    return perm
+
+
+def orbit_labels(maps, count: int) -> np.ndarray:
+    """For index permutations maps of range(count), the least index in each
+    index's orbit under the group they generate. Labels flow along every map
+    and its inverse, so the maps need not be closed under inverses."""
+    both = []
+    for m in maps:
+        inverse = np.empty_like(m)
+        inverse[m] = np.arange(count)
+        both += [m, inverse]
     labels = np.arange(count, dtype=np.int32 if count < 2**31 else np.int64)
     while True:
         before = labels.copy()
-        for m in maps:
+        for m in both:
             np.minimum(labels, labels.take(m), out=labels)
         # pointer jumping: chase labels toward their orbit minimum
         while True:
@@ -199,10 +176,26 @@ def _orbit_labels(G: PermGroup, rows: np.ndarray) -> np.ndarray:
             return labels
 
 
+def _image_ranks(G: PermGroup, rows: np.ndarray) -> list[np.ndarray]:
+    """Per generator, the lex rank of the image of every row of the
+    lex-ordered k-subsets."""
+    count, k = rows.shape
+    # the image points of every subset, column-wise per generator; numpy
+    # gathers faster with an intp index than with the uint8 one
+    images = [np.asarray(g.images, dtype=np.uint8) for g in G.generators]
+    moved: list[list[np.ndarray]] = [[] for _ in images]
+    for i in range(k):
+        col = rows[:, i].astype(np.intp)
+        for img, cols in zip(images, moved):
+            cols.append(img[col])
+    # free each generator's image points once ranked
+    return [_lex_ranks(moved.pop(0), G.degree, count) for _ in range(len(moved))]
+
+
 def subset_orbits(G: PermGroup, k: int) -> SubsetOrbits:
     rows = lex_combinations(G.degree, k)
     count = len(rows)
-    labels = _orbit_labels(G, rows)
+    labels = orbit_labels(_image_ranks(G, rows), count)
 
     # a label is the least rank of its orbit, so counting the subsets that
     # are their own label numbers the orbits in ascending representative order

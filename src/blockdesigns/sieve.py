@@ -24,7 +24,6 @@ beyond it.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import gcd
 
@@ -314,23 +313,9 @@ def evaluate(case: CaseSpec) -> SieveVerdict:
     )
 
 
-def _evaluate_q(q: int) -> list[SieveVerdict]:
-    return [evaluate(case) for case in case_catalog(q)]
-
-
-def run(q_max: int, workers: int = 1) -> SieveReport:
+def run(q_max: int) -> SieveReport:
     """Evaluate every case for every prime power 4 <= q <= q_max."""
     if q_max < 4:
         raise ValueError("q_max must be >= 4")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    qs = prime_powers_upto(4, q_max)
-    if workers == 1 or len(qs) <= 1:
-        per_q = [_evaluate_q(q) for q in qs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_q = list(pool.map(_evaluate_q, qs, chunksize=16))
-    verdicts: list[SieveVerdict] = []
-    for block in per_q:
-        verdicts.extend(block)
+    verdicts = [evaluate(case) for q in prime_powers_upto(4, q_max) for case in case_catalog(q)]
     return SieveReport(q_min=4, q_max=q_max, verdicts=tuple(verdicts))

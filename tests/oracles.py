@@ -6,8 +6,130 @@ from math import comb
 
 import numpy as np
 
+from blockdesigns.design import Design
 from blockdesigns.kcombs import SubsetOrbits, _colex_ranks, _colex_table
 from blockdesigns.permcore import Permutation, compose
+
+
+def rank_colex(subset) -> int:
+    r = 0
+    for i, x in enumerate(sorted(subset)):
+        r += comb(x, i + 1)
+    return r
+
+
+def rank_lex(n: int, k: int, subset) -> int:
+    s = sorted(subset)
+    if len(s) != k or any(not 0 <= x < n for x in s) or len(set(s)) != k:
+        raise ValueError("not a k-subset of 0..n-1")
+    r = 0
+    prev = -1
+    for i, x in enumerate(s):
+        for j in range(prev + 1, x):
+            r += comb(n - 1 - j, k - 1 - i)
+        prev = x
+    return r
+
+
+def unrank_lex(n: int, k: int, rank: int) -> tuple[int, ...]:
+    if not 0 <= rank < comb(n, k):
+        raise ValueError("rank out of range")
+    out = []
+    x = 0
+    for i in range(k):
+        while True:
+            block = comb(n - 1 - x, k - 1 - i)
+            if rank < block:
+                break
+            rank -= block
+            x += 1
+        out.append(x)
+        x += 1
+    return tuple(out)
+
+
+def field_index(F, a: tuple[int, ...]) -> int:
+    """The index of a GF(q) element: its coefficients as base-p digits, the
+    lowest degree least significant; FiniteField.from_index inverts it."""
+    i = 0
+    for c in reversed(a):
+        i = i * F.p + c
+    return i
+
+
+def lambda_ints(lv) -> tuple[int, ...]:
+    """An integral LambdaVector's values as ints."""
+    if not lv.integral:
+        raise ValueError("non-integral lambda vector")
+    return tuple(int(x) for x in lv.values)
+
+
+def block_orbit(G, block) -> set[tuple[int, ...]]:
+    """The G-orbit of a block as a set of sorted point tuples, by a
+    breadth-first walk over the generators."""
+    start = tuple(sorted(block))
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for blk in frontier:
+            for g in G.generators:
+                img = tuple(sorted(g.images[p] for p in blk))
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return seen
+
+
+def orbit_design(G, base) -> Design:
+    return Design(G.degree, block_orbit(G, base))
+
+
+def is_flag_transitive(G, design) -> bool:
+    """A breadth-first walk over the flags (point, block index), with block
+    images looked up in a dict; raises ValueError if G moves a block out of
+    the design."""
+    if G.degree != design.v:
+        raise ValueError("degree mismatch")
+    index = {blk: j for j, blk in enumerate(design.blocks)}
+    moves = []  # (point images, block-index images) per generator
+    for g in G.generators:
+        im = g.images
+        try:
+            block_im = [index[tuple(sorted([im[p] for p in blk]))] for blk in design.blocks]
+        except KeyError:
+            raise ValueError("group does not preserve the block set") from None
+        moves.append((im, block_im))
+    start = (design.blocks[0][0], 0)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for p, j in frontier:
+            for im, block_im in moves:
+                flag = (im[p], block_im[j])
+                if flag not in seen:
+                    seen.add(flag)
+                    nxt.append(flag)
+        frontier = nxt
+    return len(seen) == design.b * design.k
+
+
+def pair_images(G) -> list[tuple[int, ...]]:
+    """Each generator's action on the unordered pairs {i, j} of points,
+    numbered in lex order of (min, max), by dict lookup."""
+    n = G.degree
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    index = {pair: m for m, pair in enumerate(pairs)}
+    out = []
+    for g in G.generators:
+        imgs = []
+        for i, j in pairs:
+            a, b = g.images[i], g.images[j]
+            imgs.append(index[(a, b) if a < b else (b, a)])
+        out.append(tuple(imgs))
+    return out
 
 
 def representatives(G, k: int):
@@ -16,7 +138,8 @@ def representatives(G, k: int):
 
     Scans all C(n,k) subsets in lex order with a visited bitmap indexed by
     colex rank; each unvisited subset starts a new orbit, which is walked
-    breadth-first and marked. Memory is C(n,k)/8 bytes.
+    breadth-first (block_orbit) and marked. Memory is C(n,k)/8 bytes plus
+    one orbit.
     """
     n = G.degree
     if not 0 < k < n:
@@ -33,24 +156,14 @@ def representatives(G, k: int):
         return r
 
     visited = bytearray((total + 7) // 8)
-    gens = G.generators
     for sub in combinations(range(n), k):
         r = crank(sub)
         if visited[r >> 3] >> (r & 7) & 1:
             continue
         yield sub
-        frontier = [sub]
-        visited[r >> 3] |= 1 << (r & 7)
-        while frontier:
-            nxt = []
-            for s in frontier:
-                for g in gens:
-                    im = tuple(sorted(g.images[x] for x in s))
-                    ri = crank(im)
-                    if not visited[ri >> 3] >> (ri & 7) & 1:
-                        visited[ri >> 3] |= 1 << (ri & 7)
-                        nxt.append(im)
-            frontier = nxt
+        for im in block_orbit(G, sub):
+            ri = crank(im)
+            visited[ri >> 3] |= 1 << (ri & 7)
 
 
 def brute_force_isomorphic(d1, d2) -> bool:

@@ -285,6 +285,14 @@ class TestSieve:
         code, _, _ = run_cli(["sieve", "--qmax", "3"], capsys)
         assert code == 2
 
+    def test_worker_count_gives_identical_bytes(self, capsys):
+        # --workers is accepted on sieve; it runs in one process regardless
+        base = ["sieve", "--qmax", "300", "--format", "json"]
+        code1, out1, _ = run_cli(base + ["--workers", "1"], capsys)
+        code2, out2, _ = run_cli(base + ["--workers", "2"], capsys)
+        assert code1 == code2 == 0
+        assert out1 and out1 == out2
+
 
 class TestVerify:
     def test_table2_passes(self, capsys, psl_classes):

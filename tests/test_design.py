@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from blockdesigns import design
 from blockdesigns.design import (
     Design,
     classify,
@@ -20,10 +21,12 @@ from blockdesigns.design import (
     lambda_vector,
     orbit_design,
 )
+from blockdesigns.grouplib import BUILTIN_NAMES, builtin
 from blockdesigns.kcombs import subset_orbits
 from blockdesigns.permcore import PermGroup, Permutation, parse_cycles
 
-from oracles import representatives
+import oracles
+from oracles import block_orbit, lambda_ints, representatives
 
 
 def cyclic(n):
@@ -152,7 +155,7 @@ class TestLambdaVector:
     def test_fano_vector(self):
         lv = lambda_vector(7, 3, 2, 1)
         assert lv.integral
-        assert lv.as_ints() == (7, 3, 1)
+        assert lambda_ints(lv) == (7, 3, 1)
 
     def test_non_integral_flagged(self):
         lv = lambda_vector(8, 3, 2, 1)
@@ -190,6 +193,43 @@ class TestFlagTransitivity:
             is_flag_transitive(H, d)
 
 
+@st.composite
+def group_and_base(draw):
+    """A group on 2..8 points from 1-3 random generators, and a base block in
+    no particular order."""
+    n = draw(st.integers(2, 8))
+    gens = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+    base = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    return PermGroup([Permutation(g) for g in gens]), tuple(base)
+
+
+class TestAgainstOracles:
+    """The numpy orbit design and flag orbits against the breadth-first
+    walks in tests/oracles.py."""
+
+    @given(group_and_base())
+    def test_orbit_design(self, case):
+        G, base = case
+        assert orbit_design(G, base) == oracles.orbit_design(G, base)
+
+    @given(group_and_base(), st.data())
+    def test_flag_transitivity(self, case, data):
+        H, base = case
+        d = orbit_design(H, base)
+        # the design's own group, or a random one that need not preserve it
+        G = H
+        if data.draw(st.booleans()):
+            gens = data.draw(st.lists(st.permutations(range(H.degree)), min_size=1, max_size=3))
+            G = PermGroup([Permutation(g) for g in gens])
+        try:
+            want = oracles.is_flag_transitive(G, d)
+        except ValueError:
+            with pytest.raises(ValueError, match="does not preserve"):
+                is_flag_transitive(G, d)
+        else:
+            assert is_flag_transitive(G, d) == want
+
+
 class TestRepresentatives:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_agrees_with_subset_orbits(self, k):
@@ -205,17 +245,7 @@ class TestRepresentatives:
         assert reps == sorted(reps)
         all_seen = set()
         for rep in reps:
-            orb = {rep}
-            frontier = [rep]
-            while frontier:
-                nxt = []
-                for s in frontier:
-                    for g in G.generators:
-                        im = tuple(sorted(g.images[x] for x in s))
-                        if im not in orb:
-                            orb.add(im)
-                            nxt.append(im)
-                frontier = nxt
+            orb = block_orbit(G, rep)
             assert rep == min(orb)
             all_seen |= orb
         assert len(all_seen) == comb(9, 3)
@@ -287,6 +317,11 @@ class TestClassify:
             d = orbit_design(G, cls.base)
             assert lambda_of(d, 3) == cls.lam
 
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_no_3_designs_on_36_points(self, name):
+        # the paper's t = 2 claim: no orbit of 6-subsets is a 3-design
+        assert classify(builtin(name), 6, 3) == []
+
 
 class TestDeterminism:
     def test_worker_count_does_not_change_result(self):
@@ -296,6 +331,36 @@ class TestDeterminism:
         assert [(c.base, c.lam, c.b, c.certificate.data, c.orbit_reps) for c in one] == [
             (c.base, c.lam, c.b, c.certificate.data, c.orbit_reps) for c in two
         ]
+
+    @pytest.mark.parametrize("workers,cpus,pool", [
+        (10**6, 3, [3]),  # capped by the CPUs
+        (10**6, 64, [4]),  # by the 4 orbit designs to certify
+        (2, 64, [2]),
+        (10**6, None, []),  # one CPU: no pool at all
+    ])
+    def test_pool_size_is_capped(self, monkeypatch, workers, cpus, pool):
+        sizes = []
+
+        class SerialPool:
+            """Records the pool size asked for; maps in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(design, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(design.os, "cpu_count", lambda: cpus)
+        G = cyclic(13)
+        assert classify(G, 4, 2, workers=workers) == classify(G, 4, 2)
+        assert sizes == pool
 
 
 class TestHeadlineCertificates:

@@ -15,6 +15,7 @@ from blockdesigns.grouplib import (
 )
 from blockdesigns.numth import prime_power, prime_powers_upto
 from blockdesigns.permcore import PermGroup, Permutation
+from oracles import field_index, pair_images
 
 SMALL_Q = [4, 5, 7, 8, 9, 11, 13, 16, 25, 27]
 
@@ -123,7 +124,7 @@ class TestFieldArithmetic:
     def test_index_roundtrip(self, q):
         F = FiniteField(q)
         for i in range(q):
-            assert F.to_index(F.from_index(i)) == i
+            assert field_index(F, F.from_index(i)) == i
 
 
 class TestProjectiveGroup:
@@ -185,6 +186,17 @@ class TestPairAction:
         assert H.order() == 1512
         assert H.point_stabilizer(0).order() == 42
 
+    @given(st.integers(3, 8).flatmap(
+        lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=3)))
+    def test_generators_match_dict_oracle(self, images):
+        G = PermGroup([Permutation(im) for im in images])
+        H, labeling = pair_action(G)
+        assert [h.images for h in H.generators] == pair_images(G)
+        n = G.degree
+        assert [labeling.point(m) for m in range(len(labeling))] == [
+            frozenset({i, j}) for i in range(n) for j in range(i + 1, n)
+        ]
+
 
 class TestBuiltins:
     def test_names(self):
@@ -211,6 +223,15 @@ class TestBuiltins:
     def test_pgammal_socle_order(self):
         G = builtin("pgammal28_paper36")
         assert G.derived_subgroup().order() == 504
+
+    def test_psl_is_the_socle_action_in_another_labeling(self):
+        # the order-504 builtin is not the socle of the order-1512 one as a
+        # set of permutations: the same PSL(2,8) action, labeled otherwise
+        psl, pgl = builtin("psl28_paper36"), builtin("pgammal28_paper36")
+        socle = pgl.derived_subgroup()
+        assert socle.order() == 504
+        assert not any(pgl.contains(g) for g in psl.generators)
+        assert psl.subdegrees(0) == socle.subdegrees(0) == (1, 7, 7, 7, 14)
 
     def test_psl_element_orders(self):
         G = builtin("psl28_paper36")

@@ -10,13 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockdesigns.kcombs import (
+    block_permutation,
+    image_rows,
     lex_combinations,
-    rank_colex,
-    rank_lex,
+    orbit_labels,
     subset_orbits,
-    unrank_lex,
 )
 from blockdesigns.permcore import PermGroup, Permutation, parse_cycles
+from oracles import block_orbit, rank_colex, rank_lex, unrank_lex
 from oracles import subset_orbits as sorting_scan
 
 
@@ -84,26 +85,66 @@ class TestLexCombinations:
 
 
 def brute_orbits(G, k):
-    """Reference orbit partition via pure-Python BFS."""
+    """Reference orbit partition: the lex-least member and size of each
+    orbit, walked by the block-orbit oracle."""
     seen = set()
     orbits = []
     for sub in combinations(range(G.degree), k):
-        if sub in seen:
-            continue
-        orbit = {sub}
-        frontier = [sub]
-        while frontier:
-            nxt = []
-            for s in frontier:
-                for g in G.generators:
-                    im = tuple(sorted(g.images[x] for x in s))
-                    if im not in orbit:
-                        orbit.add(im)
-                        nxt.append(im)
-            frontier = nxt
-        seen |= orbit
-        orbits.append((sub, len(orbit)))
+        if sub not in seen:
+            orbit = block_orbit(G, sub)
+            seen |= orbit
+            orbits.append((sub, len(orbit)))
     return orbits
+
+
+@st.composite
+def blocks_and_map(draw):
+    """Distinct lex-sorted blocks of one size on n points, and a point
+    permutation; half the time the blocks are closed under it, so both
+    preserved and moved block sets occur."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    k = draw(st.integers(min_value=1, max_value=n))
+    images = draw(st.permutations(range(n)))
+    blocks = draw(st.sets(st.sets(st.integers(0, n - 1), min_size=k, max_size=k).map(frozenset),
+                          min_size=1, max_size=comb(n, k)))
+    if draw(st.booleans()):
+        blocks = set().union(*(block_orbit(PermGroup([Permutation(images)]), b) for b in blocks))
+    rows = np.array(sorted(tuple(sorted(b)) for b in blocks), dtype=np.int64).reshape(-1, k)
+    return rows, np.array(images)
+
+
+class TestBlockImageKernel:
+    @given(blocks_and_map())
+    def test_image_rows_are_sorted_images(self, case):
+        rows, images = case
+        moved, order = image_rows(images, rows)
+        assert sorted(map(tuple, moved.tolist())) == list(map(tuple, moved.tolist()))
+        for got, j in zip(moved.tolist(), order.tolist()):
+            assert got == sorted(images[rows[j]].tolist())
+
+    @given(blocks_and_map())
+    def test_block_permutation_matches_lookup(self, case):
+        rows, images = case
+        index = {tuple(r): j for j, r in enumerate(rows.tolist())}
+        want = [index.get(tuple(sorted(images[r].tolist()))) for r in rows]
+        perm = block_permutation(images, rows)
+        if None in want:
+            assert perm is None
+        else:
+            assert perm.tolist() == want
+
+    @given(st.integers(1, 30).flatmap(
+        lambda n: st.lists(st.permutations(range(n)), min_size=0, max_size=3)
+        .map(lambda maps: (n, maps))))
+    def test_orbit_labels_are_orbit_minima(self, case):
+        count, maps = case
+        labels = orbit_labels([np.array(m, dtype=np.int64) for m in maps], count)
+        for i in range(count):
+            orbit, frontier = {i}, [i]
+            while frontier:
+                frontier = {m[x] for x in frontier for m in maps} - orbit
+                orbit |= frontier
+            assert labels[i] == min(orbit)
 
 
 @st.composite
