@@ -24,7 +24,7 @@ import numpy as np
 from . import isomorph
 from .grouplib import builtin
 from .kcombs import _colex_ranks, _colex_table, block_permutation, image_rows, lex_combinations
-from .kcombs import orbit_labels, subset_orbits
+from .kcombs import orbit_labels, row_keys, subset_orbits
 from .permcore import PermGroup, Permutation
 
 log = logging.getLogger(__name__)
@@ -32,31 +32,45 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class Design:
-    """v points and b distinct blocks of one size k. Any iterable of point
-    collections is accepted as blocks; it is stored as a lexicographically
-    sorted tuple of sorted point tuples. This is the one place a design is
-    checked."""
+    """v points and b distinct blocks of one size k. Blocks may be a 2-d
+    integer array, one block per row, or any iterable of point collections;
+    they are stored as a lexicographically sorted tuple of sorted point
+    tuples. This is the one place a design is checked."""
 
     v: int
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        blocks = tuple(sorted(tuple(sorted(blk)) for blk in self.blocks))
-        if not blocks:
-            raise ValueError("a design needs at least one block")
-        k = len(blocks[0])
-        if k == 0:
-            raise ValueError("blocks must not be empty")
-        for blk in blocks:
-            if len(blk) != k:
+        rows = self.blocks
+        if not isinstance(rows, np.ndarray):
+            rows = [tuple(blk) for blk in rows]
+            if len({len(blk) for blk in rows}) > 1:
                 raise ValueError("all blocks must have one size")
-            if blk[0] < 0 or blk[-1] >= self.v:
-                raise ValueError(f"block {blk} has a point outside 0..{self.v - 1}")
-            if len(set(blk)) != k:
-                raise ValueError(f"point repeated in block {blk}")
-        if any(a == b for a, b in zip(blocks, blocks[1:])):
+            rows = np.array(rows)
+        if len(rows) == 0:
+            raise ValueError("a design needs at least one block")
+        if rows.ndim != 2:
+            raise ValueError("blocks must form a 2-d array, one block per row")
+        if rows.shape[1] == 0:
+            raise ValueError("blocks must not be empty")
+        if rows.dtype.kind not in "iu":
+            raise ValueError("points must be integers")
+        # range first: the sort key below assumes points in 0..v-1
+        if rows.min() < 0 or rows.max() >= self.v:
+            blk = tuple(sorted(rows[((rows < 0) | (rows >= self.v)).any(axis=1)][0].tolist()))
+            raise ValueError(f"block {blk} has a point outside 0..{self.v - 1}")
+        rows = np.sort(rows, axis=1)
+        repeated = rows[:, 1:] == rows[:, :-1]
+        if repeated.any():
+            blk = rows[repeated.any(axis=1)][0]
+            raise ValueError(f"point repeated in block {tuple(blk.tolist())}")
+        keys = row_keys(rows, self.v)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        if (keys[1:] == keys[:-1]).any():
             raise ValueError("duplicate blocks")
-        object.__setattr__(self, "blocks", blocks)
+        # zip the columns: faster than a tuple per listed row
+        object.__setattr__(self, "blocks", tuple(zip(*rows[order].T.tolist())))
 
     @property
     def k(self) -> int:
@@ -72,7 +86,7 @@ class Design:
     def relabel(self, sigma: Permutation) -> "Design":
         if sigma.degree != self.v:
             raise ValueError("degree mismatch")
-        return Design(self.v, image_rows(sigma.images, np.array(self.blocks))[0].tolist())
+        return Design(self.v, image_rows(sigma.images, np.array(self.blocks))[0])
 
 
 @dataclass(frozen=True)
@@ -103,12 +117,13 @@ def orbit_design(G: PermGroup, base) -> Design:
     frontier = seen
     while len(frontier):
         rows = np.concatenate([seen] + [image_rows(im, frontier)[0] for im in gens])
-        order = np.lexsort(rows.T[::-1])  # stable: a seen block sorts first among equals
-        srt = rows[order]
-        first = np.concatenate(([True], np.any(srt[1:] != srt[:-1], axis=1)))
+        keys = row_keys(rows, G.degree)
+        order = np.argsort(keys, kind="stable")  # a seen block sorts first among equals
+        keys, srt = keys[order], rows[order]
+        first = np.concatenate(([True], keys[1:] != keys[:-1]))
         frontier = srt[first & (order >= len(seen))]
         seen = srt[first]
-    return Design(G.degree, seen.tolist())
+    return Design(G.degree, seen)
 
 
 @lru_cache(maxsize=None)
@@ -190,18 +205,22 @@ class DesignClass:
     orbit_reps: tuple[tuple[int, ...], ...]
 
 
-def _certificate_task(args) -> isomorph.Certificate:
-    design, aut_images = args
-    return isomorph.certificate(design, known_automorphisms=aut_images)
+def _certificate_chunk(args) -> list[isomorph.Certificate]:
+    """Certificates of one worker's designs, all seeded with one group built
+    here from its generator images (Permutation does not pickle)."""
+    designs, gen_images = args
+    G = PermGroup([Permutation(images) for images in gen_images])
+    return [isomorph.certificate(d, G) for d in designs]
 
 
 def classify(G: PermGroup, k: int, t: int = 2, workers: int = 1) -> list[DesignClass]:
     """All nontrivial t-designs among the G-orbits of k-subsets, merged into
     isomorphism classes, sorted by (lambda, base block).
 
-    The group's own generators act as automorphisms of every orbit design and
-    seed the certificate search. Worker count never changes the result, only
-    how certificate computations are distributed.
+    The group itself acts by automorphisms on every orbit design and is the
+    pruning group of every certificate search, so its chain is built once
+    per process. Worker count never changes the result, only how
+    certificate computations are distributed.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -214,6 +233,7 @@ def classify(G: PermGroup, k: int, t: int = 2, workers: int = 1) -> list[DesignC
     so = subset_orbits(G, k)
     log.info("orbit scan: %d orbits of %d-subsets in %.2f s",
              so.orbit_count, k, time.perf_counter() - start)
+    start = time.perf_counter()
     per_block = comb(k, t)
     denom = comb(v, t)
 
@@ -225,19 +245,24 @@ def classify(G: PermGroup, k: int, t: int = 2, workers: int = 1) -> list[DesignC
         rows = so.orbit_rows(i)
         lam = _uniform_lambda(rows, v, t)
         if lam is not None:
-            found.append((lam, Design(v, rows.tolist())))
-    log.info("filter: %d of %d orbits give %d-designs", len(found), so.orbit_count, t)
+            found.append((lam, Design(v, rows)))
+    log.info("filter: %d of %d orbits give %d-designs in %.2f s",
+             len(found), so.orbit_count, t, time.perf_counter() - start)
 
     start = time.perf_counter()
-    aut_images = [g.images for g in G.generators]
-    tasks = [(d, aut_images) for _, d in found]
-    # no more processes than tasks or CPUs, however many workers are asked for
-    procs = min(workers, len(tasks), os.cpu_count() or 1)
+    designs = [d for _, d in found]
+    # no more processes than designs or CPUs, however many workers are asked for
+    procs = min(workers, len(designs), os.cpu_count() or 1)
     if procs <= 1:
-        certs = [_certificate_task(task) for task in tasks]
+        certs = [isomorph.certificate(d, G) for d in designs]
     else:
+        # one chunk per worker, dealt round-robin, so each builds G's chain once
+        gen_images = [g.images for g in G.generators]
+        chunks = [(designs[i::procs], gen_images) for i in range(procs)]
+        certs = [None] * len(designs)
         with ProcessPoolExecutor(max_workers=procs) as pool:
-            certs = list(pool.map(_certificate_task, tasks, chunksize=8))
+            for i, chunk_certs in enumerate(pool.map(_certificate_chunk, chunks)):
+                certs[i::procs] = chunk_certs
     log.info("certificates: %d in %.2f s", len(certs), time.perf_counter() - start)
 
     # orbit rows are lex sorted, so an orbit design's first block is the

@@ -16,10 +16,14 @@ the group's chain (PermGroup.extend). Both are checked with
 kcombs.block_permutation, and leaves are laid out with kcombs.image_rows:
 the one block-image kernel. The skips use the orbits of the pointwise
 stabilizer of the individualized prefix: the point stabilizer of its last
-point in the parent prefix's stabilizer, memoized by prefix until a new
-automorphism enlarges the group. A search node keeps the union of the
-orbits of its explored candidates, so each orbit is computed once per node
-and stabilizer.
+point in the parent prefix's stabilizer, memoized by the group itself
+(PermGroup.prefix_stabilizer). The pruning group may be prebuilt: a
+PermGroup passed as the seed is used as it is, so every certificate seeded
+with one group shares its chain and its prefix stabilizers; a discovered
+automorphism outside it gives a new group with a memo of its own. Pruning
+depends only on the group as a set, so seeding never changes the result. A
+search node keeps the union of the orbits of its explored candidates, so
+each orbit is computed once per node and stabilizer.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from hashlib import sha256
 
 import numpy as np
 
-from .kcombs import block_permutation, image_rows
+from .kcombs import block_permutation, image_rows, row_keys
 from .permcore import PermGroup, Permutation
 
 MAX_VERTICES = 5000
@@ -55,11 +59,13 @@ class Certificate:
 
 def _unique_rows_inverse(arr: np.ndarray) -> np.ndarray:
     """Lex rank of each row of a 2-d array among its distinct rows: the
-    inverse that np.unique(arr, axis=0, return_inverse=True) returns."""
-    order = np.lexsort(arr.T[::-1])  # lexsort's last key is the primary one
-    srt = arr[order]
+    inverse that np.unique(arr, axis=0, return_inverse=True) returns. Entries
+    must be non-negative."""
+    key = row_keys(arr, int(arr.max(initial=0)) + 1)
+    order = np.argsort(key)  # equal rows share a rank, so the sort need not be stable
+    srt = key[order]
     ranks = np.zeros(len(arr), dtype=np.intp)
-    np.cumsum(np.any(srt[1:] != srt[:-1], axis=1), out=ranks[1:])
+    np.cumsum(srt[1:] != srt[:-1], out=ranks[1:])
     inv = np.empty_like(ranks)
     inv[order] = ranks
     return inv
@@ -80,15 +86,14 @@ class _Refiner:
         self.v = v
         self.b = len(rows)
         self.rows_arr = np.asarray(rows, dtype=np.int64).reshape(self.b, -1)
-        incident = [[] for _ in range(v)]
-        for j, row in enumerate(rows):
-            for p in row:
-                incident[p].append(j)
-        rmax = max((len(pb) for pb in incident), default=0)
+        # the incidences grouped by point, blocks ascending within a point
+        flat = self.rows_arr.ravel()
+        order = np.argsort(flat, kind="stable")
+        degrees = np.bincount(flat, minlength=v)
+        slots = np.arange(len(flat)) - np.repeat(np.cumsum(degrees) - degrees, degrees)
         # pad with block id b; the sentinel color looked up for it sorts last
-        self.pb_arr = np.full((v, rmax), self.b, dtype=np.int64)
-        for i, pb in enumerate(incident):
-            self.pb_arr[i, : len(pb)] = pb
+        self.pb_arr = np.full((v, degrees.max(initial=0)), self.b, dtype=np.int64)
+        self.pb_arr[flat[order], slots] = order // self.rows_arr.shape[1]
 
     def refine(self, pcol: np.ndarray) -> np.ndarray:
         ncol = int(pcol.max()) + 1
@@ -128,45 +133,38 @@ def certificate(design, known_automorphisms=()) -> Certificate:
     """Canonical certificate of a design.Design with at most MAX_VERTICES
     points plus blocks.
 
-    known_automorphisms seeds the pruning group; every seed is verified to
-    map the block set onto itself before use, so a wrong seed raises instead
-    of corrupting the canonical form.
+    known_automorphisms seeds the pruning group: a PermGroup, used as it is
+    (its memoized prefix stabilizers shared with every other search it
+    seeds), or permutations or image sequences to generate one. Every
+    generator is verified to map the block set onto itself before use, so a
+    wrong seed raises instead of corrupting the canonical form.
     """
     v, b, k = design.v, design.b, design.k
     if v + b > MAX_VERTICES:
         raise ValueError(f"{v} points + {b} blocks exceeds the {MAX_VERTICES}-vertex bound")
 
     refiner = _Refiner(v, design.blocks)
-    auts: list[Permutation] = []
-    for g in known_automorphisms:
-        if not isinstance(g, Permutation):
-            g = Permutation(g)
+    if isinstance(known_automorphisms, PermGroup):
+        aut_group, seeds = known_automorphisms, known_automorphisms.generators
+    else:
+        aut_group = None
+        seeds = [g if isinstance(g, Permutation) else Permutation(g) for g in known_automorphisms]
+    for g in seeds:
         if g.degree != v:
             raise ValueError("automorphism degree does not match point count")
         if block_permutation(g.images, refiner.rows_arr) is None:
             raise ValueError("seeded permutation is not an automorphism of the design")
-        auts.append(g)
+    if aut_group is None:
+        aut_group = PermGroup(seeds or [Permutation.identity(v)])
 
     best_data: bytes | None = None
     best_pcol: list[int] | None = None
-    aut_group = PermGroup(auts or [Permutation.identity(v)])
-    stabilizers: dict[tuple[int, ...], PermGroup] = {}  # of prefixes, in aut_group
-
-    def stabilizer(prefix: tuple[int, ...]) -> PermGroup:
-        if not prefix:
-            return aut_group
-        if prefix not in stabilizers:
-            stabilizers[prefix] = stabilizer(prefix[:-1]).point_stabilizer(prefix[-1])
-        return stabilizers[prefix]
 
     def add_automorphism(sigma: Permutation) -> None:
         nonlocal aut_group
         if block_permutation(sigma.images, refiner.rows_arr) is None:
             return  # equal leaf encodings always yield a real automorphism; stay safe anyway
-        grown = aut_group.extend(sigma)
-        if grown is not aut_group:
-            aut_group = grown
-            stabilizers.clear()
+        aut_group = aut_group.extend(sigma)
 
     def search(pcol: np.ndarray, prefix: tuple[int, ...]) -> None:
         nonlocal best_data, best_pcol
@@ -192,7 +190,7 @@ def certificate(design, known_automorphisms=()) -> Certificate:
         stab, covered, folded = None, set(), 0
         for x in candidates:
             if explored and aut_group.order() > 1:
-                current = stabilizer(prefix)
+                current = aut_group.prefix_stabilizer(prefix)
                 if current is not stab:
                     stab, covered, folded = current, set(), 0
                 for e in explored[folded:]:

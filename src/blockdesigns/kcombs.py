@@ -5,6 +5,10 @@ The lex rank is the row index in that array and the order every public
 iterator follows; the colex rank sum C(s[i], i+1) serves t-subset counting
 in design.py.
 
+lex_order() is the one row-order routine: every lexicographic sort of rows
+in the package (image blocks, orbit-design closure, Design, refinement
+signatures) sorts one scalar key per row, from row_keys().
+
 The block-image kernel is the one place blocks are mapped through a point
 permutation: image_rows() sorts the image blocks, and block_permutation()
 says where each block of a lex-sorted list goes, or that the list is not
@@ -131,12 +135,35 @@ def _lex_ranks(cols: list[np.ndarray], n: int, count: int) -> np.ndarray:
     return ranks
 
 
+def row_keys(rows: np.ndarray, bound: int) -> np.ndarray:
+    """One scalar per row of a 2-d array with entries in 0..bound-1, ordered
+    as the rows are lexicographically and equal exactly when they are: the
+    row's value in base bound when bound**width fits an int64, else the row
+    as big-endian unsigned bytes, compared whole (np.void)."""
+    width = rows.shape[1]
+    bound = int(bound)  # a numpy integer power would wrap silently
+    if bound**width < 2**63:
+        weights = bound ** np.arange(width - 1, -1, -1, dtype=np.int64)
+        return rows.astype(np.int64, copy=False) @ weights
+    size = next(s for s in (1, 2, 4, 8) if bound <= 256**s)
+    raw = np.ascontiguousarray(rows, dtype=f">u{size}")
+    return raw.view(f"V{size * width}").ravel()
+
+
+def lex_order(rows: np.ndarray, bound: int) -> np.ndarray:
+    """Stable lexicographic order of the rows of a 2-d array with entries in
+    0..bound-1, as np.lexsort(rows.T[::-1]) gives it, from one sort of one
+    key per row."""
+    return np.argsort(row_keys(rows, bound), kind="stable")
+
+
 def image_rows(images, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The blocks rows (one per row) under the point map images, as
     lex-sorted rows of sorted points, and order: row i of the result is the
     image of rows[order[i]]."""
-    blocks = np.sort(np.asarray(images)[rows], axis=1)
-    order = np.lexsort(blocks.T[::-1])  # lexsort's last key is the primary one
+    images = np.asarray(images)
+    blocks = np.sort(images[rows], axis=1)
+    order = lex_order(blocks, len(images))
     return blocks[order], order
 
 

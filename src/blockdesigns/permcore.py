@@ -14,7 +14,8 @@ PermGroup(gens) adds the generators one by one to an empty chain, extend(g)
 adds g to a copy of the group's chain, and pointwise_stabilizer(pts) is the
 tail, from level len(pts) on, of a chain whose base starts with pts. A chain a
 group holds is never mutated: adding assigns fresh per-level lists and dicts,
-so a copy can share the levels it does not change. Identical inputs (the
+so a copy can share the levels it does not change, and a group can memoize
+what it derives from its chain (prefix_stabilizer). Identical inputs (the
 generator list, plus the point list for a stabilizer) give identical chains,
 orders and element streams.
 """
@@ -205,7 +206,7 @@ class _Chain:
         if generators is None:
             generators = self.gens[0] if self.gens else ()
         G = object.__new__(PermGroup)
-        G._degree, G._chain = self.degree, self
+        G._degree, G._chain, G._prefix_stabilizers = self.degree, self, {}
         G._generators = tuple(generators) or (Permutation.identity(self.degree),)
         return G
 
@@ -290,6 +291,7 @@ class PermGroup:
         for g in gens:
             chain.add(g)
         self._degree, self._generators, self._chain = degree, gens, chain
+        self._prefix_stabilizers: dict[tuple[int, ...], PermGroup] = {}
 
     @property
     def degree(self) -> int:
@@ -388,6 +390,20 @@ class PermGroup:
             for g in self._generators:
                 chain.add(g)
         return chain.tail(len(pts)).group()
+
+    def prefix_stabilizer(self, prefix: tuple[int, ...]) -> "PermGroup":
+        """Pointwise stabilizer of the points of prefix: the point stabilizer
+        of its last point in the prefix stabilizer of the rest. Memoized on
+        this group per prefix, which is safe because its chain never
+        changes; every caller holding the group shares the memo."""
+        if not prefix:
+            return self
+        memo = self._prefix_stabilizers
+        stab = memo.get(prefix)
+        if stab is None:
+            stab = self.prefix_stabilizer(prefix[:-1]).point_stabilizer(prefix[-1])
+            memo[prefix] = stab
+        return stab
 
     def subdegrees(self, point: int = 0) -> tuple[int, ...]:
         """Orbit lengths of a point stabilizer on all points, sorted ascending.

@@ -6,6 +6,7 @@ from hashlib import sha256
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -97,6 +98,66 @@ class TestDesign:
         d = Design(4, [(0, 1), (0, 2)])
         with pytest.raises(ValueError, match="degree"):
             d.relabel(Permutation((1, 0, 2)))
+
+
+@st.composite
+def block_lists(draw):
+    """v and equal-size blocks, some with points outside 0..v-1, repeated
+    points or repeated blocks; possibly no blocks or blocks of width 0."""
+    v = draw(st.integers(1, 8))
+    width = draw(st.integers(0, 4))
+    block = st.lists(st.integers(-2, v + 1), min_size=width, max_size=width)
+    blocks = draw(st.lists(block, max_size=6))
+    if blocks and draw(st.booleans()):
+        blocks.append(list(reversed(blocks[0])))  # the same block again
+    return v, width, blocks
+
+
+def design_outcome(v, blocks):
+    try:
+        return Design(v, blocks).blocks
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestDesignFromArray:
+    """Design takes a 2-d array as well as lists, with the same checks."""
+
+    @given(block_lists())
+    def test_array_and_lists_give_the_same_design_or_error(self, case):
+        v, width, blocks = case
+        as_lists = design_outcome(v, blocks)
+        rows = np.array(blocks, dtype=np.int64).reshape(len(blocks), width)
+        assert design_outcome(v, rows) == as_lists
+        assert design_outcome(v, rows.astype(np.int16)) == as_lists
+        # which check fails, in the order Design makes them
+        if not blocks:
+            assert "at least one block" in as_lists
+        elif width == 0:
+            assert "must not be empty" in as_lists
+        elif any(not 0 <= p < v for blk in blocks for p in blk):
+            assert "outside" in as_lists
+        elif any(len(set(blk)) < width for blk in blocks):
+            assert "repeated" in as_lists
+        elif len({tuple(sorted(blk)) for blk in blocks}) < len(blocks):
+            assert as_lists == "duplicate blocks"
+        else:
+            assert as_lists == tuple(sorted(tuple(sorted(blk)) for blk in blocks))
+
+    def test_range_checked_before_any_sort_key(self, monkeypatch):
+        def no_key(rows, bound):
+            raise AssertionError("sort key built for an out-of-range point")
+
+        monkeypatch.setattr(design, "row_keys", no_key)
+        for rows in ([[0, 2**40]], [[-1, 0]], [[0, 4]]):
+            with pytest.raises(ValueError, match="outside"):
+                Design(4, np.array(rows))
+
+    def test_non_integer_points_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            Design(4, np.array([[0.0, 1.0]]))
+        with pytest.raises(ValueError, match="integers"):
+            Design(4, [(0.5, 1)])
 
 
 class TestOrbitDesign:
@@ -321,6 +382,20 @@ class TestClassify:
     def test_no_3_designs_on_36_points(self, name):
         # the paper's t = 2 claim: no orbit of 6-subsets is a 3-design
         assert classify(builtin(name), 6, 3) == []
+
+    def test_builds_no_group(self, monkeypatch):
+        # the group classified is the pruning group of every certificate
+        G = builtin("psl28_paper36")
+        built = []
+        init = PermGroup.__init__
+
+        def counted(self, generators):
+            built.append(generators)
+            init(self, generators)
+
+        monkeypatch.setattr(PermGroup, "__init__", counted)
+        assert len(classify(G, 6, 2, workers=1)) == 46
+        assert built == []
 
 
 class TestDeterminism:

@@ -101,6 +101,16 @@ class TestCertificate:
         with pytest.raises(ValueError):
             certificate(FANO, known_automorphisms=(swap,))
 
+    def test_prebuilt_group_with_non_automorphism_rejected(self):
+        rot = parse_cycles("(1,2,3,4,5,6,7)", 7)
+        swap = parse_cycles("(1,2)", 7)
+        with pytest.raises(ValueError, match="not an automorphism"):
+            certificate(FANO, PermGroup([rot, swap]))
+
+    def test_prebuilt_group_of_other_degree_rejected(self):
+        with pytest.raises(ValueError, match="degree"):
+            certificate(FANO, PermGroup([parse_cycles("(1,2,3,4,5,6,7)", 8)]))
+
 
 class TestWitness:
     def test_witness_maps_blocks(self):
@@ -159,6 +169,16 @@ class TestSearchPruning:
         assert seeded.data == plain.data
         assert seeded.labeling == plain.labeling
 
+    @pytest.mark.parametrize("row", TABLE2_ROWS)
+    def test_prebuilt_group_seed_matches_generators_and_none(self, psl_group, row):
+        # the group itself prunes exactly as a group built from its generators
+        d = table2_design(psl_group, row)
+        by_group = certificate(d, psl_group)
+        by_generators = certificate(d, psl_group.generators)
+        plain = certificate(d)
+        assert by_group.data == by_generators.data == plain.data
+        assert by_group.labeling == by_generators.labeling == plain.labeling
+
     @pytest.mark.parametrize("row", TABLE2_ROWS[::2])
     def test_at_most_one_stabilizer_build_per_search_node(self, psl_group, row, monkeypatch):
         counts = {"stabilizers": 0, "nodes": 0}
@@ -209,6 +229,26 @@ class TestKernels:
     def test_unique_rows_inverse_matches_np_unique(self, arr):
         expected = np.unique(arr, axis=0, return_inverse=True)[1].reshape(-1)
         assert np.array_equal(isomorph._unique_rows_inverse(arr), expected)
+
+    @given(
+        arrays(
+            np.int64,
+            array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12),
+            elements=st.sampled_from([0, 1, 2**20, 2**40]),
+        )
+    )
+    def test_unique_rows_inverse_on_wide_keys(self, arr):
+        # entries up to 2**40 give keys past int64 from width 2 on
+        expected = np.unique(arr, axis=0, return_inverse=True)[1].reshape(-1)
+        assert np.array_equal(isomorph._unique_rows_inverse(arr), expected)
+
+    @given(random_designs())
+    def test_refiner_incidence_matches_loop(self, d):
+        refiner = isomorph._Refiner(d.v, d.blocks)
+        incident = [[j for j, blk in enumerate(d.blocks) if p in blk] for p in range(d.v)]
+        width = max(map(len, incident))
+        padded = [pb + [d.b] * (width - len(pb)) for pb in incident]
+        assert refiner.pb_arr.tolist() == padded
 
     def test_leaf_bytes_matches_loop(self):
         rng = random.Random(2025)

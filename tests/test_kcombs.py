@@ -13,6 +13,7 @@ from blockdesigns.kcombs import (
     block_permutation,
     image_rows,
     lex_combinations,
+    lex_order,
     orbit_labels,
     subset_orbits,
 )
@@ -111,6 +112,40 @@ def blocks_and_map(draw):
         blocks = set().union(*(block_orbit(PermGroup([Permutation(images)]), b) for b in blocks))
     rows = np.array(sorted(tuple(sorted(b)) for b in blocks), dtype=np.int64).reshape(-1, k)
     return rows, np.array(images)
+
+
+@st.composite
+def rows_near_int64_edge(draw):
+    """Rows with entries in 0..bound-1 and a width within two of the largest
+    one whose base-bound value fits an int64, so both key kinds occur; rows
+    repeat, so ties show whether the order is stable."""
+    bound = draw(st.one_of(st.integers(1, 300), st.integers(2**8, 2**17),
+                           st.integers(2**31, 2**40)))
+    edge = 63 if bound == 1 else next(w for w in range(1, 64) if bound ** (w + 1) >= 2**63)
+    width = draw(st.integers(max(1, edge - 2), edge + 2))
+    row = st.lists(st.integers(0, bound - 1), min_size=width, max_size=width)
+    pool = draw(st.lists(row, min_size=1, max_size=5))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=30))
+    return np.array([pool[i] for i in picks], dtype=np.int64), bound
+
+
+class TestLexOrder:
+    @given(rows_near_int64_edge())
+    def test_matches_lexsort(self, case):
+        rows, bound = case
+        assert np.array_equal(lex_order(rows, bound), np.lexsort(rows.T[::-1]))
+
+    @pytest.mark.parametrize("width", [62, 63])  # 2**62 fits an int64 key, 2**63 does not
+    def test_both_key_kinds_at_the_edge(self, width):
+        rng = np.random.default_rng(width)
+        rows = rng.integers(0, 2, size=(200, width))
+        rows[100:] = rows[:100]  # every row twice
+        assert np.array_equal(lex_order(rows, 2), np.lexsort(rows.T[::-1]))
+        assert np.array_equal(lex_order(rows.astype(np.uint8), 2), np.lexsort(rows.T[::-1]))
+
+    def test_numpy_bound_does_not_wrap(self):
+        rows = np.array([[1] * 20, [0] * 19 + [255]])
+        assert lex_order(rows, np.int64(256)).tolist() == [1, 0]
 
 
 class TestBlockImageKernel:

@@ -244,3 +244,23 @@ class TestChainPaths:
                 orbit_lengths *= len(G.pointwise_stabilizer(pts[:i]).orbit(p))
             assert S.order() * orbit_lengths == G.order()
 
+
+    @given(group_perm_prefix())
+    def test_prefix_stabilizer_is_memoized_per_group(self, args):
+        G, g, prefix = args
+        prefix = tuple(prefix)
+        S = G.prefix_stabilizer(prefix)
+        fixing = {
+            h for h in brute_force_elements(G.generators) if all(h.images[p] == p for p in prefix)
+        }
+        assert set(S.elements()) == fixing
+        assert G.prefix_stabilizer(prefix) is S
+        # a larger group has its own memo, never the smaller group's stabilizers
+        E = G.extend(g)
+        if E is not G and prefix:
+            T = E.prefix_stabilizer(prefix)
+            assert T is not S
+            assert set(T.elements()) == {
+                h for h in brute_force_elements(E.generators)
+                if all(h.images[p] == p for p in prefix)
+            }
