@@ -37,6 +37,11 @@ from .sieve import run as sieve_run
 
 log = logging.getLogger("blockdesigns")
 
+# construct refuses a base block whose orbit may exceed this many blocks; the
+# orbit of a 2-subset of 2049 points under PSL(2,2048), 2,098,176 blocks,
+# takes over a minute and more than 1 GB
+MAX_CONSTRUCT_BLOCKS = 500_000
+
 
 class UsageError(Exception):
     pass
@@ -107,6 +112,13 @@ def cmd_construct(args) -> int:
     base = _parse_base(args.base, G.degree)
     if not 1 <= args.t <= len(base):
         raise UsageError(f"--t must be in 1..{len(base)}, the base block size")
+    # the orbit of the base block has at most |G| blocks, and at most C(v, k)
+    bound = min(G.order(), comb(G.degree, len(base)))
+    if bound > MAX_CONSTRUCT_BLOCKS:
+        raise UsageError(
+            f"the orbit of a {len(base)}-subset of {G.degree} points under a group of order "
+            f"{G.order()} may have {bound} blocks; construct builds at most {MAX_CONSTRUCT_BLOCKS}"
+        )
     design = orbit_design(G, base)
     lam = lambda_of(design, args.t)
     record = {
@@ -270,7 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("construct", help="build the block orbit of a base block")
     _add_group_args(p)
-    p.add_argument("--base", required=True, help="comma-separated 1-based points")
+    p.add_argument(
+        "--base",
+        required=True,
+        help="comma-separated 1-based points; refused when min(|G|, C(v, k)), the most "
+        f"blocks its orbit can have, exceeds {MAX_CONSTRUCT_BLOCKS}",
+    )
     p.add_argument("--t", type=int, default=2)
     _add_common(p)
     p.set_defaults(func=cmd_construct)

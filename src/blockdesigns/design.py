@@ -5,7 +5,8 @@ blocks of one size k, each block a sorted point tuple. orbit_design()
 realizes the block-transitive construction: the block set is one group
 orbit. classify() enumerates every orbit of k-subsets, keeps the orbits
 whose designs are t-designs, and merges them into isomorphism classes by
-canonical certificate.
+canonical certificate. It enumerates nothing when divisibility alone rules
+out every orbit (block_count_step()).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd, lcm
 
 import numpy as np
 
@@ -205,6 +206,13 @@ class DesignClass:
     orbit_reps: tuple[tuple[int, ...], ...]
 
 
+def block_count_step(v: int, k: int, t: int) -> int:
+    """The least block count b for which every lambda_s = b*C(k,s)/C(v,s),
+    s = 1..t, is an integer: lcm over s of C(v,s)/gcd(C(v,s), C(k,s)). A
+    t-design of k-subsets of v points has a multiple of it as block count."""
+    return lcm(*(comb(v, s) // gcd(comb(v, s), comb(k, s)) for s in range(1, t + 1)))
+
+
 def _certificate_chunk(args) -> list[isomorph.Certificate]:
     """Certificates of one worker's designs, all seeded with one group built
     here from its generator images (Permutation does not pickle)."""
@@ -216,6 +224,13 @@ def _certificate_chunk(args) -> list[isomorph.Certificate]:
 def classify(G: PermGroup, k: int, t: int = 2, workers: int = 1) -> list[DesignClass]:
     """All nontrivial t-designs among the G-orbits of k-subsets, merged into
     isomorphism classes, sorted by (lambda, base block).
+
+    An orbit's size divides |G| and must be a multiple of
+    block_count_step(v, k, t) to carry a t-design. When |G| is not a
+    multiple of it, no orbit qualifies and the result is [] without any
+    k-subset being enumerated; otherwise orbits of other sizes are skipped
+    before their lambda_t is counted. Both are necessary conditions only:
+    every kept orbit is still checked by an exact count.
 
     The group itself acts by automorphisms on every orbit design and is the
     pruning group of every certificate search, so its chain is built once
@@ -229,18 +244,21 @@ def classify(G: PermGroup, k: int, t: int = 2, workers: int = 1) -> list[DesignC
     v = G.degree
     if not t < k < v:
         return []
+    step = block_count_step(v, k, t)
+    if G.order() % step:
+        log.info("orbit scan skipped: |G| = %d is not a multiple of %d, the least "
+                 "block count of a %d-design", G.order(), step, t)
+        return []
     start = time.perf_counter()
     so = subset_orbits(G, k)
     log.info("orbit scan: %d orbits of %d-subsets in %.2f s",
              so.orbit_count, k, time.perf_counter() - start)
     start = time.perf_counter()
-    per_block = comb(k, t)
-    denom = comb(v, t)
 
     found: list[tuple[int, Design]] = []  # (lambda_t, orbit design)
     for i in range(so.orbit_count):
         size = int(so.sizes[i])
-        if size == comb(v, k) or (size * per_block) % denom:
+        if size == comb(v, k) or size % step:
             continue  # the complete design is trivial; the rest fail divisibility
         rows = so.orbit_rows(i)
         lam = _uniform_lambda(rows, v, t)

@@ -190,7 +190,6 @@ def orbit_labels(maps, count: int) -> np.ndarray:
         both += [m, inverse]
     labels = np.arange(count, dtype=np.int32 if count < 2**31 else np.int64)
     while True:
-        before = labels.copy()
         for m in both:
             np.minimum(labels, labels.take(m), out=labels)
         # pointer jumping: chase labels toward their orbit minimum
@@ -199,7 +198,9 @@ def orbit_labels(maps, count: int) -> np.ndarray:
             if np.array_equal(jumped, labels):
                 break
             labels = jumped
-        if np.array_equal(labels, before):
+        # labels equal along every map's edges are constant on each orbit, so
+        # each is its orbit's minimum; the inverse edges are the same edges
+        if all(np.array_equal(labels.take(m), labels) for m in maps):
             return labels
 
 

@@ -52,7 +52,26 @@ def prime_power(q: int) -> tuple[int, int] | None:
 
 
 def prime_powers_upto(lo: int, hi: int) -> list[int]:
-    return [q for q in range(lo, hi + 1) if prime_power(q) is not None]
+    """The prime powers q with lo <= q <= hi, ascending, from one
+    smallest-prime-factor table over 0..hi: q is a power of p = spf(q) iff
+    its cofactor q // p is 1 or itself a power of p. The table takes memory
+    linear in hi, so prime_power() and factorize() keep trial division for
+    single, possibly large, q."""
+    if hi < 2:
+        return []
+    spf = list(range(hi + 1))
+    # largest prime first, so each composite ends up with its least prime factor
+    for p in reversed([p for p in range(2, math.isqrt(hi) + 1) if is_prime(p)]):
+        spf[p * p :: p] = [p] * len(range(p * p, hi + 1, p))
+    base = [0] * (hi + 1)  # base[q] = p if q is a power of the prime p, else 0
+    out = []
+    for q in range(2, hi + 1):
+        p = spf[q]
+        if q == p or base[q // p] == p:
+            base[q] = p
+            if q >= lo:
+                out.append(q)
+    return out
 
 
 def is_perfect_square(n: int) -> tuple[bool, int]:

@@ -3,12 +3,14 @@ are computed once per session (classify_builtin memoizes in-process) with
 wall times recorded for the runtime acceptance bounds."""
 
 import time
+from functools import cache
 
 import pytest
 from hypothesis import HealthCheck, settings
 
 from blockdesigns.design import classify_builtin, is_flag_transitive, orbit_design
 from blockdesigns.grouplib import builtin
+from blockdesigns.kcombs import subset_orbits
 
 settings.register_profile(
     "suite",
@@ -29,6 +31,13 @@ def psl_group():
 @pytest.fixture(scope="session")
 def pgl_group():
     return builtin("pgammal28_paper36")
+
+
+@pytest.fixture(scope="session")
+def six_subset_orbits():
+    """subset_orbits(builtin(name), 6) for a builtin name, each group scanned
+    at most once per session."""
+    return cache(lambda name: subset_orbits(builtin(name), 6))
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """Slow, independent reference implementations the library is checked against."""
 
 import struct
+from collections import Counter
 from itertools import chain, combinations, permutations
 from math import comb
 
@@ -263,3 +264,21 @@ def subset_orbits(G, k: int) -> SubsetOrbits:
         n=n, k=k, rows=rows, labels=labels, rep_ranks=rep_ranks, sizes=sizes,
         _order=order, _starts=starts,
     )
+
+
+def ungated_classify(G, k: int, t: int) -> list[tuple[int, ...]]:
+    """The lex-least member of every G-orbit of k-subsets, from the sorting
+    scan above, whose blocks cover every t-subset of points equally often,
+    the complete design excepted. No divisibility test: the coverage of
+    every orbit is counted in Python."""
+    n = G.degree
+    so = subset_orbits(G, k)
+    out = []
+    for i in range(so.orbit_count):
+        rows = [tuple(row) for row in so.orbit_rows(i).tolist()]
+        if len(rows) == comb(n, k):
+            continue
+        cover = Counter(sub for row in rows for sub in combinations(row, t))
+        if len(cover) == comb(n, t) and len(set(cover.values())) == 1:
+            out.append(rows[0])
+    return out

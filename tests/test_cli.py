@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import blockdesigns
-from blockdesigns.cli import main
+from blockdesigns.cli import MAX_CONSTRUCT_BLOCKS, main
 
 
 def run_cli(args, capsys):
@@ -113,6 +113,15 @@ class TestConstruct:
         rec = json.loads(out.read_text())
         assert rec["v"] == 15 and rec["lambda"] == 2 and rec["b"] == 15
         assert rec["group"] == "projective(q=5,variant=socle,action=pairs)"
+
+    def test_orbit_bound_above_limit_is_usage_error(self, capsys):
+        # min(|PSL(2,256)|, C(257, 3)) = 2,796,160 blocks, refused before any is built
+        code, out, err = run_cli(["construct", "--q", "256", "--base", "1,2,3"], capsys)
+        assert code == 2 and out == ""
+        assert err == (
+            "error: the orbit of a 3-subset of 257 points under a group of order 16776960 "
+            f"may have 2796160 blocks; construct builds at most {MAX_CONSTRUCT_BLOCKS}\n"
+        )
 
 
 class TestBadParameters:
@@ -270,6 +279,16 @@ class TestVerboseStages:
         assert lines[3] == "INFO blockdesigns.design: merging: 3 classes"
         assert lines[0].endswith(" s") and lines[2].endswith(" s")
         assert len(json.loads(out)["classes"]) == 3
+
+    def test_divisibility_gate_skips_the_scan(self):
+        args = ["classify", "--group", "pgammal28_paper36", "--k", "6", "--t", "3"]
+        quiet_out, _ = self.run(args)
+        out, err = self.run(args + ["-v"])
+        assert out == quiet_out and out.endswith("\n0 classes\n")
+        assert err.splitlines() == [
+            "INFO blockdesigns.design: orbit scan skipped: |G| = 1512 is not a multiple "
+            "of 714, the least block count of a 3-design"
+        ]
 
 
 class TestSieve:

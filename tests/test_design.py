@@ -3,7 +3,7 @@
 import random
 from collections import Counter
 from hashlib import sha256
-from itertools import combinations
+from itertools import combinations, count
 from math import comb
 
 import numpy as np
@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from blockdesigns import design
 from blockdesigns.design import (
     Design,
+    block_count_step,
     classify,
     count_orbits_burnside,
     fixed_k_subsets,
@@ -22,7 +23,7 @@ from blockdesigns.design import (
     lambda_vector,
     orbit_design,
 )
-from blockdesigns.grouplib import BUILTIN_NAMES, builtin
+from blockdesigns.grouplib import BUILTIN_NAMES, builtin, projective_group
 from blockdesigns.kcombs import subset_orbits
 from blockdesigns.permcore import PermGroup, Permutation, parse_cycles
 
@@ -379,9 +380,49 @@ class TestClassify:
             assert lambda_of(d, 3) == cls.lam
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
-    def test_no_3_designs_on_36_points(self, name):
-        # the paper's t = 2 claim: no orbit of 6-subsets is a 3-design
-        assert classify(builtin(name), 6, 3) == []
+    def test_no_3_designs_on_36_points(self, name, monkeypatch, six_subset_orbits):
+        # the paper's t = 3 claim: no orbit of 6-subsets is a 3-design.
+        # Divisibility answers it without a scan: a 3-(36,6,lambda) design
+        # has a multiple of 714 blocks, and 504 and 1512 are not multiples
+        def no_scan(*args):
+            raise AssertionError("classify scanned k-subsets")
+
+        with monkeypatch.context() as m:
+            m.setattr(design, "subset_orbits", no_scan)
+            assert classify(builtin(name), 6, 3) == []
+
+        # and exhaustively: lambda_3 is not uniform on any orbit
+        so = six_subset_orbits(name)
+        triples = np.array(list(combinations(range(6), 3)))
+        for i in range(so.orbit_count):
+            a, b, c = np.moveaxis(so.orbit_rows(i).astype(np.int64)[:, triples], 2, 0)
+            colex = a + b * (b - 1) // 2 + c * (c - 1) * (c - 2) // 6
+            counts = np.bincount(colex.ravel(), minlength=comb(36, 3))
+            assert counts.min() < counts.max()
+
+    def test_block_count_step_is_least_integral_block_count(self):
+        for v in range(2, 16):
+            for k in range(1, v):
+                for t in range(1, k + 1):
+                    least = next(
+                        b for b in count(1)
+                        if all(b * comb(k, s) % comb(v, s) == 0 for s in range(1, t + 1))
+                    )
+                    assert block_count_step(v, k, t) == least, (v, k, t)
+        # the cases named in this class and in the paper's t = 3 question
+        assert [block_count_step(*c) for c in ((12, 5, 4), (14, 5, 2), (36, 5, 3), (36, 6, 3))] == [
+            396, 182, 4284, 714]
+
+    @pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 13])
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_gate_against_ungated_oracle(self, q, k):
+        # the gate fires at (q, k, t) = (11, 5, 4): a 4-(12,5,lambda) design
+        # has a multiple of 396 blocks and |PSL(2,11)| = 660; at (13, 5, 2)
+        # it does not (182 divides 1092) and three classes are found
+        G, _ = projective_group(q)
+        for t in range(1, k):
+            got = sorted(rep for c in classify(G, k, t) for rep in c.orbit_reps)
+            assert got == oracles.ungated_classify(G, k, t), t
 
     def test_builds_no_group(self, monkeypatch):
         # the group classified is the pruning group of every certificate

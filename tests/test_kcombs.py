@@ -181,6 +181,12 @@ class TestBlockImageKernel:
                 orbit |= frontier
             assert labels[i] == min(orbit)
 
+    def test_orbit_labels_wait_for_every_map(self):
+        # after the first round the labels are equal along the first map's
+        # edges but not yet along the second's
+        maps = [np.array([1, 3, 2, 5, 4, 0, 6]), np.array([0, 5, 6, 4, 2, 1, 3])]
+        assert orbit_labels(maps, 7).tolist() == [0] * 7
+
 
 @st.composite
 def generator_sets(draw):

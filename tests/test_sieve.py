@@ -3,14 +3,28 @@
 import json
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from blockdesigns.numth import prime_powers_upto
+from blockdesigns.numth import prime_power, prime_powers_upto
 from blockdesigns.sieve import CONSTRAINT_ORDER, case_catalog, evaluate, run
 
 
 @pytest.fixture(scope="module")
 def report():
     return run(1024)
+
+
+class TestPrimePowers:
+    @given(st.integers(-5, 5000), st.integers(-5, 5000))
+    @example(4, 5000)
+    @example(-3, 5000)
+    @example(0, 1)
+    @example(1, 2)
+    @example(9, 8)
+    @example(5000, 2)
+    def test_table_matches_trial_division(self, lo, hi):
+        assert prime_powers_upto(lo, hi) == [q for q in range(lo, hi + 1) if prime_power(q)]
 
 
 class TestCatalog:
