@@ -29,7 +29,7 @@ from .design import (
     lambda_of,
     orbit_design,
 )
-from .grouplib import BUILTIN_NAMES, builtin, pair_action, projective_group
+from .grouplib import BUILTIN_NAMES, builtin, pair_action, projective_group, projective_order
 from .isomorph import are_isomorphic
 from .kcombs import MAX_POINTS
 from .permcore import PermGroup
@@ -70,12 +70,10 @@ def _resolve_group(args) -> tuple[PermGroup, str, bool]:
         return builtin(args.group), args.group, True
     if args.q is None:
         raise UsageError("a group is required: --group NAME or --q Q [--variant V] [--action A]")
-    try:
-        G, labeling = projective_group(args.q, args.variant)
-        if args.action == "pairs":
-            G, labeling = pair_action(G, labeling)
-    except ValueError as exc:
-        raise UsageError(f"--q {args.q}: {exc}")
+    _projective_size(args)  # a bad --q is a usage error before any group is built
+    G, labeling = projective_group(args.q, args.variant)
+    if args.action == "pairs":
+        G, labeling = pair_action(G, labeling)
     name = f"projective(q={args.q},variant={args.variant},action={args.action})"
     return G, name, False
 
@@ -107,18 +105,34 @@ def _one_based(block: tuple[int, ...]) -> list[int]:
     return [p + 1 for p in block]
 
 
+def _projective_size(args) -> tuple[int, int]:
+    """|G| and the degree of the --q group, without building its slow chain."""
+    try:
+        order = projective_order(args.q, args.variant)
+    except ValueError as exc:
+        raise UsageError(f"--q {args.q}: {exc}")
+    return order, args.q + 1 if args.action == "line" else comb(args.q + 1, 2)
+
+
 def cmd_construct(args) -> int:
-    G, name, _ = _resolve_group(args)
-    base = _parse_base(args.base, G.degree)
+    sized = args.group is None and args.q is not None
+    if sized:
+        order, degree = _projective_size(args)
+    else:
+        G, name, _ = _resolve_group(args)
+        order, degree = G.order(), G.degree
+    base = _parse_base(args.base, degree)
     if not 1 <= args.t <= len(base):
         raise UsageError(f"--t must be in 1..{len(base)}, the base block size")
     # the orbit of the base block has at most |G| blocks, and at most C(v, k)
-    bound = min(G.order(), comb(G.degree, len(base)))
+    bound = min(order, comb(degree, len(base)))
     if bound > MAX_CONSTRUCT_BLOCKS:
         raise UsageError(
-            f"the orbit of a {len(base)}-subset of {G.degree} points under a group of order "
-            f"{G.order()} may have {bound} blocks; construct builds at most {MAX_CONSTRUCT_BLOCKS}"
+            f"the orbit of a {len(base)}-subset of {degree} points under a group of order "
+            f"{order} may have {bound} blocks; construct builds at most {MAX_CONSTRUCT_BLOCKS}"
         )
+    if sized:
+        G, name, _ = _resolve_group(args)
     design = orbit_design(G, base)
     lam = lambda_of(design, args.t)
     record = {
@@ -142,9 +156,7 @@ def cmd_construct(args) -> int:
 
 def _classification(args) -> tuple[list, str]:
     if args.group is None and args.q is not None:
-        # checked before the group is built, which is slow for large q: q + 1
-        # points on the line, C(q + 1, 2) of them for pair_action
-        degree = args.q + 1 if args.action == "line" else comb(args.q + 1, 2)
+        _, degree = _projective_size(args)
         if degree > MAX_POINTS:
             raise UsageError(
                 f"--q {args.q} gives degree {degree}; classify takes at most {MAX_POINTS}"

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import isomorph
 from .grouplib import builtin
-from .kcombs import _colex_ranks, _colex_table, block_permutation, image_rows, lex_combinations
+from .kcombs import _lex_ranks, block_permutation, image_rows, lex_combinations
 from .kcombs import orbit_labels, row_keys, subset_orbits
 from .permcore import PermGroup, Permutation
 
@@ -128,22 +128,21 @@ def orbit_design(G: PermGroup, base) -> Design:
 
 
 @lru_cache(maxsize=None)
-def _count_tables(v: int, k: int, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Colex weights of t-subsets of 0..v-1, and the positions of the
-    t-subsets of one k-block in lex order. Read-only: every caller shares
-    them."""
-    table, positions = _colex_table(v, t), lex_combinations(k, t)
-    table.flags.writeable = positions.flags.writeable = False
-    return table, positions
+def _subset_positions(k: int, t: int) -> np.ndarray:
+    """The positions of the t-subsets of one k-block, in lex order.
+    Read-only: every caller shares it."""
+    positions = lex_combinations(k, t)
+    positions.flags.writeable = False
+    return positions
 
 
 def _uniform_lambda(rows: np.ndarray, v: int, t: int) -> int | None:
     """lambda_t of the blocks in rows (one sorted block per row) if every
     t-subset of 0..v-1 lies in equally many of them, else None. Counts the
     coverage of all C(v,t) subsets exactly."""
-    table, positions = _count_tables(v, rows.shape[1], t)
-    subs = rows[:, positions].reshape(-1, t)
-    counts = np.bincount(_colex_ranks(subs, table), minlength=comb(v, t))
+    subs = rows[:, _subset_positions(rows.shape[1], t)].reshape(-1, t)
+    ranks = _lex_ranks([subs[:, i] for i in range(t)], v, len(subs))
+    counts = np.bincount(ranks, minlength=comb(v, t))
     return int(counts[0]) if counts.min() == counts.max() else None
 
 

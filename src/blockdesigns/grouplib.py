@@ -167,6 +167,19 @@ def _perm_from_point_map(labeling: ActionLabeling, fn) -> Permutation:
     return Permutation([labeling.forward[fn(pt)] for pt in labeling.inverse])
 
 
+def projective_order(q: int, variant: str = "socle") -> int:
+    """|projective_group(q, variant)| = q(q^2-1)/gcd(2,q-1), times f for
+    "full"; ValueError for an unknown variant or a q with no simple socle."""
+    if variant not in ("socle", "full"):
+        raise ValueError(f"unknown variant {variant!r}")
+    pf = prime_power(q)
+    if pf is None:
+        raise ValueError(f"{q} is not a prime power")
+    if q < 4:
+        raise ValueError("q >= 4 required for a simple socle")
+    return q * (q * q - 1) // gcd(2, q - 1) * (pf[1] if variant == "full" else 1)
+
+
 def projective_group(q: int, variant: str = "socle") -> tuple[PermGroup, ActionLabeling]:
     """PSL(2,q) ("socle") or PSL(2,q) extended by Frobenius ("full"), acting
     on the q+1 points of the projective line.
@@ -174,13 +187,10 @@ def projective_group(q: int, variant: str = "socle") -> tuple[PermGroup, ActionL
     Generators: x -> x+1, x -> c^e x with c primitive and e = gcd(2, q-1) so
     the scaling stays inside PSL for odd q, and x -> -1/x (equal to x -> 1/x
     in characteristic 2); "full" adds the Frobenius x -> x^p. The constructed
-    order is checked against q(q^2-1)/gcd(2,q-1), times f for "full".
+    order is checked against projective_order(q, variant).
     """
-    if variant not in ("socle", "full"):
-        raise ValueError(f"unknown variant {variant!r}")
+    expected = projective_order(q, variant)
     F = FiniteField(q)
-    if q < 4:
-        raise ValueError("q >= 4 required for a simple socle")
     labeling = _labeling([INFINITY] + F.elements())
 
     def translation(x):
@@ -206,9 +216,6 @@ def projective_group(q: int, variant: str = "socle") -> tuple[PermGroup, ActionL
     if variant == "full":
         maps.append(frobenius)
     G = PermGroup([_perm_from_point_map(labeling, fn) for fn in maps])
-    expected = q * (q * q - 1) // gcd(2, q - 1)
-    if variant == "full":
-        expected *= F.f
     if G.order() != expected:
         raise AssertionError(
             f"projective_group({q}, {variant}) has order {G.order()}, expected {expected}"

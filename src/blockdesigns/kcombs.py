@@ -2,8 +2,9 @@
 
 Subsets are kept as rows of a lexicographically ordered (C(n,k), k) array.
 The lex rank is the row index in that array and the order every public
-iterator follows; the colex rank sum C(s[i], i+1) serves t-subset counting
-in design.py.
+iterator follows. _lex_ranks() is the one subset rank: the orbit scan ranks
+generator images with it, and design.py ranks t-subsets with it to count
+their coverage.
 
 lex_order() is the one row-order routine: every lexicographic sort of rows
 in the package (image blocks, orbit-design closure, Design, refinement
@@ -28,6 +29,7 @@ or loops over subsets in Python.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -67,22 +69,6 @@ def lex_combinations(n: int, k: int) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def _colex_table(n: int, k: int) -> np.ndarray:
-    table = np.zeros((n, k), dtype=np.int64)
-    for x in range(n):
-        for i in range(k):
-            table[x, i] = comb(x, i + 1)
-    return table
-
-
-def _colex_ranks(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
-    # rows must be sorted ascending along axis 1
-    r = np.zeros(rows.shape[0], dtype=np.int64)
-    for i in range(rows.shape[1]):
-        r += table[rows[:, i], i]
-    return r
-
-
 @dataclass(frozen=True, eq=False)
 class SubsetOrbits:
     """Orbit partition of all k-subsets of {0..n-1} under a permutation group.
@@ -114,6 +100,17 @@ class SubsetOrbits:
         return self.rows[self.members(i)]
 
 
+@lru_cache(maxsize=None)
+def _lex_weights(n: int, k: int) -> np.ndarray:
+    """weights[i, x] = C(n-1-x, k-i), read-only and shared by every caller."""
+    # int64: the weights outgrow int32 well before C(n, k) does, e.g. C(35, 17)
+    # in the table for n = 36, k = 34
+    weights = np.array([[comb(n - 1 - x, k - i) for x in range(n)] for i in range(k)],
+                       dtype=np.int64)
+    weights.flags.writeable = False
+    return weights
+
+
 def _lex_ranks(cols: list[np.ndarray], n: int, count: int) -> np.ndarray:
     """Lex ranks of count k-subsets of {0..n-1} given column-wise, in any
     order within a row: sort each row with an odd-even transposition network
@@ -126,12 +123,9 @@ def _lex_ranks(cols: list[np.ndarray], n: int, count: int) -> np.ndarray:
             lo = np.minimum(cols[i], cols[i + 1])
             np.maximum(cols[i], cols[i + 1], out=cols[i + 1])
             cols[i] = lo
-    # int64: the weights outgrow int32 well before C(n, k) does, e.g. C(35, 17)
-    # in the table for n = 36, k = 34
     ranks = np.full(count, comb(n, k) - 1, dtype=np.int64)
-    for i, col in enumerate(cols):
-        weights = np.array([comb(n - 1 - x, k - i) for x in range(n)], dtype=np.int64)
-        ranks -= weights[col.astype(np.intp)]
+    for weights, col in zip(_lex_weights(n, k), cols):
+        ranks -= weights[col.astype(np.intp, copy=False)]
     return ranks
 
 

@@ -8,7 +8,7 @@ from math import comb
 import numpy as np
 
 from blockdesigns.design import Design
-from blockdesigns.kcombs import SubsetOrbits, _colex_ranks, _colex_table
+from blockdesigns.kcombs import SubsetOrbits
 from blockdesigns.permcore import Permutation, compose
 
 
@@ -220,6 +220,22 @@ def leaf_bytes(v: int, b: int, k: int, rows, pcol) -> bytes:
             rowints[p] |= bit
     header = struct.pack(">HIH", v, b, k)
     return header + b"".join(r.to_bytes(nbytes, "big") for r in rowints)
+
+
+def _colex_table(n: int, k: int) -> np.ndarray:
+    table = np.zeros((n, k), dtype=np.int64)
+    for x in range(n):
+        for i in range(k):
+            table[x, i] = comb(x, i + 1)
+    return table
+
+
+def _colex_ranks(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    # rows must be sorted ascending along axis 1
+    r = np.zeros(rows.shape[0], dtype=np.int64)
+    for i in range(rows.shape[1]):
+        r += table[rows[:, i], i]
+    return r
 
 
 def subset_orbits(G, k: int) -> SubsetOrbits:

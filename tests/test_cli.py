@@ -123,6 +123,19 @@ class TestConstruct:
             f"may have 2796160 blocks; construct builds at most {MAX_CONSTRUCT_BLOCKS}\n"
         )
 
+    def test_orbit_bound_refused_before_group_is_built(self, capsys, monkeypatch):
+        # |PSL(2,2048)| comes from its closed form; building its chain takes seconds
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("projective_group called")
+
+        monkeypatch.setattr("blockdesigns.cli.projective_group", unbuilt)
+        code, out, err = run_cli(["construct", "--q", "2048", "--base", "1,2"], capsys)
+        assert code == 2 and out == ""
+        assert err == (
+            "error: the orbit of a 2-subset of 2049 points under a group of order 8589932544 "
+            f"may have 2098176 blocks; construct builds at most {MAX_CONSTRUCT_BLOCKS}\n"
+        )
+
 
 class TestBadParameters:
     @pytest.mark.parametrize(
@@ -136,6 +149,8 @@ class TestBadParameters:
             ["classify", "--q", "257", "--k", "3", "--t", "2"],  # degree 258 > 255
             ["classify", "--q", "2048", "--k", "3", "--t", "2"],  # degree 2049
             ["classify", "--q", "23", "--action", "pairs"],  # degree 276 > 255
+            ["construct", "--q", "6", "--base", "1,2"],  # not a prime power
+            ["construct", "--q", "3", "--base", "1,2"],  # socle not simple
         ],
     )
     def test_usage_error_without_traceback(self, args, capsys):

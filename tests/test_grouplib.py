@@ -12,6 +12,7 @@ from blockdesigns.grouplib import (
     builtin,
     pair_action,
     projective_group,
+    projective_order,
 )
 from blockdesigns.numth import prime_power, prime_powers_upto
 from blockdesigns.permcore import PermGroup, Permutation
@@ -144,7 +145,7 @@ class TestProjectiveGroup:
     def test_orders(self, q, variant, order):
         G, labeling = projective_group(q, variant)
         assert G.degree == q + 1
-        assert G.order() == order
+        assert G.order() == order == projective_order(q, variant)
         assert len(G.orbit(0)) == q + 1  # transitive
 
     def test_labeling_starts_at_infinity(self):
