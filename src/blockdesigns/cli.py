@@ -31,7 +31,7 @@ from .design import (
 )
 from .grouplib import BUILTIN_NAMES, builtin, pair_action, projective_group, projective_order
 from .isomorph import are_isomorphic
-from .kcombs import MAX_POINTS
+from .kcombs import MAX_POINTS, BoundError
 from .permcore import PermGroup
 from .sieve import run as sieve_run
 
@@ -251,8 +251,15 @@ def _load_design(path: str) -> Design:
         raise UsageError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}")
+
+    def integer(x):
+        # JSON true is a Python int, but not a point
+        if type(x) is not int:
+            raise UsageError(f"{path}: {json.dumps(x)} is not an integer")
+        return x
+
     try:
-        return Design(int(data["v"]), [[int(p) - 1 for p in blk] for blk in data["blocks"]])
+        return Design(integer(data["v"]), [[integer(p) - 1 for p in blk] for blk in data["blocks"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"{path} lacks a valid design record: {exc}")
 
@@ -348,7 +355,7 @@ def main(argv=None) -> int:
         if getattr(args, "workers", 1) < 1:
             raise UsageError("worker count must be >= 1")
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, BoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

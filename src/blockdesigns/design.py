@@ -25,7 +25,7 @@ import numpy as np
 from . import isomorph
 from .grouplib import builtin
 from .kcombs import _lex_ranks, block_permutation, image_rows, lex_combinations
-from .kcombs import orbit_labels, row_keys, subset_orbits
+from .kcombs import row_keys, subset_orbits
 from .permcore import PermGroup, Permutation
 
 log = logging.getLogger(__name__)
@@ -156,21 +156,19 @@ def lambda_of(design: Design, t: int) -> int | None:
 
 def is_flag_transitive(G: PermGroup, design: Design) -> bool:
     """True iff G is transitive on incident (point, block) pairs. Raises if G
-    does not stabilize the block set."""
+    does not stabilize the block set. By orbit-stabilizer, the flag (p, B),
+    B the first block and p its first point, has |G:G_p| * |G_p:G_pB| images
+    (G_pB fixing both): all b*k flags iff G is flag-transitive."""
     if G.degree != design.v:
         raise ValueError("degree mismatch")
-    v = design.v
     rows = np.array(design.blocks)
-    # flag (p, block j) has key j*v + p; listed block by block, keys ascend
-    keys = (np.arange(design.b)[:, None] * v + rows).ravel()
-    maps = []
     for g in G.generators:
-        im = np.asarray(g.images)
-        perm = block_permutation(im, rows)
-        if perm is None:
+        if block_permutation(g.images, rows) is None:
             raise ValueError("group does not preserve the block set")
-        maps.append(np.searchsorted(keys, (perm[:, None] * v + im[rows]).ravel()))
-    return not orbit_labels(maps, len(keys)).any()
+    B = design.blocks[0]
+    p = B[0]
+    # G_p from G's memo, which certificate searches under G share
+    return len(G.orbit(p)) * orbit_design(G.prefix_stabilizer((p,)), B).b == design.b * design.k
 
 
 def fixed_k_subsets(p: Permutation, k: int) -> int:
@@ -213,10 +211,8 @@ def block_count_step(v: int, k: int, t: int) -> int:
 
 
 def _certificate_chunk(args) -> list[isomorph.Certificate]:
-    """Certificates of one worker's designs, all seeded with one group built
-    here from its generator images (Permutation does not pickle)."""
-    designs, gen_images = args
-    G = PermGroup([Permutation(images) for images in gen_images])
+    """Certificates of one worker's designs, all pruned by one group."""
+    designs, G = args
     return [isomorph.certificate(d, G) for d in designs]
 
 
@@ -229,11 +225,13 @@ def classify(G: PermGroup, k: int, t: int = 2, workers: int = 1) -> list[DesignC
     multiple of it, no orbit qualifies and the result is [] without any
     k-subset being enumerated; otherwise orbits of other sizes are skipped
     before their lambda_t is counted. Both are necessary conditions only:
-    every kept orbit is still checked by an exact count.
+    every kept orbit is still checked by an exact count. Past that test,
+    kcombs.BoundError refuses a scan of over kcombs.MAX_SUBSETS k-subsets
+    and, before any search, an orbit design over isomorph.MAX_VERTICES.
 
     The group itself acts by automorphisms on every orbit design and is the
-    pruning group of every certificate search, so its chain is built once
-    per process. Worker count never changes the result, only how
+    pruning group of every certificate search; worker processes receive it
+    pickled, chain included. Worker count never changes the result, only how
     certificate computations are distributed.
     """
     if workers < 1:
@@ -268,14 +266,16 @@ def classify(G: PermGroup, k: int, t: int = 2, workers: int = 1) -> list[DesignC
 
     start = time.perf_counter()
     designs = [d for _, d in found]
+    if designs:
+        # refuse before the first search, not after some of them
+        isomorph.check_vertices(v, max(d.b for d in designs))
     # no more processes than designs or CPUs, however many workers are asked for
     procs = min(workers, len(designs), os.cpu_count() or 1)
     if procs <= 1:
         certs = [isomorph.certificate(d, G) for d in designs]
     else:
-        # one chunk per worker, dealt round-robin, so each builds G's chain once
-        gen_images = [g.images for g in G.generators]
-        chunks = [(designs[i::procs], gen_images) for i in range(procs)]
+        # one chunk per worker, dealt round-robin, each with a pickled copy of G
+        chunks = [(designs[i::procs], G) for i in range(procs)]
         certs = [None] * len(designs)
         with ProcessPoolExecutor(max_workers=procs) as pool:
             for i, chunk_certs in enumerate(pool.map(_certificate_chunk, chunks)):

@@ -91,9 +91,6 @@ class FiniteField:
     def neg(self, a):
         return tuple((-x) % self.p for x in a)
 
-    def sub(self, a, b):
-        return tuple((x - y) % self.p for x, y in zip(a, b))
-
     def mul(self, a, b):
         if self.f == 1:
             return ((a[0] * b[0]) % self.p,)

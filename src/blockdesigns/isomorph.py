@@ -10,18 +10,18 @@ makes it relabeling-invariant by construction.
 Pruning: a candidate in the target cell is skipped when a known automorphism
 fixing all previously individualized points maps an already explored
 candidate to it; the skipped subtree then only repeats leaf encodings of the
-explored one. "Known" automorphisms are the seeded generators, each verified
-on entry, plus any discovered when two leaves encode equally, each extending
-the group's chain (PermGroup.extend). Both are checked with
+explored one. The known automorphisms form the pruning group: the group
+passed in (the identity group if none), whose generators are each verified
+on entry, extended by any automorphism discovered when two leaves encode
+equally (PermGroup.extend). Both are checked with
 kcombs.block_permutation, and leaves are laid out with kcombs.image_rows:
 the one block-image kernel. The skips use the orbits of the pointwise
 stabilizer of the individualized prefix: the point stabilizer of its last
 point in the parent prefix's stabilizer, memoized by the group itself
-(PermGroup.prefix_stabilizer). The pruning group may be prebuilt: a
-PermGroup passed as the seed is used as it is, so every certificate seeded
-with one group shares its chain and its prefix stabilizers; a discovered
-automorphism outside it gives a new group with a memo of its own. Pruning
-depends only on the group as a set, so seeding never changes the result. A
+(PermGroup.prefix_stabilizer), so every certificate pruned by one group
+shares its chain and its prefix stabilizers; a discovered automorphism
+outside it gives a new group with a memo of its own. Pruning depends only
+on the group as a set, so the group passed in never changes the result. A
 search node keeps the union of the orbits of its explored candidates, so
 each orbit is computed once per node and stabilizer.
 """
@@ -34,7 +34,7 @@ from hashlib import sha256
 
 import numpy as np
 
-from .kcombs import block_permutation, image_rows, row_keys
+from .kcombs import BoundError, block_permutation, image_rows, row_keys
 from .permcore import PermGroup, Permutation
 
 MAX_VERTICES = 5000
@@ -129,33 +129,33 @@ def _leaf_bytes(v: int, b: int, k: int, rows_arr: np.ndarray, pcol: np.ndarray) 
     return struct.pack(">HIH", v, b, k) + np.packbits(bits, axis=1).tobytes()
 
 
-def certificate(design, known_automorphisms=()) -> Certificate:
+def check_vertices(v: int, b: int) -> None:
+    """Refuse an incidence structure of more than MAX_VERTICES points plus
+    blocks, the largest certificate() searches."""
+    if v + b > MAX_VERTICES:
+        raise BoundError(f"{v} points + {b} blocks exceeds the {MAX_VERTICES}-vertex bound")
+
+
+def certificate(design, group: PermGroup | None = None) -> Certificate:
     """Canonical certificate of a design.Design with at most MAX_VERTICES
     points plus blocks.
 
-    known_automorphisms seeds the pruning group: a PermGroup, used as it is
-    (its memoized prefix stabilizers shared with every other search it
-    seeds), or permutations or image sequences to generate one. Every
-    generator is verified to map the block set onto itself before use, so a
-    wrong seed raises instead of corrupting the canonical form.
+    group is the pruning group, used as it is (its memoized prefix
+    stabilizers shared with every other search it prunes); None means the
+    identity group. Every generator is verified to map the block set onto
+    itself before use, so a wrong group raises instead of corrupting the
+    canonical form.
     """
     v, b, k = design.v, design.b, design.k
-    if v + b > MAX_VERTICES:
-        raise ValueError(f"{v} points + {b} blocks exceeds the {MAX_VERTICES}-vertex bound")
+    check_vertices(v, b)
 
     refiner = _Refiner(v, design.blocks)
-    if isinstance(known_automorphisms, PermGroup):
-        aut_group, seeds = known_automorphisms, known_automorphisms.generators
-    else:
-        aut_group = None
-        seeds = [g if isinstance(g, Permutation) else Permutation(g) for g in known_automorphisms]
-    for g in seeds:
+    aut_group = PermGroup([Permutation.identity(v)]) if group is None else group
+    for g in aut_group.generators:
         if g.degree != v:
             raise ValueError("automorphism degree does not match point count")
         if block_permutation(g.images, refiner.rows_arr) is None:
-            raise ValueError("seeded permutation is not an automorphism of the design")
-    if aut_group is None:
-        aut_group = PermGroup(seeds or [Permutation.identity(v)])
+            raise ValueError("group generator is not an automorphism of the design")
 
     best_data: bytes | None = None
     best_pcol: list[int] | None = None

@@ -13,10 +13,11 @@ signatures) sorts one scalar key per row, from row_keys().
 The block-image kernel is the one place blocks are mapped through a point
 permutation: image_rows() sorts the image blocks, and block_permutation()
 says where each block of a lex-sorted list goes, or that the list is not
-preserved. orbit_labels() labels every index by the least index in its
-orbit under a list of index permutations, propagating minima along the maps
-and their inverses with pointer jumping. Orbit designs, flag orbits,
-automorphism checks and the pair action all use them.
+preserved. Orbit designs, the invariance check of flag transitivity,
+automorphism checks and the pair action all use them. orbit_labels() labels
+every index by the least index in its orbit under a list of index
+permutations, propagating minima along the maps and their inverses with
+pointer jumping.
 
 The orbit scan needs no search for its images, since every k-subset is a
 row: it gathers the image points under each generator, sorts each row with
@@ -38,6 +39,14 @@ from .permcore import PermGroup
 
 # points are stored as uint8 in the k-subset arrays
 MAX_POINTS = 255
+# lex_combinations builds at most this many k-subsets; classify over the
+# C(102, 4) = 4,249,575 of them peaked at 486 MB
+MAX_SUBSETS = 5_000_000
+
+
+class BoundError(ValueError):
+    """An input exceeds one of the package's size bounds (MAX_POINTS,
+    MAX_SUBSETS, isomorph.MAX_VERTICES): refused, not failed."""
 
 
 def lex_combinations(n: int, k: int) -> np.ndarray:
@@ -51,9 +60,13 @@ def lex_combinations(n: int, k: int) -> np.ndarray:
     C(n-k+j, j) rows, never the subsets of every suffix.
     """
     if n > MAX_POINTS:
-        raise ValueError(f"uint8 point labels require n <= {MAX_POINTS}")
+        raise BoundError(f"uint8 point labels require n <= {MAX_POINTS}")
+    count = comb(n, k)
+    if count > MAX_SUBSETS:
+        raise BoundError(f"the {count} {k}-subsets of {n} points exceed the "
+                         f"{MAX_SUBSETS}-subset bound")
     if not 0 < k <= n:
-        return np.zeros((comb(n, k), k), dtype=np.uint8)
+        return np.zeros((count, k), dtype=np.uint8)
     cols: list[np.ndarray] = []
     size = 1  # rows of the list for size j - 1
     for j in range(1, k + 1):

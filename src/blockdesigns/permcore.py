@@ -56,6 +56,10 @@ class Permutation:
     def __setattr__(self, *a):
         raise AttributeError("Permutation is immutable")
 
+    def __reduce__(self):
+        # unpickling goes through __init__, so the images are checked again
+        return Permutation, (self.images,)
+
     @property
     def degree(self) -> int:
         return len(self.images)

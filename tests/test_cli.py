@@ -151,6 +151,8 @@ class TestBadParameters:
             ["classify", "--q", "23", "--action", "pairs"],  # degree 276 > 255
             ["construct", "--q", "6", "--base", "1,2"],  # not a prime power
             ["construct", "--q", "3", "--base", "1,2"],  # socle not simple
+            ["classify", "--q", "32", "--k", "4"],  # 33 points + 8184 blocks > 5000
+            ["classify", "--q", "251", "--k", "6"],  # C(252, 6) subsets to scan
         ],
     )
     def test_usage_error_without_traceback(self, args, capsys):
@@ -383,6 +385,24 @@ class TestIso:
         bad.write_text("{not json")
         code, _, _ = run_cli(["iso", str(bad), str(bad)], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"v": 7.9, "blocks": [[1, 2, 4]]},
+            {"v": 7, "blocks": [[1.2, 2, 4]]},
+            {"v": 7, "blocks": [[True, 2, 4]]},
+            {"v": 7, "blocks": ["124"]},
+        ],
+    )
+    def test_non_integer_json_is_usage_error(self, record, tmp_path, capsys):
+        # int() would read every one of these as the block {1, 2, 4}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(record))
+        code, out, err = run_cli(["iso", str(bad), str(bad)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "is not an integer" in err
 
     def test_missing_file(self, tmp_path, capsys):
         code, _, _ = run_cli(

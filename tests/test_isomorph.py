@@ -94,12 +94,12 @@ class TestCertificate:
 
     def test_seeded_automorphisms_do_not_change_certificate(self):
         rot = parse_cycles("(1,2,3,4,5,6,7)", 7)
-        assert certificate(FANO, known_automorphisms=(rot,)).data == certificate(FANO).data
+        assert certificate(FANO, PermGroup([rot])).data == certificate(FANO).data
 
     def test_non_automorphism_seed_rejected(self):
         swap = parse_cycles("(1,2)", 7)
         with pytest.raises(ValueError):
-            certificate(FANO, known_automorphisms=(swap,))
+            certificate(FANO, PermGroup([swap]))
 
     def test_prebuilt_group_with_non_automorphism_rejected(self):
         rot = parse_cycles("(1,2,3,4,5,6,7)", 7)
@@ -164,7 +164,7 @@ class TestSearchPruning:
         # the result is the first lex-least leaf in full traversal order, so
         # how much of the tree the seeded group prunes must not show
         d = table2_design(psl_group, row)
-        seeded = certificate(d, psl_group.generators)
+        seeded = certificate(d, PermGroup(psl_group.generators))
         plain = certificate(d)
         assert seeded.data == plain.data
         assert seeded.labeling == plain.labeling
@@ -174,7 +174,7 @@ class TestSearchPruning:
         # the group itself prunes exactly as a group built from its generators
         d = table2_design(psl_group, row)
         by_group = certificate(d, psl_group)
-        by_generators = certificate(d, psl_group.generators)
+        by_generators = certificate(d, PermGroup(psl_group.generators))
         plain = certificate(d)
         assert by_group.data == by_generators.data == plain.data
         assert by_group.labeling == by_generators.labeling == plain.labeling
@@ -199,7 +199,7 @@ class TestSearchPruning:
         monkeypatch.setattr(
             isomorph._Refiner, "refine", counted("nodes", isomorph._Refiner.refine)
         )
-        certificate(table2_design(psl_group, row), psl_group.generators)
+        certificate(table2_design(psl_group, row), PermGroup(psl_group.generators))
         assert counts["nodes"] > 1
         assert 0 < counts["stabilizers"] <= counts["nodes"]
 
@@ -213,7 +213,7 @@ class TestSearchPruning:
             return orbit(self, point)
 
         monkeypatch.setattr(PermGroup, "orbit", counted)
-        certificate(table2_design(psl_group, row), psl_group.generators)
+        certificate(table2_design(psl_group, row), PermGroup(psl_group.generators))
         keys = [(id(group), point) for group, point in calls]
         assert keys and len(set(keys)) == len(keys)
 

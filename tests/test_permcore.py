@@ -1,5 +1,6 @@
 """Permutation and stabilizer-chain unit tests."""
 
+import pickle
 import random
 from itertools import permutations
 from math import factorial
@@ -264,3 +265,30 @@ class TestChainPaths:
                 h for h in brute_force_elements(E.generators)
                 if all(h.images[p] == p for p in prefix)
             }
+
+
+class TestPickle:
+    """A permutation pickles as its images and is checked again on load, so a
+    group crosses to a worker process with its stabilizer chain."""
+
+    def test_permutation_round_trip(self):
+        p = parse_cycles("(1,2,3)(4,5)", 6)
+        q = pickle.loads(pickle.dumps(p))
+        assert q == p
+        assert q.order() == 6
+
+    def test_group_round_trip(self):
+        G = symmetric(5)
+        for H in (G, G.point_stabilizer(2)):
+            loaded = pickle.loads(pickle.dumps(H))
+            assert loaded.order() == H.order()
+            assert loaded.generators == H.generators
+            assert loaded.base == H.base
+            for images in permutations(range(5)):
+                p = Permutation(images)
+                assert loaded.contains(p) == H.contains(p)
+
+    def test_bad_images_raise_on_load(self):
+        data = pickle.dumps(Permutation._unsafe((0, 0, 2)))
+        with pytest.raises(ValueError, match="bijection"):
+            pickle.loads(data)
