@@ -24,6 +24,17 @@ outside it gives a new group with a memo of its own. Pruning depends only
 on the group as a set, so the group passed in never changes the result. A
 search node keeps the union of the orbits of its explored candidates, so
 each orbit is computed once per node and stabilizer.
+
+Backjump (McKay and Piperno, Practical graph isomorphism II, 2014): a leaf
+that encodes like the best leaf gives an automorphism gamma carrying its
+path onto the best leaf's path, since a leaf's coloring determines the
+point individualized at each depth. So gamma fixes their common prefix, of
+length d, pointwise and maps the current path's node at depth d + 1 onto
+the best path's node there, whose subtree is already searched. The search
+resumes at depth d: every deeper node returns at once. The abandoned
+subtree only repeats leaf encodings already seen, so it holds no leaf less
+than the best and no earlier one equal to it: data stays the minimum over
+the tree and labeling the first least leaf in depth-first order.
 """
 
 from __future__ import annotations
@@ -159,15 +170,20 @@ def certificate(design, group: PermGroup | None = None) -> Certificate:
 
     best_data: bytes | None = None
     best_pcol: list[int] | None = None
+    best_prefix: tuple[int, ...] = ()
 
-    def add_automorphism(sigma: Permutation) -> None:
+    def add_automorphism(sigma: Permutation) -> bool:
         nonlocal aut_group
         if block_permutation(sigma.images, refiner.rows_arr) is None:
-            return  # equal leaf encodings always yield a real automorphism; stay safe anyway
+            return False  # equal leaf encodings always yield a real automorphism; stay safe anyway
         aut_group = aut_group.extend(sigma)
+        return True
 
-    def search(pcol: np.ndarray, prefix: tuple[int, ...]) -> None:
-        nonlocal best_data, best_pcol
+    def search(pcol: np.ndarray, prefix: tuple[int, ...]) -> int:
+        """Search the subtree of prefix; return the depth the search resumes
+        at: len(prefix) when the subtree is done, less after a backjump."""
+        nonlocal best_data, best_pcol, best_prefix
+        depth = len(prefix)
         pcol = refiner.refine(pcol)
         counts = np.bincount(pcol, minlength=int(pcol.max()) + 1)
         nonsingleton = [c for c in np.nonzero(counts > 1)[0]]
@@ -175,13 +191,15 @@ def certificate(design, group: PermGroup | None = None) -> Certificate:
             plist = pcol.tolist()
             data = _leaf_bytes(v, b, k, refiner.rows_arr, pcol)
             if best_data is None or data < best_data:
-                best_data, best_pcol = data, plist
+                best_data, best_pcol, best_prefix = data, plist, prefix
             elif data == best_data and plist != best_pcol:
                 inv_best = [0] * v
                 for i, c in enumerate(best_pcol):
                     inv_best[c] = i
-                add_automorphism(Permutation([inv_best[plist[i]] for i in range(v)]))
-            return
+                if add_automorphism(Permutation([inv_best[plist[i]] for i in range(v)])):
+                    # it maps this path onto the best leaf's: back to where they part
+                    return next(i for i, (x, y) in enumerate(zip(prefix, best_prefix)) if x != y)
+            return depth
         # target cell: smallest non-singleton, earliest in the cell order
         target = min(nonsingleton, key=lambda c: (counts[c], c))
         candidates = [int(i) for i in np.nonzero(pcol == target)[0]]
@@ -200,8 +218,11 @@ def certificate(design, group: PermGroup | None = None) -> Certificate:
                 if x in covered:
                     explored.append(x)
                     continue
-            search(_individualize(pcol, x), prefix + (x,))
+            resume = search(_individualize(pcol, x), prefix + (x,))
+            if resume < depth:
+                return resume
             explored.append(x)
+        return depth
 
     search(np.zeros(v, dtype=np.int64), ())
     return Certificate(best_data, tuple(best_pcol))

@@ -10,6 +10,9 @@ generator of every level it reached (appending its smallest moved point as a
 base point if it passed the whole base), and close those levels again. A
 transversal keeps its words and grows by breadth-first search with generators
 in listed order; only Schreier generators not checked before are sifted.
+Each level keeps the inverse of every transversal element beside it, so
+sifting and Schreier generators compose without inverting, and compose and
+is_identity run as single C-level tuple operations.
 PermGroup(gens) adds the generators one by one to an empty chain, extend(g)
 adds g to a copy of the group's chain, and pointwise_stabilizer(pts) is the
 tail, from level len(pts) on, of a chain whose base starts with pts. A chain a
@@ -24,7 +27,15 @@ from __future__ import annotations
 
 import re
 from collections import deque
+from functools import cache
 from math import prod
+from operator import itemgetter
+
+
+@cache
+def _iota(n: int) -> tuple[int, ...]:
+    """The identity image tuple of degree n, one shared object per degree."""
+    return tuple(range(n))
 
 
 class Permutation:
@@ -51,7 +62,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
-        return cls._unsafe(tuple(range(degree)))
+        return cls._unsafe(_iota(degree))
 
     def __setattr__(self, *a):
         raise AttributeError("Permutation is immutable")
@@ -77,7 +88,7 @@ class Permutation:
         return compose(self, other)
 
     def is_identity(self) -> bool:
-        return all(i == x for i, x in enumerate(self.images))
+        return self.images == _iota(len(self.images))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
@@ -124,7 +135,9 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     qi = q.images
     if len(pi) != len(qi):
         raise ValueError("cannot compose permutations of different degree")
-    return Permutation._unsafe(tuple(qi[x] for x in pi))
+    if len(pi) < 2:  # itemgetter of one index returns a scalar, of none raises
+        return Permutation._unsafe(qi)
+    return Permutation._unsafe(itemgetter(*pi)(qi))
 
 
 def inverse(p: Permutation) -> Permutation:
@@ -180,28 +193,34 @@ class _Chain:
     Level i holds base[i], gens[i], which generate the pointwise stabilizer
     of base[:i], and trans[i], which maps each point a of the orbit of
     base[i] under gens[i] to a product of gens[i] carrying base[i] to a.
+    inv[i] maps each such a to the inverse of trans[i][a], computed once when
+    a joins the orbit, so sifting and Schreier generators never invert.
     The product of the transversal sizes is the group order.
     """
 
-    __slots__ = ("degree", "base", "gens", "trans")
+    __slots__ = ("degree", "base", "gens", "trans", "inv")
 
     def __init__(self, degree: int, base=()):
         self.degree = degree
         self.base: list[int] = []
         self.gens: list[list[Permutation]] = []
         self.trans: list[dict[int, Permutation]] = []
+        self.inv: list[dict[int, Permutation]] = []
         for b in base:
             self._new_level(b)
 
     def _new_level(self, point: int) -> None:
+        identity = Permutation.identity(self.degree)
         self.base.append(point)
         self.gens.append([])
-        self.trans.append({point: Permutation.identity(self.degree)})
+        self.trans.append({point: identity})
+        self.inv.append({point: identity})
 
     def tail(self, level: int) -> "_Chain":
         """Levels level.. as a new chain sharing them; tail(0) is a copy."""
         c = _Chain(self.degree)
-        c.base, c.gens, c.trans = self.base[level:], self.gens[level:], self.trans[level:]
+        c.base, c.gens = self.base[level:], self.gens[level:]
+        c.trans, c.inv = self.trans[level:], self.inv[level:]
         return c
 
     def group(self, generators=None) -> "PermGroup":
@@ -218,15 +237,15 @@ class _Chain:
         """Strip p through the levels from start on. Returns the residue and
         the level where stripping stopped (len(base) if it went through);
         p is in the level-start group iff the residue is the identity."""
-        base, trans = self.base, self.trans
+        base, inv = self.base, self.inv
         for i in range(start, len(base)):
             b = base[i]
             delta = p.images[b]
             if delta != b:
-                u = trans[i].get(delta)
-                if u is None:
+                u_inv = inv[i].get(delta)
+                if u_inv is None:
                     return p, i
-                p = compose(p, u.inverse())
+                p = compose(p, u_inv)
         return p, len(base)
 
     def add(self, g: Permutation) -> bool:
@@ -267,10 +286,13 @@ class _Chain:
                 if b not in t:
                     t[b] = compose(t[a], s)
                     added.append(b)
-        self.trans[i] = t
+        t_inv = dict(self.inv[i])
+        for b in added:
+            t_inv[b] = t[b].inverse()
+        self.trans[i], self.inv[i] = t, t_inv
         pairs = [(a, new) for a in old] + [(a, s) for a in added for s in gens]
         for a, s in pairs:
-            schreier = compose(compose(t[a], s), t[s.images[a]].inverse())
+            schreier = compose(compose(t[a], s), t_inv[s.images[a]])
             if schreier.is_identity():
                 continue
             residue, j = self.sift(schreier, i + 1)

@@ -69,19 +69,19 @@ class SieveVerdict:
     notes: tuple[str, ...] = ()
 
     def to_json(self) -> str:
+        # keys already in sorted order, so the default (cached) encoder serves
         return json.dumps(
             {
-                "q": self.q,
                 "case": self.case_id,
-                "v": self.v,
-                "square": self.square,
-                "k": self.k,
                 "failed": self.failed,
+                "k": self.k,
+                "notes": list(self.notes),
+                "q": self.q,
+                "square": self.square,
                 "survivor": self.survivor,
                 "trivial": self.trivial,
-                "notes": list(self.notes),
-            },
-            sort_keys=True,
+                "v": self.v,
+            }
         )
 
 

@@ -222,6 +222,47 @@ def leaf_bytes(v: int, b: int, k: int, rows, pcol) -> bytes:
     return header + b"".join(r.to_bytes(nbytes, "big") for r in rowints)
 
 
+def unpruned_certificate(design, max_leaves: int = 20_000):
+    """Individualization-refinement with no pruning: every child of every
+    node is searched, and the first least leaf in depth-first order is kept.
+    It uses the library's refinement and target-cell rule, so what it checks
+    in isomorph.certificate is the pruning alone.
+
+    Returns (data, labeling, automorphisms). Each leaf that encodes as the
+    least gives the automorphism carrying it onto the first such leaf, and
+    every automorphism arises from exactly one leaf, so the list is the
+    whole automorphism group, the identity first."""
+    from blockdesigns.isomorph import _individualize, _Refiner
+
+    refiner = _Refiner(design.v, design.blocks)
+    leaves = []  # (data, labeling) in depth-first order
+
+    def search(pcol):
+        pcol = refiner.refine(pcol)
+        labels = pcol.tolist()
+        sizes = Counter(labels)
+        cells = [c for c in sorted(sizes) if sizes[c] > 1]
+        if not cells:
+            if len(leaves) == max_leaves:
+                raise ValueError(f"more than {max_leaves} leaves")
+            data = leaf_bytes(design.v, design.b, design.k, design.blocks, labels)
+            leaves.append((data, labels))
+            return
+        target = min(cells, key=lambda c: (sizes[c], c))
+        for x in range(design.v):
+            if labels[x] == target:
+                search(_individualize(pcol, x))
+
+    search(np.zeros(design.v, dtype=np.int64))
+    data = min(d for d, _ in leaves)
+    first = next(lab for d, lab in leaves if d == data)
+    inv_first = {c: p for p, c in enumerate(first)}
+    automorphisms = [
+        Permutation([inv_first[c] for c in lab]) for d, lab in leaves if d == data
+    ]
+    return data, tuple(first), automorphisms
+
+
 def _colex_table(n: int, k: int) -> np.ndarray:
     table = np.zeros((n, k), dtype=np.int64)
     for x in range(n):

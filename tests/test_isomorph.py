@@ -1,11 +1,12 @@
 """Canonical certificates and isomorphism decisions."""
 
 import random
+from itertools import combinations
 from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -18,7 +19,7 @@ from blockdesigns.isomorph import (
 )
 from blockdesigns.permcore import PermGroup, Permutation, parse_cycles
 
-from oracles import brute_force_isomorphic, leaf_bytes
+from oracles import brute_force_isomorphic, leaf_bytes, unpruned_certificate
 
 # Table 2 rows of b = 504, 252 and 84 blocks, some reaching 9 search nodes, some 7
 TABLE2_ROWS = (0, 11, 32, 37, 42, 43)
@@ -30,6 +31,13 @@ def table2_design(G, row):
 
 
 FANO = Design(7, [((0 + i) % 7, (1 + i) % 7, (3 + i) % 7) for i in range(7)])
+# the affine plane AG(2,3): point (x, y) is 3x + y; lines y = mx + c and x = c
+AG23 = Design(
+    9,
+    [[3 * x + (m * x + c) % 3 for x in range(3)] for m in range(3) for c in range(3)]
+    + [[3 * c + y for y in range(3)] for c in range(3)],
+)
+K63 = Design(6, combinations(range(6), 3))
 
 
 @st.composite
@@ -46,6 +54,28 @@ def random_designs(draw):
             max_size=nblocks,
         )
     )
+    return Design(v, blocks)
+
+
+@st.composite
+def small_designs(draw):
+    """Designs on at most 9 points: a few random blocks, or the union of the
+    orbits of up to two of them under one random permutation, which gives
+    the design symmetry for the search to find."""
+    v = draw(st.integers(4, 9))
+    k = draw(st.integers(2, v - 2))
+    subsets = st.sets(st.integers(0, v - 1), min_size=k, max_size=k).map(
+        lambda s: tuple(sorted(s))
+    )
+    blocks = draw(st.lists(subsets, min_size=2, max_size=6, unique=True))
+    if draw(st.booleans()):
+        g = draw(st.permutations(range(v)))
+        orbits = set()
+        for blk in blocks[:2]:
+            while blk not in orbits:
+                orbits.add(blk)
+                blk = tuple(sorted(g[p] for p in blk))
+        blocks = orbits
     return Design(v, blocks)
 
 
@@ -203,6 +233,27 @@ class TestSearchPruning:
         assert counts["nodes"] > 1
         assert 0 < counts["stabilizers"] <= counts["nodes"]
 
+    @pytest.mark.parametrize("row", (2, 10))
+    def test_backjump_cuts_leaves(self, psl_group, row, monkeypatch):
+        # paper Table 2 rows 2 and 10 (1-based), searched with no group: 14
+        # leaves and 3 PermGroup.extend calls each without backjumps
+        counts = {"leaves": 0, "extends": 0}
+        leaf_bytes_fn, extend = isomorph._leaf_bytes, PermGroup.extend
+
+        def counted_leaf(*args):
+            counts["leaves"] += 1
+            return leaf_bytes_fn(*args)
+
+        def counted_extend(self, g):
+            counts["extends"] += 1
+            return extend(self, g)
+
+        monkeypatch.setattr(isomorph, "_leaf_bytes", counted_leaf)
+        monkeypatch.setattr(PermGroup, "extend", counted_extend)
+        certificate(table2_design(psl_group, row - 1))
+        assert 0 < counts["leaves"] <= 12
+        assert counts["extends"] <= 3
+
     @pytest.mark.parametrize("row", TABLE2_ROWS[::2])
     def test_each_stabilizer_orbit_computed_once(self, psl_group, row, monkeypatch):
         calls = []  # (group, point); holding the groups keeps their ids unique
@@ -216,6 +267,51 @@ class TestSearchPruning:
         certificate(table2_design(psl_group, row), PermGroup(psl_group.generators))
         keys = [(id(group), point) for group, point in calls]
         assert keys and len(set(keys)) == len(keys)
+
+
+class TestUnprunedOracle:
+    """The pruned search keeps what the unpruned one finds: the least leaf
+    encoding and the first leaf in depth-first order that attains it,
+    whatever group prunes it and whatever automorphisms it discovers."""
+
+    @staticmethod
+    def assert_matches_oracle(d):
+        data, labeling, automorphisms = unpruned_certificate(d)
+        # no group, the whole automorphism group, and the cyclic group of the
+        # last automorphism found, which the search must extend
+        for group in (None, PermGroup(automorphisms), PermGroup(automorphisms[-1:])):
+            cert = certificate(d, group)
+            assert cert.data == data
+            assert cert.labeling == labeling
+
+    @given(small_designs())
+    def test_random_small_designs(self, d):
+        self.assert_matches_oracle(d)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(0, 1), (0, 4), (0, 5), (1, 7), (1, 8), (2, 4), (2, 5), (2, 8), (3, 4), (3, 7),
+             (3, 9), (5, 6), (6, 7), (6, 9), (8, 9)],
+            [(0, 2), (0, 4), (0, 8), (1, 4), (1, 6), (1, 9), (2, 3), (2, 4), (3, 7), (3, 9),
+             (5, 7), (5, 8), (5, 9), (6, 7), (6, 8)],
+        ],
+        ids=["aut8", "aut2"],
+    )
+    def test_cubic_graphs(self, edges):
+        # 3-regular graphs on 10 points, as designs with blocks of size 2:
+        # refinement leaves inequivalent points in one cell, and the first
+        # leaf is not the least, so a backjump measured from the first leaf
+        # instead of the best one skips the least leaf
+        self.assert_matches_oracle(Design(10, edges))
+
+    @pytest.mark.parametrize("d", [FANO, AG23, K63], ids=["fano", "ag23", "k63"])
+    @settings(max_examples=8)
+    @given(images=st.permutations(range(9)))
+    def test_symmetric_designs(self, d, images):
+        # the designs where discovered automorphisms make the search backjump
+        sigma = Permutation(tuple(sorted(range(d.v), key=lambda i: images[i])))
+        self.assert_matches_oracle(d.relabel(sigma))
 
 
 class TestKernels:

@@ -52,6 +52,24 @@ class TestPermutation:
         assert compose(p, inverse(p)) == Permutation.identity(8)
         assert compose(inverse(p), p) == Permutation.identity(8)
 
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_kernels_at_small_degrees(self, degree):
+        # itemgetter with one index returns a scalar and with none raises
+        for images in permutations(range(degree)):
+            p = Permutation(images)
+            for q in map(Permutation, permutations(range(degree))):
+                r = compose(p, q)
+                assert isinstance(r.images, tuple)
+                assert r.images == tuple(q.images[x] for x in p.images)
+            inv = inverse(p)
+            assert isinstance(inv.images, tuple) and len(inv.images) == degree
+            assert compose(p, inv) == Permutation.identity(degree)
+            assert p.is_identity() == (images == tuple(range(degree)))
+
+    @given(perms(6))
+    def test_is_identity(self, p):
+        assert p.is_identity() == all(p.images[i] == i for i in range(6))
+
     @given(perms(8))
     def test_order_annihilates(self, p):
         n = p.order()
@@ -267,6 +285,42 @@ class TestChainPaths:
             }
 
 
+def random_groups(seed: int, count: int, max_degree: int = 9):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randrange(3, max_degree + 1)
+        gens = []
+        for _ in range(rng.randrange(1, 4)):
+            images = list(range(n))
+            rng.shuffle(images)
+            gens.append(Permutation(tuple(images)))
+        yield PermGroup(gens)
+
+
+def assert_inverse_transversals(G):
+    chain = G._chain
+    assert len(chain.inv) == len(chain.trans) == len(chain.base)
+    for trans, inv in zip(chain.trans, chain.inv):
+        assert list(inv) == list(trans)
+        for a, u in trans.items():
+            assert inv[a] == u.inverse()
+
+
+class TestChainInvariants:
+    def test_inverse_transversals(self):
+        # every chain path: a build, an extension, a stabilizer read off the
+        # group's own chain and one on a fresh chain
+        rng = random.Random(20261018)
+        for G in random_groups(20261018, 40):
+            n = G.degree
+            images = list(range(n))
+            rng.shuffle(images)
+            pts = rng.sample(range(n), rng.randrange(1, 3))
+            for H in (G, G.extend(Permutation(tuple(images))), G.pointwise_stabilizer(G.base[:1]),
+                      G.pointwise_stabilizer(pts)):
+                assert_inverse_transversals(H)
+
+
 class TestPickle:
     """A permutation pickles as its images and is checked again on load, so a
     group crosses to a worker process with its stabilizer chain."""
@@ -287,6 +341,19 @@ class TestPickle:
             for images in permutations(range(5)):
                 p = Permutation(images)
                 assert loaded.contains(p) == H.contains(p)
+
+    def test_chain_with_inverse_transversals_round_trip(self):
+        rng = random.Random(7)
+        for H in random_groups(7, 10, max_degree=6):  # elements() lists up to 720
+            loaded = pickle.loads(pickle.dumps(H))
+            assert_inverse_transversals(loaded)
+            assert loaded._chain.inv == H._chain.inv
+            assert list(loaded.elements()) == list(H.elements())
+            for _ in range(30):
+                images = list(range(H.degree))
+                rng.shuffle(images)
+                p = Permutation(tuple(images))
+                assert loaded.sift(p) == H.sift(p)
 
     def test_bad_images_raise_on_load(self):
         data = pickle.dumps(Permutation._unsafe((0, 0, 2)))

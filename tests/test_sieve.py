@@ -166,6 +166,8 @@ class TestRun:
         assert set(first) == {
             "q", "case", "v", "square", "k", "failed", "survivor", "trivial", "notes",
         }
+        # each line is written with its keys in sorted order
+        assert all(json.dumps(json.loads(x), sort_keys=True) == x for x in lines)
 
     def test_json_lines_pinned_to_100000(self):
         # every verdict line over 4 <= q <= 100000, byte for byte
