@@ -7,6 +7,9 @@ and nowhere else. Exit codes: 0 success (or "true" for iso/verify), 3 false
 
 Output files are written with "\n" newlines and deterministic content, so
 repeated runs with any worker count are byte-identical.
+
+The modules that need numpy (design, grouplib, isomorph, kcombs) are
+imported by the subcommands that use them, so `sieve` starts without numpy.
 """
 
 from __future__ import annotations
@@ -19,21 +22,16 @@ import logging
 import os
 import sys
 from math import comb
+from typing import TYPE_CHECKING
 
 from . import golden
-from .design import (
-    Design,
-    classify,
-    classify_builtin,
-    is_flag_transitive,
-    lambda_of,
-    orbit_design,
-)
-from .grouplib import BUILTIN_NAMES, builtin, pair_action, projective_group, projective_order
-from .isomorph import are_isomorphic
-from .kcombs import MAX_POINTS, BoundError
+from .golden import BUILTIN_NAMES
 from .permcore import PermGroup
+from .sieve import MAX_QMAX
 from .sieve import run as sieve_run
+
+if TYPE_CHECKING:
+    from .design import Design
 
 log = logging.getLogger("blockdesigns")
 
@@ -45,6 +43,13 @@ MAX_CONSTRUCT_BLOCKS = 500_000
 
 class UsageError(Exception):
     pass
+
+
+def _usage_errors() -> tuple[type[Exception], ...]:
+    """The exceptions main() reports as usage errors: kcombs.BoundError is
+    one once a subcommand has imported kcombs, and none can raise it before."""
+    kcombs = sys.modules.get(f"{__package__}.kcombs")
+    return (UsageError,) if kcombs is None else (UsageError, kcombs.BoundError)
 
 
 def _default_workers() -> int:
@@ -60,6 +65,8 @@ def _default_workers() -> int:
 
 def _resolve_group(args) -> tuple[PermGroup, str, bool]:
     """Group selector: --group BUILTIN, or --q with --variant/--action."""
+    from .grouplib import builtin, pair_action, projective_group
+
     if args.group is not None:
         if args.q is not None:
             raise UsageError("give either --group or --q, not both")
@@ -107,6 +114,8 @@ def _one_based(block: tuple[int, ...]) -> list[int]:
 
 def _projective_size(args) -> tuple[int, int]:
     """|G| and the degree of the --q group, without building its slow chain."""
+    from .grouplib import projective_order
+
     try:
         order = projective_order(args.q, args.variant)
     except ValueError as exc:
@@ -115,6 +124,8 @@ def _projective_size(args) -> tuple[int, int]:
 
 
 def cmd_construct(args) -> int:
+    from .design import is_flag_transitive, lambda_of, orbit_design
+
     sized = args.group is None and args.q is not None
     if sized:
         order, degree = _projective_size(args)
@@ -155,6 +166,9 @@ def cmd_construct(args) -> int:
 
 
 def _classification(args) -> tuple[list, str]:
+    from .design import classify, classify_builtin
+    from .kcombs import MAX_POINTS
+
     if args.group is None and args.q is not None:
         _, degree = _projective_size(args)
         if degree > MAX_POINTS:
@@ -209,8 +223,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_sieve(args) -> int:
-    if args.qmax < 4:
-        raise UsageError("--qmax must be >= 4")
+    if not 4 <= args.qmax <= MAX_QMAX:
+        raise UsageError(f"--qmax must be in 4..{MAX_QMAX}")
     report = sieve_run(args.qmax)
     if args.format == "json":
         text = report.json_lines()
@@ -223,6 +237,8 @@ def cmd_sieve(args) -> int:
 def cmd_verify(args) -> int:
     if not args.table2:
         raise UsageError("verify requires --table2")
+    from .design import classify_builtin
+
     classes = classify_builtin("psl28_paper36", 6, 2, workers=args.workers)
     got: dict[tuple[tuple[int, ...], int], int] = {}
     for c in classes:
@@ -244,6 +260,8 @@ def cmd_verify(args) -> int:
 
 
 def _load_design(path: str) -> Design:
+    from .design import Design
+
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -265,6 +283,8 @@ def _load_design(path: str) -> Design:
 
 
 def cmd_iso(args) -> int:
+    from .isomorph import are_isomorphic
+
     d1 = _load_design(args.file_a)
     d2 = _load_design(args.file_b)
     if are_isomorphic(d1, d2):
@@ -321,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = subs.add_parser("sieve", help="numeric elimination over a prime power range")
-    p.add_argument("--qmax", type=int, default=1024)
+    p.add_argument("--qmax", type=int, default=1024, help=f"largest q, at most {MAX_QMAX}")
     p.add_argument("--format", choices=("json", "text"), default="text")
     _add_common(p)
     p.set_defaults(func=cmd_sieve)
@@ -355,7 +375,7 @@ def main(argv=None) -> int:
         if getattr(args, "workers", 1) < 1:
             raise UsageError("worker count must be >= 1")
         return args.func(args)
-    except (UsageError, BoundError) as exc:
+    except _usage_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -12,6 +12,10 @@ of this package and kept since as a regression guard.
 
 from __future__ import annotations
 
+# the builtin group names, here rather than in grouplib so that the command
+# line can list them without importing numpy
+BUILTIN_NAMES = ("psl28_paper36", "pgammal28_paper36")
+
 # case index in the published table = position + 1
 TABLE2: tuple[tuple[tuple[int, ...], int], ...] = (
     ((1, 2, 3, 4, 15, 16), 12),

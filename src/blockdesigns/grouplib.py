@@ -20,6 +20,7 @@ from math import gcd
 
 import numpy as np
 
+from .golden import BUILTIN_NAMES
 from .kcombs import block_permutation
 from .numth import factorize, prime_power, smallest_primitive_root
 from .permcore import PermGroup, Permutation, parse_cycles
@@ -259,8 +260,6 @@ _PGAMMAL28_GEN_TEXT = (
     "(1,3,8)(2,6,5)(4,11,15)(7,14,16)(9,18,12)(10,19,23)(13,20,24)"
     "(17,27,21)(22,28,29)(26,34,30)(31,33,35)",
 )
-
-BUILTIN_NAMES = ("psl28_paper36", "pgammal28_paper36")
 
 
 def builtin(name: str) -> PermGroup:

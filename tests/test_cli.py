@@ -14,6 +14,7 @@ import pytest
 
 import blockdesigns
 from blockdesigns.cli import MAX_CONSTRUCT_BLOCKS, main
+from blockdesigns.sieve import MAX_QMAX
 
 
 def run_cli(args, capsys):
@@ -128,7 +129,7 @@ class TestConstruct:
         def unbuilt(*args, **kwargs):
             raise AssertionError("projective_group called")
 
-        monkeypatch.setattr("blockdesigns.cli.projective_group", unbuilt)
+        monkeypatch.setattr("blockdesigns.grouplib.projective_group", unbuilt)
         code, out, err = run_cli(["construct", "--q", "2048", "--base", "1,2"], capsys)
         assert code == 2 and out == ""
         assert err == (
@@ -324,6 +325,42 @@ class TestSieve:
     def test_bad_range(self, capsys):
         code, _, _ = run_cli(["sieve", "--qmax", "3"], capsys)
         assert code == 2
+
+    def test_qmax_above_bound_is_usage_error(self, capsys, monkeypatch):
+        # refused before the prime-power table, whose memory is linear in qmax
+        def unbuilt(*args):
+            raise AssertionError("prime_powers_upto called")
+
+        monkeypatch.setattr("blockdesigns.sieve.prime_powers_upto", unbuilt)
+        for qmax in (MAX_QMAX + 1, 10**12):
+            code, out, err = run_cli(["sieve", "--qmax", str(qmax)], capsys)
+            assert code == 2 and out == ""
+            assert err == f"error: --qmax must be in 4..{MAX_QMAX}\n"
+
+    def test_starts_without_numpy(self):
+        # a fresh interpreter: this one has numpy loaded already
+        env = dict(os.environ)
+        src = str(Path(blockdesigns.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import sys; import blockdesigns; from blockdesigns.cli import main; "
+            "assert main(['sieve', '--qmax', '64']) == 0; "
+            "assert 'numpy' not in sys.modules, 'numpy imported'"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "NONTRIVIAL SURVIVOR: q=8 case=even-3 v=36 k=6" in proc.stdout
+
+    def test_package_names_resolve_lazily(self):
+        from blockdesigns import design, sieve
+
+        assert blockdesigns.sieve_run is sieve.run
+        assert blockdesigns.Design is design.Design
+        for name in blockdesigns.__all__:
+            assert getattr(blockdesigns, name) is not None
+        with pytest.raises(AttributeError):
+            blockdesigns.no_such_name
 
     def test_worker_count_gives_identical_bytes(self, capsys):
         # --workers is accepted on sieve; it runs in one process regardless

@@ -7,8 +7,17 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from blockdesigns import sieve
 from blockdesigns.numth import prime_power, prime_powers_upto
-from blockdesigns.sieve import CONSTRAINT_ORDER, case_catalog, evaluate, run
+from blockdesigns.sieve import (
+    CONSTRAINT_ORDER,
+    MAX_QMAX,
+    CaseSpec,
+    SieveVerdict,
+    case_catalog,
+    evaluate,
+    run,
+)
 
 
 @pytest.fixture(scope="module")
@@ -174,8 +183,99 @@ class TestRun:
         digest = hashlib.sha256(run(100000).json_lines().encode()).hexdigest()
         assert digest == "3cb20938c06d93981508ea0db876005545469a927a62af3dcc887a911919671f"
 
+    def test_summary_pinned_to_1024(self, report):
+        assert report.summary_text() == (
+            "sieve over prime powers 4 <= q <= 1024: 872 case evaluations\n"
+            "eliminations by first failed constraint: square=865, k_guard=0, subdegree=2, "
+            "block_count=3, stabilizer=0\n"
+            "trivial survivor: q=8 case=even-1 v=9 k=3 (sharply multiply transitive action "
+            "forces a complete block set)\n"
+            "NONTRIVIAL SURVIVOR: q=8 case=even-3 v=36 k=6\n"
+            "range verified exhaustively by exact integer arithmetic; "
+            "q > 1024 is not checked by this run\n"
+        )
+
+    def test_q_max_above_bound_refused_before_any_table(self, monkeypatch):
+        def unbuilt(*args):
+            raise AssertionError("prime_powers_upto called")
+
+        monkeypatch.setattr(sieve, "prime_powers_upto", unbuilt)
+        for q_max in (MAX_QMAX + 1, 10**12):
+            with pytest.raises(ValueError, match="q_max"):
+                run(q_max)
+
     def test_summary_states_range(self, report):
         text = report.summary_text()
         assert "4 <= q <= 1024" in text
         assert "NONTRIVIAL SURVIVOR: q=8 case=even-3 v=36 k=6" in text
         assert "not checked by this run" in text
+
+
+class TestFastPath:
+    """run() derives (p, f) from the ascending prime-power list and builds
+    the cases without case_catalog's validation; the results must be those
+    of the public path."""
+
+    def test_run_matches_public_path(self):
+        assert list(run(5000).verdicts) == [
+            evaluate(c) for q in prime_powers_upto(4, 5000) for c in case_catalog(q)
+        ]
+
+    @given(st.integers(4, 5000))
+    @example(4)
+    @example(8)
+    @example(9)
+    @example(4096)
+    def test_derived_p_f_is_the_factorization(self, q_max):
+        assert list(sieve._prime_powers_with_pf(q_max)) == [
+            (q, *prime_power(q)) for q in prime_powers_upto(4, q_max)
+        ]
+
+    def test_records_are_immutable_hashable_tuples(self):
+        assert CaseSpec._fields == (
+            "case_id", "q", "v", "ambient_order", "stabilizer_order", "out_order",
+            "subdegrees", "trivial_if_survivor", "notes",
+        )
+        assert CaseSpec._field_defaults == {
+            "subdegrees": (), "trivial_if_survivor": False, "notes": (),
+        }
+        assert SieveVerdict._fields == (
+            "case_id", "q", "v", "square", "k", "failed", "survivor", "trivial", "notes",
+        )
+        assert SieveVerdict._field_defaults == {"trivial": False, "notes": ()}
+        for record in (case_catalog(8)[0], evaluate(case_catalog(8)[0])):
+            assert hash(record) == hash(tuple(record))
+            with pytest.raises(AttributeError):
+                record.q = 9
+
+
+def _encoded(x: SieveVerdict) -> str:
+    """The json.dumps line that SieveVerdict.to_json replaces."""
+    return json.dumps(
+        {
+            "case": x.case_id, "q": x.q, "v": x.v, "square": x.square, "k": x.k,
+            "failed": x.failed, "survivor": x.survivor, "trivial": x.trivial,
+            "notes": list(x.notes),
+        },
+        sort_keys=True,
+    )
+
+
+class TestJsonLine:
+    def test_every_line_to_10000_matches_json_dumps(self):
+        report = run(10000)
+        assert report.json_lines().splitlines() == [_encoded(x) for x in report.verdicts]
+
+    @pytest.mark.parametrize(
+        "verdict",
+        [
+            SieveVerdict("odd-3", 289, 41616, True, 204, "subdegree", False,
+                         notes=("first note", 'quote " and backslash \\', "q = p\u00b2, \u2265 3")),
+            SieveVerdict('line "1" \u00e9', 7, 28, False, None, "square", False),
+            SieveVerdict("even-3", 8, 36, True, 6, None, True),
+            SieveVerdict("even-1", 8, 9, True, 3, None, True, trivial=True),
+        ],
+        ids=["notes", "k-none", "failed-none", "trivial"],
+    )
+    def test_hand_built_verdict_matches_json_dumps(self, verdict):
+        assert verdict.to_json() == _encoded(verdict)
