@@ -35,6 +35,25 @@ resumes at depth d: every deeper node returns at once. The abandoned
 subtree only repeats leaf encodings already seen, so it holds no leaf less
 than the best and no earlier one equal to it: data stays the minimum over
 the tree and labeling the first least leaf in depth-first order.
+
+Refinement stops as soon as no cell can split, skipping the round that
+would only confirm it; both stops are exact. Discrete: a coloring with v
+colors is returned at once; its next round would give the same array back,
+since the old color leads every point signature. Block-stable: from the
+second round on, if the block color count did not grow, the coloring is
+returned before point signatures are built. Colors are renumbered
+monotonically, so the new block partition refines the last one, and an
+equal count makes it the same partition; every point then has the
+signature class of its current color, and the round would return the
+coloring unchanged.
+
+isomorphism_witness searches d1 to the end (certificate()) but d2 only up
+to its first leaf that encodes like d1's certificate, then unwinds. The
+witness is the one the two full certificates give: if d1 and d2 are
+isomorphic, d1's data is the least leaf of d2's tree too, the full search
+of d2 would label by its first leaf that attains it, and up to that leaf
+the two searches of d2 are one search. If no leaf matches, the search runs
+to the end and the designs are not isomorphic.
 """
 
 from __future__ import annotations
@@ -90,7 +109,8 @@ class _Refiner:
     with a sentinel that sorts last, so unequal degrees split). Color ids
     are lex ranks of the signature rows, hence renumbering is monotone and
     cells only ever split; the loop stops when the point color count stops
-    growing.
+    growing, or earlier at a discrete or block-stable coloring (see the
+    module docstring).
     """
 
     def __init__(self, v: int, rows):
@@ -108,9 +128,14 @@ class _Refiner:
 
     def refine(self, pcol: np.ndarray) -> np.ndarray:
         ncol = int(pcol.max()) + 1
+        nbcol = 0  # no block partition yet
         while True:
             bsig = np.sort(pcol[self.rows_arr], axis=1)
             bcol = _unique_rows_inverse(bsig)
+            newnbcol = int(bcol.max()) + 1
+            if newnbcol == nbcol:
+                return pcol  # block-stable: no point signature can split a cell
+            nbcol = newnbcol
             bcol_ext = np.concatenate([bcol, [self.b]])  # sentinel beyond any color id
             psig = np.concatenate(
                 [pcol.reshape(-1, 1), np.sort(bcol_ext[self.pb_arr], axis=1)], axis=1
@@ -119,6 +144,8 @@ class _Refiner:
             newncol = int(new.max()) + 1
             if newncol == ncol:
                 return pcol
+            if newncol == self.v:
+                return new  # discrete: nothing left to split
             pcol = new
             ncol = newncol
 
@@ -157,6 +184,13 @@ def certificate(design, group: PermGroup | None = None) -> Certificate:
     itself before use, so a wrong group raises instead of corrupting the
     canonical form.
     """
+    return _search(design, group)
+
+
+def _search(design, group: PermGroup | None, goal: bytes | None = None) -> Certificate:
+    """The search behind certificate(). With a goal, it stops at the first
+    leaf that encodes to goal and returns that leaf; if none does, it runs to
+    the end and returns the certificate, whose data then differs from goal."""
     v, b, k = design.v, design.b, design.k
     check_vertices(v, b)
 
@@ -192,6 +226,8 @@ def certificate(design, group: PermGroup | None = None) -> Certificate:
             data = _leaf_bytes(v, b, k, refiner.rows_arr, pcol)
             if best_data is None or data < best_data:
                 best_data, best_pcol, best_prefix = data, plist, prefix
+                if data == goal:
+                    return -1  # below every depth: each level returns at once
             elif data == best_data and plist != best_pcol:
                 inv_best = [0] * v
                 for i, c in enumerate(best_pcol):
@@ -230,19 +266,21 @@ def certificate(design, group: PermGroup | None = None) -> Certificate:
 
 def isomorphism_witness(d1, d2):
     """A Permutation mapping d1's points to d2's so blocks map onto blocks,
-    or None. Recovered from the two canonical labelings and then verified,
-    so a true return value is self-checking."""
+    or None. Recovered from d1's canonical labeling and the first leaf of
+    d2's search that encodes like it, then verified, so a true return value
+    is self-checking."""
     if (d1.v, d1.b, d1.k) != (d2.v, d2.b, d2.k):
         return None
     c1 = certificate(d1)
-    c2 = certificate(d2)
+    c2 = _search(d2, None, goal=c1.data)
     if c1.data != c2.data:
         return None
     inv2 = [0] * d2.v
     for i, c in enumerate(c2.labeling):
         inv2[c] = i
     sigma = Permutation([inv2[c1.labeling[i]] for i in range(d1.v)])
-    if d1.relabel(sigma) != d2:
+    moved = image_rows(sigma.images, np.asarray(d1.blocks))[0]
+    if not np.array_equal(moved, np.asarray(d2.blocks)):
         raise AssertionError("certificates matched but the recovered map is not an isomorphism")
     return sigma
 

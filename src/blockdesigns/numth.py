@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import compress
 
 
 def is_prime(n: int) -> bool:
@@ -52,25 +53,30 @@ def prime_power(q: int) -> tuple[int, int] | None:
 
 
 def prime_powers_upto(lo: int, hi: int) -> list[int]:
-    """The prime powers q with lo <= q <= hi, ascending, from one
-    smallest-prime-factor table over 0..hi: q is a power of p = spf(q) iff
-    its cofactor q // p is 1 or itself a power of p. The table takes memory
-    linear in hi, so prime_power() and factorize() keep trial division for
-    single, possibly large, q."""
+    """The prime powers q with lo <= q <= hi, ascending: the primes up to hi
+    from a sieve of Eratosthenes in a bytearray (one byte per integer,
+    composites cleared by slice assignment), then the higher powers of those
+    up to isqrt(hi), then one sort. The sieve takes memory linear in hi, so
+    prime_power() and factorize() keep trial division for single, possibly
+    large, q."""
     if hi < 2:
         return []
-    spf = list(range(hi + 1))
-    # largest prime first, so each composite ends up with its least prime factor
-    for p in reversed([p for p in range(2, math.isqrt(hi) + 1) if is_prime(p)]):
-        spf[p * p :: p] = [p] * len(range(p * p, hi + 1, p))
-    base = [0] * (hi + 1)  # base[q] = p if q is a power of the prime p, else 0
-    out = []
-    for q in range(2, hi + 1):
-        p = spf[q]
-        if q == p or base[q // p] == p:
-            base[q] = p
+    flags = bytearray([1]) * (hi + 1)
+    flags[:2] = b"\0\0"
+    for p in range(2, math.isqrt(hi) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, hi + 1, p)))
+    primes = list(compress(range(hi + 1), flags))
+    out = [p for p in primes if p >= lo]
+    for p in primes:
+        q = p * p
+        if q > hi:
+            break
+        while q <= hi:
             if q >= lo:
                 out.append(q)
+            q *= p
+    out.sort()
     return out
 
 

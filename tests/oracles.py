@@ -263,6 +263,41 @@ def unpruned_certificate(design, max_leaves: int = 20_000):
     return data, tuple(first), automorphisms
 
 
+def fixpoint_refine(refiner, pcol) -> np.ndarray:
+    """Color refinement with no early stop: rounds of block then point
+    signatures until the point color count stops growing, as
+    isomorph._Refiner.refine ran before it stopped at discrete and
+    block-stable partitions."""
+    from blockdesigns.isomorph import _unique_rows_inverse
+
+    ncol = int(pcol.max()) + 1
+    while True:
+        bcol = _unique_rows_inverse(np.sort(pcol[refiner.rows_arr], axis=1))
+        bcol_ext = np.concatenate([bcol, [refiner.b]])
+        psig = np.concatenate(
+            [pcol.reshape(-1, 1), np.sort(bcol_ext[refiner.pb_arr], axis=1)], axis=1
+        )
+        new = _unique_rows_inverse(psig)
+        if int(new.max()) + 1 == ncol:
+            return pcol
+        pcol, ncol = new, int(new.max()) + 1
+
+
+def two_certificate_witness(d1, d2):
+    """The isomorphism d1 -> d2 from both designs' full certificates: d2's
+    canonical labeling inverted after d1's, or None when the certificates
+    differ."""
+    from blockdesigns.isomorph import certificate
+
+    if (d1.v, d1.b, d1.k) != (d2.v, d2.b, d2.k):
+        return None
+    c1, c2 = certificate(d1), certificate(d2)
+    if c1.data != c2.data:
+        return None
+    inv2 = {c: p for p, c in enumerate(c2.labeling)}
+    return Permutation([inv2[c] for c in c1.labeling])
+
+
 def _colex_table(n: int, k: int) -> np.ndarray:
     table = np.zeros((n, k), dtype=np.int64)
     for x in range(n):

@@ -19,7 +19,13 @@ from blockdesigns.isomorph import (
 )
 from blockdesigns.permcore import PermGroup, Permutation, parse_cycles
 
-from oracles import brute_force_isomorphic, leaf_bytes, unpruned_certificate
+from oracles import (
+    brute_force_isomorphic,
+    fixpoint_refine,
+    leaf_bytes,
+    two_certificate_witness,
+    unpruned_certificate,
+)
 
 # Table 2 rows of b = 504, 252 and 84 blocks, some reaching 9 search nodes, some 7
 TABLE2_ROWS = (0, 11, 32, 37, 42, 43)
@@ -38,6 +44,31 @@ AG23 = Design(
     + [[3 * c + y for y in range(3)] for c in range(3)],
 )
 K63 = Design(6, combinations(range(6), 3))
+
+
+def relabeled(d, rng):
+    images = list(range(d.v))
+    rng.shuffle(images)
+    return d.relabel(Permutation(images))
+
+
+def restricted(images, v):
+    """A permutation of 0..v-1 from a sampled permutation of a larger range:
+    the points in the order the sample ranks them."""
+    return Permutation(tuple(sorted(range(v), key=lambda i: images[i])))
+
+
+def counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that counts its calls; returns the
+    one-entry list that holds the count."""
+    count, fn = [0], getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        count[0] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return count
 
 
 @st.composite
@@ -86,8 +117,7 @@ class TestCertificate:
 
     @given(random_designs(), st.permutations(range(8)))
     def test_relabeling_invariance(self, d, images):
-        # restrict the sampled permutation of 0..7 to a permutation of 0..v-1
-        sigma = Permutation(tuple(sorted(range(d.v), key=lambda i: images[i])))
+        sigma = restricted(images, d.v)
         assert certificate(d).data == certificate(d.relabel(sigma)).data
 
     def test_labeling_is_a_valid_witness(self):
@@ -157,6 +187,75 @@ class TestWitness:
     def test_are_isomorphic_reflexive(self):
         assert are_isomorphic(FANO, FANO)
 
+    def test_map_that_is_not_an_isomorphism_raises(self, monkeypatch):
+        # a d2 labeling with two canonical labels swapped recovers a
+        # transposition, which is no automorphism of the Fano plane
+        labeling = list(certificate(FANO).labeling)
+        labeling[0], labeling[1] = labeling[1], labeling[0]
+        search = isomorph._search
+
+        def wrong_leaf(design, group, goal=None):
+            if goal is None:
+                return search(design, group)
+            return isomorph.Certificate(goal, tuple(labeling))
+
+        monkeypatch.setattr(isomorph, "_search", wrong_leaf)
+        with pytest.raises(AssertionError, match="not an isomorphism"):
+            isomorphism_witness(FANO, FANO)
+
+
+class TestGoalSearch:
+    """isomorphism_witness stops d2's search at the first leaf that encodes
+    like d1's certificate; the witness stays the one the two full
+    certificates give."""
+
+    @pytest.mark.parametrize("row", TABLE2_ROWS)
+    def test_table2_relabelings_match_oracle(self, psl_group, row):
+        rng = random.Random(row)
+        d = table2_design(psl_group, row)
+        for _ in range(2):
+            d1, d2 = relabeled(d, rng), relabeled(d, rng)
+            w = isomorphism_witness(d1, d2)
+            assert w is not None
+            assert w == two_certificate_witness(d1, d2)
+
+    @pytest.mark.parametrize("d", [FANO, AG23], ids=["fano", "ag23"])
+    @settings(max_examples=10)
+    @given(images=st.permutations(range(9)), other=st.permutations(range(9)))
+    def test_symmetric_relabelings_match_oracle(self, d, images, other):
+        d1, d2 = d.relabel(restricted(images, d.v)), d.relabel(restricted(other, d.v))
+        w = isomorphism_witness(d1, d2)
+        assert w is not None
+        assert w == two_certificate_witness(d1, d2)
+
+    @given(small_designs(), small_designs(), st.permutations(range(9)))
+    def test_small_designs_match_oracle(self, d, other, images):
+        for d2 in (d.relabel(restricted(images, d.v)), other):
+            assert isomorphism_witness(d, d2) == two_certificate_witness(d, d2)
+
+    def test_rows_37_and_2_are_not_isomorphic(self, psl_group):
+        # same parameters (b = 504), so the goal search runs to the end
+        d37, d2 = table2_design(psl_group, 36), table2_design(psl_group, 1)
+        assert two_certificate_witness(d37, d2) is None
+        assert isomorphism_witness(d37, d2) is None
+        assert isomorphism_witness(d2, d37) is None
+
+    @pytest.mark.parametrize("rows", [(r, r) for r in TABLE2_ROWS] + [(36, 1)])
+    def test_no_more_leaves_than_certificate(self, psl_group, rows, monkeypatch):
+        rng = random.Random(sum(rows))
+        d1 = table2_design(psl_group, rows[0])
+        d2 = relabeled(table2_design(psl_group, rows[1]), rng)
+        goal = certificate(d1).data
+        leaves = counting(monkeypatch, isomorph, "_leaf_bytes")
+        found = isomorph._search(d2, None, goal)
+        goal_leaves = leaves[0]
+        full = certificate(d2)
+        # the first leaf encoding like the goal is the certificate's leaf;
+        # with no such leaf the search ran to the end
+        assert found == full
+        assert (found.data == goal) == (rows[0] == rows[1])
+        assert 0 < goal_leaves <= leaves[0] - goal_leaves
+
 
 class TestBruteForceAgreement:
     def test_battery_of_random_pairs(self):
@@ -211,48 +310,28 @@ class TestSearchPruning:
 
     @pytest.mark.parametrize("row", TABLE2_ROWS[::2])
     def test_at_most_one_stabilizer_build_per_search_node(self, psl_group, row, monkeypatch):
-        counts = {"stabilizers": 0, "nodes": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        monkeypatch.setattr(
-            PermGroup,
-            "pointwise_stabilizer",
-            counted("stabilizers", PermGroup.pointwise_stabilizer),
-        )
-        # refine runs exactly once per search node
-        monkeypatch.setattr(
-            isomorph._Refiner, "refine", counted("nodes", isomorph._Refiner.refine)
-        )
+        stabilizers = counting(monkeypatch, PermGroup, "pointwise_stabilizer")
+        nodes = counting(monkeypatch, isomorph._Refiner, "refine")  # once per search node
         certificate(table2_design(psl_group, row), PermGroup(psl_group.generators))
-        assert counts["nodes"] > 1
-        assert 0 < counts["stabilizers"] <= counts["nodes"]
+        assert nodes[0] > 1
+        assert 0 < stabilizers[0] <= nodes[0]
 
     @pytest.mark.parametrize("row", (2, 10))
     def test_backjump_cuts_leaves(self, psl_group, row, monkeypatch):
         # paper Table 2 rows 2 and 10 (1-based), searched with no group: 14
         # leaves and 3 PermGroup.extend calls each without backjumps
-        counts = {"leaves": 0, "extends": 0}
-        leaf_bytes_fn, extend = isomorph._leaf_bytes, PermGroup.extend
-
-        def counted_leaf(*args):
-            counts["leaves"] += 1
-            return leaf_bytes_fn(*args)
-
-        def counted_extend(self, g):
-            counts["extends"] += 1
-            return extend(self, g)
-
-        monkeypatch.setattr(isomorph, "_leaf_bytes", counted_leaf)
-        monkeypatch.setattr(PermGroup, "extend", counted_extend)
+        leaves = counting(monkeypatch, isomorph, "_leaf_bytes")
+        extends = counting(monkeypatch, PermGroup, "extend")
         certificate(table2_design(psl_group, row - 1))
-        assert 0 < counts["leaves"] <= 12
-        assert counts["extends"] <= 3
+        assert 0 < leaves[0] <= 12
+        assert extends[0] <= 3
+
+    def test_refinement_stops_early_on_row_37(self, psl_group, monkeypatch):
+        # paper Table 2 row 37 at the paper's labels, no group: 148 calls
+        # when every refinement ran one more round to confirm no cell split
+        calls = counting(monkeypatch, isomorph, "_unique_rows_inverse")
+        certificate(table2_design(psl_group, 36))
+        assert calls[0] == 108
 
     @pytest.mark.parametrize("row", TABLE2_ROWS[::2])
     def test_each_stabilizer_orbit_computed_once(self, psl_group, row, monkeypatch):
@@ -310,7 +389,7 @@ class TestUnprunedOracle:
     @given(images=st.permutations(range(9)))
     def test_symmetric_designs(self, d, images):
         # the designs where discovered automorphisms make the search backjump
-        sigma = Permutation(tuple(sorted(range(d.v), key=lambda i: images[i])))
+        sigma = restricted(images, d.v)
         self.assert_matches_oracle(d.relabel(sigma))
 
 
@@ -337,6 +416,17 @@ class TestKernels:
         # entries up to 2**40 give keys past int64 from width 2 on
         expected = np.unique(arr, axis=0, return_inverse=True)[1].reshape(-1)
         assert np.array_equal(isomorph._unique_rows_inverse(arr), expected)
+
+    @given(small_designs(), st.data())
+    def test_refine_matches_fixpoint_oracle(self, d, data):
+        # uniform, one point individualized after refinement, and discrete
+        refiner = isomorph._Refiner(d.v, d.blocks)
+        uniform = np.zeros(d.v, dtype=np.int64)
+        point = data.draw(st.integers(0, d.v - 1))
+        individualized = isomorph._individualize(fixpoint_refine(refiner, uniform), point)
+        discrete = np.array(data.draw(st.permutations(range(d.v))), dtype=np.int64)
+        for pcol in (uniform, individualized, discrete):
+            assert np.array_equal(refiner.refine(pcol), fixpoint_refine(refiner, pcol))
 
     @given(random_designs())
     def test_refiner_incidence_matches_loop(self, d):
