@@ -1,7 +1,9 @@
 """Block designs as orbits of a base block, and their classification.
 
-A design is v points 0..v-1 and a lexicographically sorted tuple of distinct
-blocks of one size k, each block a sorted point tuple. orbit_design()
+A design is v points 0..v-1 and b distinct blocks of one size k, held as one
+read-only (b, k) int64 array of sorted rows in lexicographic order. Every
+computation here and in isomorph.py reads that array; tuples of points
+appear only in Design.block_rows(), for output and tests. orbit_design()
 realizes the block-transitive construction: the block set is one group
 orbit. classify() enumerates every orbit of k-subsets, keeps the orbits
 whose designs are t-designs, and merges them into isomorphism classes by
@@ -12,6 +14,7 @@ out every orbit (block_count_step()).
 from __future__ import annotations
 
 import logging
+import operator
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -31,17 +34,25 @@ from .permcore import PermGroup, Permutation
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Design:
     """v points and b distinct blocks of one size k. Blocks may be a 2-d
-    integer array, one block per row, or any iterable of point collections;
-    they are stored as a lexicographically sorted tuple of sorted point
-    tuples. This is the one place a design is checked."""
+    integer array, one block per row, or any iterable of point collections.
+    They are checked once, here, and stored in blocks as a read-only
+    (b, k) int64 array of sorted rows in lexicographic order, a copy that
+    no caller's array aliases. block_rows() is the tuple view for output
+    and for hashable rows. v is kept as a Python int. Two designs are equal
+    when v and the arrays are; a pickled design is rebuilt, and so checked
+    again, on load."""
 
     v: int
-    blocks: tuple[tuple[int, ...], ...]
+    blocks: np.ndarray
 
     def __post_init__(self):
+        try:
+            v = operator.index(self.v)
+        except TypeError:
+            raise ValueError("v must be an integer") from None
         rows = self.blocks
         if not isinstance(rows, np.ndarray):
             rows = [tuple(blk) for blk in rows]
@@ -57,37 +68,54 @@ class Design:
         if rows.dtype.kind not in "iu":
             raise ValueError("points must be integers")
         # range first: the sort key below assumes points in 0..v-1
-        if rows.min() < 0 or rows.max() >= self.v:
-            blk = tuple(sorted(rows[((rows < 0) | (rows >= self.v)).any(axis=1)][0].tolist()))
-            raise ValueError(f"block {blk} has a point outside 0..{self.v - 1}")
+        if rows.min() < 0 or rows.max() >= v:
+            blk = tuple(sorted(rows[((rows < 0) | (rows >= v)).any(axis=1)][0].tolist()))
+            raise ValueError(f"block {blk} has a point outside 0..{v - 1}")
         rows = np.sort(rows, axis=1)
         repeated = rows[:, 1:] == rows[:, :-1]
         if repeated.any():
             blk = rows[repeated.any(axis=1)][0]
             raise ValueError(f"point repeated in block {tuple(blk.tolist())}")
-        keys = row_keys(rows, self.v)
+        keys = row_keys(rows, v)
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         if (keys[1:] == keys[:-1]).any():
             raise ValueError("duplicate blocks")
-        # zip the columns: faster than a tuple per listed row
-        object.__setattr__(self, "blocks", tuple(zip(*rows[order].T.tolist())))
+        blocks = rows[order].astype(np.int64, copy=False)  # indexing copied rows
+        blocks.flags.writeable = False
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def k(self) -> int:
-        return len(self.blocks[0])
+        return self.blocks.shape[1]
 
     @property
     def b(self) -> int:
-        return len(self.blocks)
+        return self.blocks.shape[0]
+
+    def __eq__(self, other):
+        if not isinstance(other, Design):
+            return NotImplemented
+        return self.v == other.v and np.array_equal(self.blocks, other.blocks)
+
+    def __hash__(self):
+        return hash((self.v, self.k, self.blocks.tobytes()))
+
+    def __reduce__(self):
+        # the points travel in the least unsigned dtype (uint8 for v <= 256),
+        # an eighth of the bytes pool workers receive
+        return Design, (self.v, self.blocks.astype(np.min_scalar_type(self.v - 1)))
 
     def block_rows(self) -> tuple[tuple[int, ...], ...]:
-        return self.blocks
+        """The blocks as sorted tuples of Python ints, in lexicographic order."""
+        # zip the columns: faster than a tuple per listed row
+        return tuple(zip(*self.blocks.T.tolist()))
 
     def relabel(self, sigma: Permutation) -> "Design":
         if sigma.degree != self.v:
             raise ValueError("degree mismatch")
-        return Design(self.v, image_rows(sigma.images, np.array(self.blocks))[0])
+        return Design(self.v, image_rows(sigma.images, self.blocks)[0])
 
 
 @dataclass(frozen=True)
@@ -113,7 +141,7 @@ def lambda_vector(v: int, k: int, t: int, lambda_t: int) -> LambdaVector:
 def orbit_design(G: PermGroup, base) -> Design:
     """The G-orbit of a base block, as a design. G is block-transitive on the
     result by construction, and the block count divides the group order."""
-    seen = np.array(Design(G.degree, [base]).blocks)
+    seen = Design(G.degree, [base]).blocks
     gens = [np.asarray(g.images) for g in G.generators]
     frontier = seen
     while len(frontier):
@@ -138,9 +166,14 @@ def _subset_positions(k: int, t: int) -> np.ndarray:
 
 def _uniform_lambda(rows: np.ndarray, v: int, t: int) -> int | None:
     """lambda_t of the blocks in rows (one sorted block per row) if every
-    t-subset of 0..v-1 lies in equally many of them, else None. Counts the
-    coverage of all C(v,t) subsets exactly."""
-    subs = rows[:, _subset_positions(rows.shape[1], t)].reshape(-1, t)
+    t-subset of 0..v-1 lies in equally many of them, else None. Uniform
+    coverage needs lambda_t * C(v,t) = b * C(k,t), so nothing is ranked
+    unless C(v,t) divides b * C(k,t); then the coverage of all C(v,t)
+    subsets is counted exactly, in a counter of at most b * C(k,t) entries."""
+    b, k = rows.shape
+    if b * comb(k, t) % comb(v, t):
+        return None
+    subs = rows[:, _subset_positions(k, t)].reshape(-1, t)
     ranks = _lex_ranks([subs[:, i] for i in range(t)], v, len(subs))
     counts = np.bincount(ranks, minlength=comb(v, t))
     return int(counts[0]) if counts.min() == counts.max() else None
@@ -151,7 +184,7 @@ def lambda_of(design: Design, t: int) -> int | None:
     None."""
     if not 1 <= t <= design.k:
         raise ValueError("t must be in 1..k")
-    return _uniform_lambda(np.asarray(design.blocks, dtype=np.int64), design.v, t)
+    return _uniform_lambda(design.blocks, design.v, t)
 
 
 def is_flag_transitive(G: PermGroup, design: Design) -> bool:
@@ -161,12 +194,11 @@ def is_flag_transitive(G: PermGroup, design: Design) -> bool:
     (G_pB fixing both): all b*k flags iff G is flag-transitive."""
     if G.degree != design.v:
         raise ValueError("degree mismatch")
-    rows = np.array(design.blocks)
     for g in G.generators:
-        if block_permutation(g.images, rows) is None:
+        if block_permutation(g.images, design.blocks) is None:
             raise ValueError("group does not preserve the block set")
     B = design.blocks[0]
-    p = B[0]
+    p = int(B[0])
     # G_p from G's memo, which certificate searches under G share
     return len(G.orbit(p)) * orbit_design(G.prefix_stabilizer((p,)), B).b == design.b * design.k
 
@@ -287,7 +319,7 @@ def classify(G: PermGroup, k: int, t: int = 2, workers: int = 1) -> list[DesignC
     by_cert: dict[bytes, list[tuple[tuple[int, ...], int, int]]] = {}
     cert_obj: dict[bytes, isomorph.Certificate] = {}
     for (lam, d), cert in zip(found, certs):
-        by_cert.setdefault(cert.data, []).append((d.blocks[0], lam, d.b))
+        by_cert.setdefault(cert.data, []).append((tuple(d.blocks[0].tolist()), lam, d.b))
         cert_obj.setdefault(cert.data, cert)
 
     classes = []

@@ -102,7 +102,9 @@ def _unique_rows_inverse(arr: np.ndarray) -> np.ndarray:
 
 
 class _Refiner:
-    """Vectorized color refinement for one fixed incidence structure.
+    """Vectorized color refinement for the incidence structure of one
+    design.Design, read from its block array (rows_arr) and a point-to-block
+    table built from it once (pb_arr).
 
     Block signature: sorted point colors of the block's points. Point
     signature: old point color, then sorted incident block colors (padded
@@ -113,17 +115,15 @@ class _Refiner:
     module docstring).
     """
 
-    def __init__(self, v: int, rows):
-        self.v = v
-        self.b = len(rows)
-        self.rows_arr = np.asarray(rows, dtype=np.int64).reshape(self.b, -1)
+    def __init__(self, design):
+        self.v, self.b, self.rows_arr = design.v, design.b, design.blocks
         # the incidences grouped by point, blocks ascending within a point
         flat = self.rows_arr.ravel()
         order = np.argsort(flat, kind="stable")
-        degrees = np.bincount(flat, minlength=v)
+        degrees = np.bincount(flat, minlength=self.v)
         slots = np.arange(len(flat)) - np.repeat(np.cumsum(degrees) - degrees, degrees)
         # pad with block id b; the sentinel color looked up for it sorts last
-        self.pb_arr = np.full((v, degrees.max(initial=0)), self.b, dtype=np.int64)
+        self.pb_arr = np.full((self.v, degrees.max(initial=0)), self.b, dtype=np.int64)
         self.pb_arr[flat[order], slots] = order // self.rows_arr.shape[1]
 
     def refine(self, pcol: np.ndarray) -> np.ndarray:
@@ -194,7 +194,7 @@ def _search(design, group: PermGroup | None, goal: bytes | None = None) -> Certi
     v, b, k = design.v, design.b, design.k
     check_vertices(v, b)
 
-    refiner = _Refiner(v, design.blocks)
+    refiner = _Refiner(design)
     aut_group = PermGroup([Permutation.identity(v)]) if group is None else group
     for g in aut_group.generators:
         if g.degree != v:
@@ -279,8 +279,8 @@ def isomorphism_witness(d1, d2):
     for i, c in enumerate(c2.labeling):
         inv2[c] = i
     sigma = Permutation([inv2[c1.labeling[i]] for i in range(d1.v)])
-    moved = image_rows(sigma.images, np.asarray(d1.blocks))[0]
-    if not np.array_equal(moved, np.asarray(d2.blocks)):
+    moved = image_rows(sigma.images, d1.blocks)[0]
+    if not np.array_equal(moved, d2.blocks):
         raise AssertionError("certificates matched but the recovered map is not an isomorphism")
     return sigma
 

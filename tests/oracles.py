@@ -93,16 +93,17 @@ def is_flag_transitive(G, design) -> bool:
     the design."""
     if G.degree != design.v:
         raise ValueError("degree mismatch")
-    index = {blk: j for j, blk in enumerate(design.blocks)}
+    rows = design.block_rows()
+    index = {blk: j for j, blk in enumerate(rows)}
     moves = []  # (point images, block-index images) per generator
     for g in G.generators:
         im = g.images
         try:
-            block_im = [index[tuple(sorted([im[p] for p in blk]))] for blk in design.blocks]
+            block_im = [index[tuple(sorted([im[p] for p in blk]))] for blk in rows]
         except KeyError:
             raise ValueError("group does not preserve the block set") from None
         moves.append((im, block_im))
-    start = (design.blocks[0][0], 0)
+    start = (rows[0][0], 0)
     seen = {start}
     frontier = [start]
     while frontier:
@@ -176,9 +177,9 @@ def brute_force_isomorphic(d1, d2) -> bool:
         raise ValueError("brute force limited to v <= 9")
     if d1.b != d2.b:
         return False
-    rows2set = set(d2.blocks)
+    rows2set = set(d2.block_rows())
     for images in permutations(range(v)):
-        if all(tuple(sorted(images[p] for p in row)) in rows2set for row in d1.blocks):
+        if all(tuple(sorted(images[p] for p in row)) in rows2set for row in d1.block_rows()):
             return True
     return False
 
@@ -234,7 +235,7 @@ def unpruned_certificate(design, max_leaves: int = 20_000):
     whole automorphism group, the identity first."""
     from blockdesigns.isomorph import _individualize, _Refiner
 
-    refiner = _Refiner(design.v, design.blocks)
+    refiner = _Refiner(design)
     leaves = []  # (data, labeling) in depth-first order
 
     def search(pcol):
@@ -245,7 +246,7 @@ def unpruned_certificate(design, max_leaves: int = 20_000):
         if not cells:
             if len(leaves) == max_leaves:
                 raise ValueError(f"more than {max_leaves} leaves")
-            data = leaf_bytes(design.v, design.b, design.k, design.blocks, labels)
+            data = leaf_bytes(design.v, design.b, design.k, design.block_rows(), labels)
             leaves.append((data, labels))
             return
         target = min(cells, key=lambda c: (sizes[c], c))

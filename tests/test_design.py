@@ -1,5 +1,6 @@
 """Design construction, lambda computation, transitivity, orbit counting."""
 
+import pickle
 import random
 from collections import Counter
 from hashlib import sha256
@@ -43,7 +44,7 @@ class TestBlock:
 
     def test_roundtrip(self):
         d = Design(64, [[5, 0, 63]])
-        assert d.blocks == ((0, 5, 63),)
+        assert d.block_rows() == ((0, 5, 63),)
         assert d.k == 3
 
     def test_rejects_repeats(self):
@@ -78,6 +79,13 @@ class TestDesign:
     def test_rejects_point_outside_v(self):
         with pytest.raises(ValueError, match="outside"):
             Design(4, [(3, 4)])
+
+    def test_rejects_non_integer_v(self):
+        for v in (4.5, 4.0, "4", None):
+            with pytest.raises(ValueError, match="v must be an integer"):
+                Design(v, [(0, 1)])
+        d = Design(np.int16(4), [(0, 1)])
+        assert type(d.v) is int and d == Design(4, [(0, 1)])
 
     def test_rejects_empty_design_and_empty_block(self):
         with pytest.raises(ValueError):
@@ -116,9 +124,12 @@ def block_lists(draw):
 
 def design_outcome(v, blocks):
     try:
-        return Design(v, blocks).blocks
+        d = Design(v, blocks)
     except ValueError as exc:
         return str(exc)
+    assert d.blocks.dtype == np.int64 and not d.blocks.flags.writeable
+    assert d.block_rows() == tuple(map(tuple, d.blocks.tolist()))
+    return d.block_rows()
 
 
 class TestDesignFromArray:
@@ -161,6 +172,53 @@ class TestDesignFromArray:
             Design(4, [(0.5, 1)])
 
 
+class TestDesignValue:
+    """A Design is a value: one read-only block array, compared, hashed
+    and pickled by v and its contents."""
+
+    ROWS = [(3, 0, 1), (2, 4, 0), (1, 2, 3), (0, 1, 2)]
+
+    def test_equal_and_equally_hashed_whatever_the_input_form(self):
+        rng = random.Random(7)
+        forms = []
+        for _ in range(3):
+            rows = [list(blk) for blk in self.ROWS]
+            rng.shuffle(rows)
+            for blk in rows:
+                rng.shuffle(blk)
+            forms += [rows, [tuple(blk) for blk in rows],
+                      np.array(rows, dtype=np.uint8), np.array(rows, dtype=np.int64)]
+        designs = [Design(5, form) for form in forms]
+        assert all(d == designs[0] for d in designs)
+        assert len({hash(d) for d in designs}) == 1
+        assert len(set(designs)) == 1
+        assert designs[0].block_rows() == ((0, 1, 2), (0, 1, 3), (0, 2, 4), (1, 2, 3))
+
+    def test_another_v_is_another_design(self):
+        assert Design(5, self.ROWS) != Design(6, self.ROWS)
+        assert Design(5, self.ROWS) != Design(5, self.ROWS[:3])
+        assert Design(5, self.ROWS) != self.ROWS
+
+    def test_pickle_round_trip_stays_equal_and_read_only(self):
+        # points past 255 travel as uint16, past 65535 as uint32
+        for d in (Design(5, self.ROWS), Design(300, [(0, 299, 256)]),
+                  Design(70000, [(0, 69999), (1, 65536)])):
+            loaded = pickle.loads(pickle.dumps(d))
+            assert loaded == d and hash(loaded) == hash(d)
+            assert loaded.blocks.dtype == np.int64 and not loaded.blocks.flags.writeable
+
+    def test_blocks_cannot_be_written(self):
+        d = Design(5, self.ROWS)
+        with pytest.raises(ValueError, match="read-only"):
+            d.blocks[0, 0] = 4
+
+    def test_input_array_is_not_aliased(self):
+        rows = np.array([(0, 1, 2), (1, 2, 3)], dtype=np.int64)
+        d = Design(5, rows)
+        rows[0, 0] = 4
+        assert d.block_rows() == ((0, 1, 2), (1, 2, 3))
+
+
 class TestOrbitDesign:
     def test_fano_from_cyclic_difference_set(self):
         d = orbit_design(cyclic(7), FANO_BASE)
@@ -182,7 +240,7 @@ class TestOrbitDesign:
     def test_degree_above_64(self):
         d = orbit_design(cyclic(100), (0, 1, 3))
         assert (d.v, d.k, d.b) == (100, 3, 100)
-        assert d.blocks[0] == (0, 1, 3)
+        assert d.block_rows()[0] == (0, 1, 3)
         assert lambda_of(d, 1) == 3
 
     def test_complete_design(self):
@@ -202,9 +260,20 @@ class TestLambdaOf:
                     min_size=1, max_size=8)
         )
         d = Design(v, blocks)
-        counts = Counter(sub for blk in d.blocks for sub in combinations(blk, t))
+        counts = Counter(sub for blk in d.block_rows() for sub in combinations(blk, t))
         uniform = len(counts) == comb(v, t) and len(set(counts.values())) == 1
         assert lambda_of(d, t) == (next(iter(counts.values())) if uniform else None)
+
+    def test_nothing_ranked_unless_c_v_t_divides_b_c_k_t(self, monkeypatch):
+        # counting all C(v, t) subsets would take 33.5 GiB at v = 3000, t = 3,
+        # and the weight table alone about 0.5 s at v = 10**6, t = 2
+        def no_ranks(cols, n, count):
+            raise AssertionError("t-subsets ranked though lambda cannot be uniform")
+
+        monkeypatch.setattr(design, "_lex_ranks", no_ranks)
+        assert lambda_of(Design(3000, [(0, 1, 2)]), 3) is None
+        assert lambda_of(Design(10**6, [(0, 1)]), 2) is None
+        assert lambda_of(orbit_design(cyclic(7), (0, 1, 2, 4)), 3) is None  # 7*4 % 35
 
     def test_t_outside_1_to_k_rejected(self):
         d = orbit_design(cyclic(7), FANO_BASE)

@@ -420,7 +420,7 @@ class TestKernels:
     @given(small_designs(), st.data())
     def test_refine_matches_fixpoint_oracle(self, d, data):
         # uniform, one point individualized after refinement, and discrete
-        refiner = isomorph._Refiner(d.v, d.blocks)
+        refiner = isomorph._Refiner(d)
         uniform = np.zeros(d.v, dtype=np.int64)
         point = data.draw(st.integers(0, d.v - 1))
         individualized = isomorph._individualize(fixpoint_refine(refiner, uniform), point)
@@ -430,8 +430,8 @@ class TestKernels:
 
     @given(random_designs())
     def test_refiner_incidence_matches_loop(self, d):
-        refiner = isomorph._Refiner(d.v, d.blocks)
-        incident = [[j for j, blk in enumerate(d.blocks) if p in blk] for p in range(d.v)]
+        refiner = isomorph._Refiner(d)
+        incident = [[j for j, blk in enumerate(d.block_rows()) if p in blk] for p in range(d.v)]
         width = max(map(len, incident))
         padded = [pb + [d.b] * (width - len(pb)) for pb in incident]
         assert refiner.pb_arr.tolist() == padded
@@ -447,7 +447,5 @@ class TestKernels:
             d = Design(v, blocks)
             labeling = list(range(v))
             rng.shuffle(labeling)
-            got = isomorph._leaf_bytes(
-                v, b, k, np.asarray(d.blocks, dtype=np.int64), np.asarray(labeling)
-            )
-            assert got == leaf_bytes(v, b, k, d.blocks, labeling)
+            got = isomorph._leaf_bytes(v, b, k, d.blocks, np.asarray(labeling))
+            assert got == leaf_bytes(v, b, k, d.block_rows(), labeling)
