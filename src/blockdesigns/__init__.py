@@ -15,7 +15,7 @@ _EXPORTS = {
     **{name: ("isomorph", name) for name in (
         "are_isomorphic", "certificate", "isomorphism_witness")},
     **{name: ("permcore", name) for name in (
-        "PermGroup", "Permutation", "compose", "group", "inverse", "parse_cycles")},
+        "PermGroup", "Permutation", "compose", "parse_cycles")},
     "case_catalog": ("sieve", "case_catalog"),
     "evaluate": ("sieve", "evaluate"),
     "sieve_run": ("sieve", "run"),

@@ -53,6 +53,8 @@ class Design:
             v = operator.index(self.v)
         except TypeError:
             raise ValueError("v must be an integer") from None
+        if v > 2**63:  # points are stored as int64
+            raise ValueError("v must be at most 2**63")
         rows = self.blocks
         if not isinstance(rows, np.ndarray):
             rows = [tuple(blk) for blk in rows]
@@ -200,7 +202,7 @@ def is_flag_transitive(G: PermGroup, design: Design) -> bool:
     B = design.blocks[0]
     p = int(B[0])
     # G_p from G's memo, which certificate searches under G share
-    return len(G.orbit(p)) * orbit_design(G.prefix_stabilizer((p,)), B).b == design.b * design.k
+    return len(G.orbit(p)) * orbit_design(G.pointwise_stabilizer((p,)), B).b == design.b * design.k
 
 
 def fixed_k_subsets(p: Permutation, k: int) -> int:

@@ -16,14 +16,15 @@ on entry, extended by any automorphism discovered when two leaves encode
 equally (PermGroup.extend). Both are checked with
 kcombs.block_permutation, and leaves are laid out with kcombs.image_rows:
 the one block-image kernel. The skips use the orbits of the pointwise
-stabilizer of the individualized prefix: the point stabilizer of its last
-point in the parent prefix's stabilizer, memoized by the group itself
-(PermGroup.prefix_stabilizer), so every certificate pruned by one group
-shares its chain and its prefix stabilizers; a discovered automorphism
-outside it gives a new group with a memo of its own. Pruning depends only
-on the group as a set, so the group passed in never changes the result. A
-search node keeps the union of the orbits of its explored candidates, so
-each orbit is computed once per node and stabilizer.
+stabilizer of the individualized prefix, memoized by the group itself
+(PermGroup.pointwise_stabilizer), so every certificate pruned by one group
+shares its chain and its stabilizers; a discovered automorphism outside it
+gives a new group with a memo of its own. A search node fetches its
+stabilizer once, and again only after such an automorphism replaces the
+group. Pruning depends only on the group as a set, so the group passed in
+never changes the result. A search node keeps the union of the orbits of
+its explored candidates, so each orbit is computed once per node and
+stabilizer.
 
 Backjump (McKay and Piperno, Practical graph isomorphism II, 2014): a leaf
 that encodes like the best leaf gives an automorphism gamma carrying its
@@ -178,7 +179,7 @@ def certificate(design, group: PermGroup | None = None) -> Certificate:
     """Canonical certificate of a design.Design with at most MAX_VERTICES
     points plus blocks.
 
-    group is the pruning group, used as it is (its memoized prefix
+    group is the pruning group, used as it is (its memoized pointwise
     stabilizers shared with every other search it prunes); None means the
     identity group. Every generator is verified to map the block set onto
     itself before use, so a wrong group raises instead of corrupting the
@@ -240,13 +241,14 @@ def _search(design, group: PermGroup | None, goal: bytes | None = None) -> Certi
         target = min(nonsingleton, key=lambda c: (counts[c], c))
         candidates = [int(i) for i in np.nonzero(pcol == target)[0]]
         explored: list[int] = []
-        # union of the stabilizer orbits of explored[:folded], for stab only
-        stab, covered, folded = None, set(), 0
+        # union of the orbits of explored[:folded] under stab, the prefix
+        # stabilizer in stab_group
+        stab_group, stab, covered, folded = None, None, set(), 0
         for x in candidates:
             if explored and aut_group.order() > 1:
-                current = aut_group.prefix_stabilizer(prefix)
-                if current is not stab:
-                    stab, covered, folded = current, set(), 0
+                if aut_group is not stab_group:
+                    stab_group, stab = aut_group, aut_group.pointwise_stabilizer(prefix)
+                    covered, folded = set(), 0
                 for e in explored[folded:]:
                     if e not in covered:
                         covered.update(stab.orbit(e))

@@ -6,9 +6,9 @@ iterator follows. _lex_ranks() is the one subset rank: the orbit scan ranks
 generator images with it, and design.py ranks t-subsets with it to count
 their coverage.
 
-lex_order() is the one row-order routine: every lexicographic sort of rows
-in the package (image blocks, orbit-design closure, Design, refinement
-signatures) sorts one scalar key per row, from row_keys().
+row_keys() is the one row key: every lexicographic sort of rows in the
+package (image blocks through lex_order(), the orbit-design closure,
+Design, refinement signatures) sorts one scalar key per row from it.
 
 The block-image kernel is the one place blocks are mapped through a point
 permutation: image_rows() sorts the image blocks, and block_permutation()

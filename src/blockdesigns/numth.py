@@ -10,21 +10,6 @@ from functools import lru_cache
 from itertools import compress
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization as {prime: exponent}. Trial division; fine for n <= ~10**12."""
     if n < 1:
@@ -80,18 +65,10 @@ def prime_powers_upto(lo: int, hi: int) -> list[int]:
     return out
 
 
-def is_perfect_square(n: int) -> tuple[bool, int]:
-    """Certified integer square test: returns (is_square, isqrt(n)) with r*r <= n < (r+1)**2."""
-    if n < 0:
-        return False, 0
-    r = math.isqrt(n)
-    return r * r == n, r
-
-
 @lru_cache(maxsize=None)
 def smallest_primitive_root(p: int) -> int:
     """Smallest primitive root mod a prime p."""
-    if not is_prime(p):
+    if prime_power(p) != (p, 1):
         raise ValueError(f"{p} is not prime")
     if p == 2:
         return 1

@@ -2,7 +2,7 @@
 
 Composition convention, used everywhere in this package: compose(p, q) is the
 permutation mapping i -> q(p(i)), i.e. p acts first, then q. Inside the library
-all points are 0-based; cycle-notation text I/O is 1-based by default.
+all points are 0-based; cycle-notation text I/O is 1-based.
 
 Groups carry a stabilizer chain built by one deterministic Schreier-Sims
 routine, _Chain.add: sift the new element, make a non-trivial residue a strong
@@ -13,23 +13,27 @@ in listed order; only Schreier generators not checked before are sifted.
 Each level keeps the inverse of every transversal element beside it, so
 sifting and Schreier generators compose without inverting, and compose and
 is_identity run as single C-level tuple operations.
-PermGroup(gens) adds the generators one by one to an empty chain, extend(g)
-adds g to a copy of the group's chain, and pointwise_stabilizer(pts) is the
-tail, from level len(pts) on, of a chain whose base starts with pts. A chain a
-group holds is never mutated: adding assigns fresh per-level lists and dicts,
-so a copy can share the levels it does not change, and a group can memoize
-what it derives from its chain (prefix_stabilizer). Identical inputs (the
-generator list, plus the point list for a stabilizer) give identical chains,
-orders and element streams.
+PermGroup(gens) adds the generators one by one to an empty chain, and
+extend(g) adds g to a copy of the group's chain. pointwise_stabilizer(pts) is
+the one stabilizer routine: point by point, the stabilizer of the next point
+in the stabilizer of the ones before, read off a chain whose base starts at
+that point (the parent's own chain when its base does). A chain a group holds
+is never mutated: adding assigns fresh per-level lists and dicts, so a copy
+can share the levels it does not change, and a group memoizes its pointwise
+stabilizers. Identical inputs (the generator list, plus the point list for a
+stabilizer) give identical chains, orders and element streams.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from collections import deque
 from functools import cache
-from math import prod
 from operator import itemgetter
+
+# elements() refuses to list a group larger than this
+MAX_ELEMENTS = 10_000_000
 
 
 @cache
@@ -84,9 +88,6 @@ class Permutation:
     def __hash__(self):
         return hash(self.images)
 
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        return compose(self, other)
-
     def is_identity(self) -> bool:
         return self.images == _iota(len(self.images))
 
@@ -100,8 +101,6 @@ class Permutation:
         return [i for i, x in enumerate(self.images) if x != i]
 
     def order(self) -> int:
-        import math
-
         n = 1
         for c in self.cycles(include_fixed=False):
             n = math.lcm(n, len(c))
@@ -140,27 +139,16 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     return Permutation._unsafe(itemgetter(*pi)(qi))
 
 
-def inverse(p: Permutation) -> Permutation:
-    return p.inverse()
-
-
-def group(generators) -> "PermGroup":
-    return PermGroup(generators)
-
-
 _CYCLE_RE = re.compile(r"\(\s*(\d+(?:\s*,\s*\d+)*)\s*\)")
 
 
-def parse_cycles(text: str, degree: int, index_base: int = 1) -> Permutation:
+def parse_cycles(text: str, degree: int) -> Permutation:
     """Parse disjoint cycle notation like "(1,2,3)(4,5)" into a Permutation.
 
     Whitespace and newlines between and inside cycles are tolerated. Points are
-    1-based by default (index_base=0 switches to 0-based). The empty string or
-    "()" is the identity. Repeated points and points outside 0..degree-1 after
-    base shift are rejected.
+    1-based. The empty string or "()" is the identity. Repeated points and
+    points outside 1..degree are rejected.
     """
-    if index_base not in (0, 1):
-        raise ValueError("index_base must be 0 or 1")
     stripped = text.replace("()", "")
     rest = _CYCLE_RE.sub("", stripped)
     if rest.strip():
@@ -168,23 +156,23 @@ def parse_cycles(text: str, degree: int, index_base: int = 1) -> Permutation:
     images = list(range(degree))
     seen: set[int] = set()
     for m in _CYCLE_RE.finditer(stripped):
-        pts = [int(tok) - index_base for tok in m.group(1).split(",")]
+        pts = [int(tok) - 1 for tok in m.group(1).split(",")]
         for a in pts:
             if not 0 <= a < degree:
-                raise ValueError(f"point {a + index_base} out of range for degree {degree}")
+                raise ValueError(f"point {a + 1} out of range for degree {degree}")
             if a in seen:
-                raise ValueError(f"point {a + index_base} repeated; cycles must be disjoint")
+                raise ValueError(f"point {a + 1} repeated; cycles must be disjoint")
             seen.add(a)
         for i, a in enumerate(pts):
             images[a] = pts[(i + 1) % len(pts)]
     return Permutation._unsafe(tuple(images))
 
 
-def format_cycles(p: Permutation, index_base: int = 1) -> str:
+def format_cycles(p: Permutation) -> str:
     cycs = p.cycles(include_fixed=False)
     if not cycs:
         return "()"
-    return "".join("(" + ",".join(str(x + index_base) for x in c) + ")" for c in cycs)
+    return "".join("(" + ",".join(str(x + 1) for x in c) + ")" for c in cycs)
 
 
 class _Chain:
@@ -229,7 +217,7 @@ class _Chain:
         if generators is None:
             generators = self.gens[0] if self.gens else ()
         G = object.__new__(PermGroup)
-        G._degree, G._chain, G._prefix_stabilizers = self.degree, self, {}
+        G._degree, G._chain, G._stabilizers = self.degree, self, {}
         G._generators = tuple(generators) or (Permutation.identity(self.degree),)
         return G
 
@@ -317,7 +305,7 @@ class PermGroup:
         for g in gens:
             chain.add(g)
         self._degree, self._generators, self._chain = degree, gens, chain
-        self._prefix_stabilizers: dict[tuple[int, ...], PermGroup] = {}
+        self._stabilizers: dict[tuple[int, ...], PermGroup] = {}
 
     @property
     def degree(self) -> int:
@@ -332,10 +320,7 @@ class PermGroup:
         return tuple(self._chain.base)
 
     def order(self) -> int:
-        return prod(len(t) for t in self._chain.trans)
-
-    def identity(self) -> Permutation:
-        return Permutation.identity(self._degree)
+        return math.prod(len(t) for t in self._chain.trans)
 
     def sift(self, p: Permutation) -> Permutation:
         """Residue of p after sifting through the chain; identity iff p is a member."""
@@ -392,43 +377,39 @@ class PermGroup:
     def is_transitive(self) -> bool:
         return len(self.orbit(0)) == self._degree if self._degree else True
 
-    def point_stabilizer(self, point: int) -> "PermGroup":
-        """Stabilizer of a point, as a new group."""
-        return self.pointwise_stabilizer((point,))
-
     def pointwise_stabilizer(self, points) -> "PermGroup":
-        """Subgroup fixing every listed point: the tail of a chain whose base
-        starts with those points (this group's own chain if its base does).
+        """Subgroup fixing every listed point, memoized on this group (safe,
+        since its chain never changes): a repeated call with the same tuple
+        returns the same group from one dict lookup.
 
-        The strong generators that fix the whole forced prefix generate the
-        pointwise stabilizer; that is the defining property of a base."""
-        pts: list[int] = []
-        for p in points:
+        A miss checks and de-duplicates the points, then extends the longest
+        memoized prefix one point at a time. The stabilizer of p in H is the
+        tail, from level 1 on, of a chain whose base starts at p: H's own
+        chain if its base does, else one built from H's generators with p
+        first. The strong generators fixing a base point generate its
+        stabilizer; that is the defining property of a base."""
+        key = points if type(points) is tuple else tuple(points)
+        memo = self._stabilizers
+        stab = memo.get(key)
+        if stab is not None:
+            return stab
+        pts = tuple(dict.fromkeys(key))
+        for p in pts:
             if not 0 <= p < self._degree:
                 raise ValueError(f"point {p} out of range")
-            if p not in pts:
-                pts.append(p)
-        if not pts:
-            return self
-        chain = self._chain
-        if chain.base[: len(pts)] != pts:
-            chain = _Chain(self._degree, pts)
-            for g in self._generators:
-                chain.add(g)
-        return chain.tail(len(pts)).group()
-
-    def prefix_stabilizer(self, prefix: tuple[int, ...]) -> "PermGroup":
-        """Pointwise stabilizer of the points of prefix: the point stabilizer
-        of its last point in the prefix stabilizer of the rest. Memoized on
-        this group per prefix, which is safe because its chain never
-        changes; every caller holding the group shares the memo."""
-        if not prefix:
-            return self
-        memo = self._prefix_stabilizers
-        stab = memo.get(prefix)
-        if stab is None:
-            stab = self.prefix_stabilizer(prefix[:-1]).point_stabilizer(prefix[-1])
-            memo[prefix] = stab
+        i = len(pts)
+        while i and pts[:i] not in memo:
+            i -= 1
+        stab = memo[pts[:i]] if i else self
+        for i in range(i, len(pts)):
+            chain = stab._chain
+            if chain.base[:1] != [pts[i]]:
+                chain = _Chain(self._degree, pts[i : i + 1])
+                for g in stab._generators:
+                    chain.add(g)
+            stab = memo[pts[: i + 1]] = chain.tail(1).group()
+        if key:  # the group is not its own memo entry: no reference cycle
+            memo[key] = stab
         return stab
 
     def subdegrees(self, point: int = 0) -> tuple[int, ...]:
@@ -438,7 +419,7 @@ class PermGroup:
         """
         if not self.is_transitive():
             raise ValueError("subdegrees are defined for transitive groups only")
-        stab = self.point_stabilizer(point)
+        stab = self.pointwise_stabilizer((point,))
         return tuple(sorted(len(o) for o in stab.orbits()))
 
     def minimal_block(self, a: int, b: int) -> tuple[int, ...]:
@@ -486,17 +467,17 @@ class PermGroup:
                 return False
         return True
 
-    def elements(self, max_order: int = 10_000_000):
+    def elements(self):
         """Lazy deterministic iteration over all elements.
 
         Order of the stream is lexicographic over chain coset words: the
         outermost loop runs over the sorted transversal points of the first
         level, then the second, and so on. Raises if the group order exceeds
-        max_order.
+        MAX_ELEMENTS.
         """
         order = self.order()
-        if order > max_order:
-            raise ValueError(f"group order {order} exceeds the iteration bound {max_order}")
+        if order > MAX_ELEMENTS:
+            raise ValueError(f"group order {order} exceeds the iteration bound {MAX_ELEMENTS}")
         ident = Permutation.identity(self._degree)
         trans = self._chain.trans
 

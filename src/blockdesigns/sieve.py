@@ -39,10 +39,10 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 from typing import NamedTuple
 
-from .numth import factorize, is_perfect_square, prime_power, prime_powers_upto
+from .numth import factorize, prime_power, prime_powers_upto
 
 CONSTRAINT_ORDER = ("square", "k_guard", "subdegree", "block_count", "stabilizer")
 
@@ -223,7 +223,8 @@ def _catalog(q: int, p: int, f: int) -> list[CaseSpec]:
 
 def evaluate(case: CaseSpec) -> SieveVerdict:
     """Apply the constraints in order; record the first violation."""
-    square, k = is_perfect_square(case.v)
+    k = isqrt(case.v)
+    square = k * k == case.v
     if not square:
         failed, k = "square", None
     elif k < 3:

@@ -127,8 +127,8 @@ def test_criterion_4_group_invariants(psl_group, pgl_group):
     t0 = time.perf_counter()
     assert psl_group.order() == 504
     assert pgl_group.order() == 1512
-    assert psl_group.point_stabilizer(0).order() == 14
-    assert pgl_group.point_stabilizer(0).order() == 42
+    assert psl_group.pointwise_stabilizer((0,)).order() == 14
+    assert pgl_group.pointwise_stabilizer((0,)).order() == 42
     assert sorted(psl_group.subdegrees(0)) == [1, 7, 7, 7, 14]
     assert psl_group.is_primitive()
     assert pgl_group.is_primitive()
@@ -181,7 +181,7 @@ def test_criterion_6a_orbit_stabilizer():
             gens.append(Permutation(tuple(images)))
         G = PermGroup(gens)
         x = rng.randrange(n)
-        assert len(G.orbit(x)) * G.point_stabilizer(x).order() == G.order()
+        assert len(G.orbit(x)) * G.pointwise_stabilizer((x,)).order() == G.order()
     print("\nACCEPTANCE 6a: PASS - orbit-stabilizer identity on 200 random subgroups")
 
 

@@ -24,7 +24,7 @@ from blockdesigns.design import (
     lambda_vector,
     orbit_design,
 )
-from blockdesigns.grouplib import BUILTIN_NAMES, builtin, projective_group
+from blockdesigns.grouplib import BUILTIN_NAMES, builtin, pair_action, projective_group
 from blockdesigns.kcombs import subset_orbits
 from blockdesigns.permcore import PermGroup, Permutation, parse_cycles
 
@@ -170,6 +170,18 @@ class TestDesignFromArray:
             Design(4, np.array([[0.0, 1.0]]))
         with pytest.raises(ValueError, match="integers"):
             Design(4, [(0.5, 1)])
+
+    def test_uint64_points_past_int64_rejected(self):
+        # stored as int64, 2**64 - 1 would wrap to -1; 2**63 - 1 still fits
+        with pytest.raises(ValueError, match="at most 2\\*\\*63"):
+            Design(2**64, np.array([[0, 2**64 - 1]], dtype=np.uint64))
+        top = np.array([[2**63 - 1, 0]], dtype=np.uint64)
+        assert Design(2**63, top).block_rows() == ((0, 2**63 - 1),)
+
+    def test_v_past_2_to_63_rejected_before_any_sort_key(self):
+        # no row key fits points past 8 bytes
+        with pytest.raises(ValueError, match="at most 2\\*\\*63"):
+            Design(2**65, [(0, 1)])
 
 
 class TestDesignValue:
@@ -567,4 +579,24 @@ class TestHeadlineCertificates:
         assert len(pgl_classes) == 330
         assert self.digest(pgl_classes) == (
             "fb3d8095c95b35e1228771e681c44e0b9dd2140ea143a86b692033bc89cd18a6"
+        )
+
+
+class TestFieldBuiltGroups:
+    """PSL(2,8) and PGammaL(2,8) built from the field, acting on the 36
+    pairs of the projective line, give the classes of the hand-entered
+    builtins: the same certificates, though the chains, generators and
+    pruning stabilizers differ."""
+
+    @pytest.mark.parametrize("variant,fixture,count", [
+        ("socle", "psl_classes", 46),
+        ("full", "pgl_classes", 330),
+    ])
+    def test_same_certificates_as_builtin(self, request, variant, fixture, count):
+        G = pair_action(*projective_group(8, variant))[0]
+        classes = classify(G, 6, 2, workers=1)
+        assert len(classes) == count
+        builtin_classes = request.getfixturevalue(fixture)
+        assert sorted(c.certificate.data for c in classes) == sorted(
+            c.certificate.data for c in builtin_classes
         )

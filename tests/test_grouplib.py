@@ -178,14 +178,14 @@ class TestPairAction:
         H, pl = pair_action(G, labeling)
         assert H.degree == 36
         assert H.order() == 504
-        assert H.point_stabilizer(0).order() == 14
+        assert H.pointwise_stabilizer((0,)).order() == 14
 
     def test_full_pair_action(self):
         G, labeling = projective_group(8, "full")
         H, _ = pair_action(G, labeling)
         assert H.degree == 36
         assert H.order() == 1512
-        assert H.point_stabilizer(0).order() == 42
+        assert H.pointwise_stabilizer((0,)).order() == 42
 
     @given(st.integers(3, 8).flatmap(
         lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=3)))
@@ -209,7 +209,7 @@ class TestBuiltins:
         G = builtin("psl28_paper36")
         assert G.degree == 36
         assert G.order() == 504
-        assert G.point_stabilizer(0).order() == 14
+        assert G.pointwise_stabilizer((0,)).order() == 14
         assert sorted(G.subdegrees(0)) == [1, 7, 7, 7, 14]
         assert G.is_primitive()
 
@@ -217,7 +217,7 @@ class TestBuiltins:
         G = builtin("pgammal28_paper36")
         assert G.degree == 36
         assert G.order() == 1512
-        assert G.point_stabilizer(0).order() == 42
+        assert G.pointwise_stabilizer((0,)).order() == 42
         assert sorted(G.subdegrees(0)) == [1, 14, 21]
         assert G.is_primitive()
 

@@ -14,8 +14,6 @@ from blockdesigns.permcore import (
     Permutation,
     compose,
     format_cycles,
-    group,
-    inverse,
     parse_cycles,
 )
 
@@ -49,8 +47,8 @@ class TestPermutation:
 
     @given(perms(8))
     def test_inverse_roundtrip(self, p):
-        assert compose(p, inverse(p)) == Permutation.identity(8)
-        assert compose(inverse(p), p) == Permutation.identity(8)
+        assert compose(p, p.inverse()) == Permutation.identity(8)
+        assert compose(p.inverse(), p) == Permutation.identity(8)
 
     @pytest.mark.parametrize("degree", [0, 1, 2])
     def test_kernels_at_small_degrees(self, degree):
@@ -61,7 +59,7 @@ class TestPermutation:
                 r = compose(p, q)
                 assert isinstance(r.images, tuple)
                 assert r.images == tuple(q.images[x] for x in p.images)
-            inv = inverse(p)
+            inv = p.inverse()
             assert isinstance(inv.images, tuple) and len(inv.images) == degree
             assert compose(p, inv) == Permutation.identity(degree)
             assert p.is_identity() == (images == tuple(range(degree)))
@@ -93,11 +91,6 @@ class TestCycleText:
         assert parse_cycles("()", 4) == Permutation.identity(4)
         assert format_cycles(Permutation.identity(4)) == "()"
 
-    def test_zero_based_io(self):
-        p = parse_cycles("(0,1)", 3, index_base=0)
-        assert p.images == (1, 0, 2)
-        assert format_cycles(p, index_base=0) == "(0,1)"
-
     def test_reject_out_of_range(self):
         with pytest.raises(ValueError):
             parse_cycles("(1,9)", 4)
@@ -123,8 +116,8 @@ class TestPermGroup:
         for n in range(2, 8):
             assert symmetric(n).order() == factorial(n)
 
-    def test_group_helper(self):
-        G = group([parse_cycles("(1,2,3)", 3)])
+    def test_cyclic_order(self):
+        G = PermGroup([parse_cycles("(1,2,3)", 3)])
         assert G.order() == 3
 
     def test_contains(self):
@@ -150,7 +143,7 @@ class TestPermGroup:
         G = PermGroup([parse_cycles("(1,2,3,4,5)", 7), parse_cycles("(6,7)", 7)])
         assert G.orbit(0) == (0, 1, 2, 3, 4)
         assert G.orbit(5) == (5, 6)
-        S = G.point_stabilizer(0)
+        S = G.pointwise_stabilizer((0,))
         assert S.order() * len(G.orbit(0)) == G.order()
 
     def test_pointwise_stabilizer(self):
@@ -213,7 +206,7 @@ class TestOrbitStabilizerRandom:
                 gens.append(Permutation(tuple(images)))
             G = PermGroup(gens)
             x = rng.randrange(n)
-            S = G.point_stabilizer(x)
+            S = G.pointwise_stabilizer((x,))
             assert len(G.orbit(x)) * S.order() == G.order()
             assert all(g.images[x] == x for g in S.generators)
 
@@ -265,19 +258,20 @@ class TestChainPaths:
 
 
     @given(group_perm_prefix())
-    def test_prefix_stabilizer_is_memoized_per_group(self, args):
+    def test_pointwise_stabilizer_is_memoized_per_group(self, args):
         G, g, prefix = args
-        prefix = tuple(prefix)
-        S = G.prefix_stabilizer(prefix)
+        prefix = tuple(prefix)  # may repeat points
+        S = G.pointwise_stabilizer(prefix)
         fixing = {
             h for h in brute_force_elements(G.generators) if all(h.images[p] == p for p in prefix)
         }
         assert set(S.elements()) == fixing
-        assert G.prefix_stabilizer(prefix) is S
+        assert G.pointwise_stabilizer(prefix) is S
+        assert G.pointwise_stabilizer(tuple(dict.fromkeys(prefix))) is S
         # a larger group has its own memo, never the smaller group's stabilizers
         E = G.extend(g)
         if E is not G and prefix:
-            T = E.prefix_stabilizer(prefix)
+            T = E.pointwise_stabilizer(prefix)
             assert T is not S
             assert set(T.elements()) == {
                 h for h in brute_force_elements(E.generators)
@@ -333,7 +327,7 @@ class TestPickle:
 
     def test_group_round_trip(self):
         G = symmetric(5)
-        for H in (G, G.point_stabilizer(2)):
+        for H in (G, G.pointwise_stabilizer((2,))):
             loaded = pickle.loads(pickle.dumps(H))
             assert loaded.order() == H.order()
             assert loaded.generators == H.generators
