@@ -20,15 +20,13 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, gcd, lcm
 
 import numpy as np
 
 from . import isomorph
 from .grouplib import builtin
-from .kcombs import _lex_ranks, block_permutation, image_rows, lex_combinations
-from .kcombs import row_keys, subset_orbits
+from .kcombs import block_permutation, image_rows, row_keys, subset_orbits, subset_ranks
 from .permcore import PermGroup, Permutation
 
 log = logging.getLogger(__name__)
@@ -157,15 +155,6 @@ def orbit_design(G: PermGroup, base) -> Design:
     return Design(G.degree, seen)
 
 
-@lru_cache(maxsize=None)
-def _subset_positions(k: int, t: int) -> np.ndarray:
-    """The positions of the t-subsets of one k-block, in lex order.
-    Read-only: every caller shares it."""
-    positions = lex_combinations(k, t)
-    positions.flags.writeable = False
-    return positions
-
-
 def _uniform_lambda(rows: np.ndarray, v: int, t: int) -> int | None:
     """lambda_t of the blocks in rows (one sorted block per row) if every
     t-subset of 0..v-1 lies in equally many of them, else None. Uniform
@@ -175,9 +164,7 @@ def _uniform_lambda(rows: np.ndarray, v: int, t: int) -> int | None:
     b, k = rows.shape
     if b * comb(k, t) % comb(v, t):
         return None
-    subs = rows[:, _subset_positions(k, t)].reshape(-1, t)
-    ranks = _lex_ranks([subs[:, i] for i in range(t)], v, len(subs))
-    counts = np.bincount(ranks, minlength=comb(v, t))
+    counts = np.bincount(subset_ranks(rows, v, t).ravel(), minlength=comb(v, t))
     return int(counts[0]) if counts.min() == counts.max() else None
 
 

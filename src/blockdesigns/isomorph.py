@@ -48,7 +48,15 @@ equal count makes it the same partition; every point then has the
 signature class of its current color, and the round would return the
 coloring unchanged.
 
-isomorphism_witness searches d1 to the end (certificate()) but d2 only up
+isomorphism_witness first compares exact invariants, as practical
+canonical labeling does before it searches (McKay and Piperno 2014): the
+parameters (v, b, k), then the lambda_3 spectra, the histogram of how many
+blocks contain each 3-subset of points (Kaski and Ostergard, Classification
+Algorithms for Codes and Designs, 2006). Unequal spectra answer "not
+isomorphic" with no search. The spectrum is skipped when k < 3, when
+k > kcombs.MAX_POINTS, or when the b * C(k,3) 3-subsets of the blocks
+exceed kcombs.MAX_SUBSETS. A pair that
+passes goes to the two searches: d1 to the end (certificate()), d2 only up
 to its first leaf that encodes like d1's certificate, then unwinds. The
 witness is the one the two full certificates give: if d1 and d2 are
 isomorphic, d1's data is the least leaf of d2's tree too, the full search
@@ -59,14 +67,20 @@ to the end and the designs are not isomorphic.
 
 from __future__ import annotations
 
+import logging
 import struct
+import time
 from dataclasses import dataclass
 from hashlib import sha256
+from math import comb
 
 import numpy as np
 
-from .kcombs import BoundError, block_permutation, image_rows, row_keys
+from . import kcombs
+from .kcombs import BoundError, block_permutation, image_rows, row_keys, subset_ranks
 from .permcore import PermGroup, Permutation
+
+log = logging.getLogger(__name__)
 
 MAX_VERTICES = 5000
 
@@ -120,7 +134,8 @@ class _Refiner:
         self.v, self.b, self.rows_arr = design.v, design.b, design.blocks
         # the incidences grouped by point, blocks ascending within a point
         flat = self.rows_arr.ravel()
-        order = np.argsort(flat, kind="stable")
+        # stable sort on the smallest unsigned key: numpy radix-sorts 8- and 16-bit keys
+        order = np.argsort(flat.astype(np.min_scalar_type(self.v - 1)), kind="stable")
         degrees = np.bincount(flat, minlength=self.v)
         slots = np.arange(len(flat)) - np.repeat(np.cumsum(degrees) - degrees, degrees)
         # pad with block id b; the sentinel color looked up for it sorts last
@@ -266,15 +281,43 @@ def _search(design, group: PermGroup | None, goal: bytes | None = None) -> Certi
     return Certificate(best_data, tuple(best_pcol))
 
 
+def _coverage_spectrum(design) -> tuple[int, ...] | None:
+    """The lambda_3 spectrum of a design: entry c counts the 3-subsets of
+    points that lie in exactly c blocks, so entry 0 is C(v,3) minus the
+    3-subsets some block covers. Relabeling the points permutes the
+    3-subsets, so isomorphic designs have equal spectra. None when k < 3,
+    when k exceeds kcombs.MAX_POINTS, or when the b * C(k,3) subsets of the
+    blocks exceed kcombs.MAX_SUBSETS."""
+    b, k = design.b, design.k
+    # positions within a block are uint8 in kcombs.subset_ranks
+    if not 3 <= k <= kcombs.MAX_POINTS or b * comb(k, 3) > kcombs.MAX_SUBSETS:
+        return None
+    _, counts = np.unique(subset_ranks(design.blocks, design.v, 3), return_counts=True)
+    spectrum = np.bincount(counts)
+    spectrum[0] = comb(design.v, 3) - len(counts)
+    return tuple(spectrum.tolist())
+
+
 def isomorphism_witness(d1, d2):
     """A Permutation mapping d1's points to d2's so blocks map onto blocks,
-    or None. Recovered from d1's canonical labeling and the first leaf of
-    d2's search that encodes like it, then verified, so a true return value
-    is self-checking."""
+    or None. None at once when the parameters or the lambda_3 spectra
+    differ; otherwise recovered from d1's canonical labeling and the first
+    leaf of d2's search that encodes like it, then verified, so a true
+    return value is self-checking."""
     if (d1.v, d1.b, d1.k) != (d2.v, d2.b, d2.k):
+        return None
+    check_vertices(d1.v, d1.b)
+    start = time.perf_counter()
+    s1 = _coverage_spectrum(d1)
+    if s1 is not None and s1 != _coverage_spectrum(d2):
+        log.info("iso: the lambda_3 spectra decided: not isomorphic, in %.4f s",
+                 time.perf_counter() - start)
         return None
     c1 = certificate(d1)
     c2 = _search(d2, None, goal=c1.data)
+    log.info("iso: the certificate search decided: %s, in %.4f s",
+             "isomorphic" if c1.data == c2.data else "not isomorphic",
+             time.perf_counter() - start)
     if c1.data != c2.data:
         return None
     inv2 = [0] * d2.v

@@ -2,9 +2,10 @@
 
 Subsets are kept as rows of a lexicographically ordered (C(n,k), k) array.
 The lex rank is the row index in that array and the order every public
-iterator follows. _lex_ranks() is the one subset rank: the orbit scan ranks
-generator images with it, and design.py ranks t-subsets with it to count
-their coverage.
+iterator follows. _sorted_ranks() is the one subset rank: the orbit scan
+ranks generator images with it after sorting each row (_lex_ranks()), and
+subset_ranks() ranks the t-subsets of sorted blocks with it directly, for
+design.py to count their coverage and isomorph.py their coverage spectrum.
 
 row_keys() is the one row key: every lexicographic sort of rows in the
 package (image blocks through lex_order(), the orbit-design closure,
@@ -127,8 +128,8 @@ def _lex_weights(n: int, k: int) -> np.ndarray:
 def _lex_ranks(cols: list[np.ndarray], n: int, count: int) -> np.ndarray:
     """Lex ranks of count k-subsets of {0..n-1} given column-wise, in any
     order within a row: sort each row with an odd-even transposition network
-    of np.minimum/np.maximum (overwriting the given columns), then rank
-    s_0 < ... < s_{k-1} as C(n,k) - 1 - sum_i C(n-1-s_i, k-i)."""
+    of np.minimum/np.maximum (overwriting the given columns), then rank them
+    with _sorted_ranks()."""
     k = len(cols)
     cols = list(cols)
     for step in range(k):
@@ -136,10 +137,36 @@ def _lex_ranks(cols: list[np.ndarray], n: int, count: int) -> np.ndarray:
             lo = np.minimum(cols[i], cols[i + 1])
             np.maximum(cols[i], cols[i + 1], out=cols[i + 1])
             cols[i] = lo
-    ranks = np.full(count, comb(n, k) - 1, dtype=np.int64)
+    return _sorted_ranks(cols, n, (count,))
+
+
+def _sorted_ranks(cols: list[np.ndarray], n: int, shape: tuple[int, ...]) -> np.ndarray:
+    """Lex ranks of k-subsets s_0 < ... < s_{k-1} of {0..n-1} given as k
+    columns of one shape, as C(n,k) - 1 - sum_i C(n-1-s_i, k-i)."""
+    k = len(cols)
+    ranks = np.full(shape, comb(n, k) - 1, dtype=np.int64)
     for weights, col in zip(_lex_weights(n, k), cols):
         ranks -= weights[col.astype(np.intp, copy=False)]
     return ranks
+
+
+@lru_cache(maxsize=None)
+def _subset_positions(k: int, t: int) -> np.ndarray:
+    """The positions of the t-subsets of one k-block, in lex order.
+    Read-only: every caller shares it."""
+    positions = lex_combinations(k, t)
+    positions.flags.writeable = False
+    return positions
+
+
+def subset_ranks(rows: np.ndarray, n: int, t: int) -> np.ndarray:
+    """The lex ranks among the t-subsets of {0..n-1} of the C(k,t) t-subsets
+    of every row of a (b, k) array of sorted rows, as a (b, C(k,t)) array:
+    column j is the j-th t-subset of each row in lex order. The t-subsets of
+    a sorted row are sorted, so they are ranked without a sorting network."""
+    positions = _subset_positions(rows.shape[1], t)
+    cols = [rows[:, positions[:, i]] for i in range(t)]
+    return _sorted_ranks(cols, n, (len(rows), len(positions)))
 
 
 def row_keys(rows: np.ndarray, bound: int) -> np.ndarray:

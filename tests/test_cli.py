@@ -269,7 +269,7 @@ class TestVerboseStages:
     ARGS = ["classify", "--q", "13", "--k", "5", "--t", "2", "--format", "json"]
 
     @staticmethod
-    def run(args):
+    def run(args, code=0):
         env = dict(os.environ)
         src = str(Path(blockdesigns.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -278,7 +278,7 @@ class TestVerboseStages:
             [sys.executable, "-m", "blockdesigns", *args],
             capture_output=True, text=True, env=env, timeout=300,
         )
-        assert proc.returncode == 0, proc.stderr
+        assert proc.returncode == code, proc.stderr
         return proc.stdout, proc.stderr
 
     def test_one_line_per_stage(self):
@@ -308,6 +308,26 @@ class TestVerboseStages:
             "of 714, the least block count of a 3-design"
         ]
 
+
+    def test_iso_names_what_decided(self, tmp_path, capsys):
+        # rows 37 and 2 differ in their lambda_3 spectra; rows 2 and 42 share
+        # theirs, so only the certificate search tells them apart
+        files = {}
+        for row, base in (("37", "1,2,3,16,24,32"), ("2", "1,2,3,4,15,27"),
+                          ("42", "1,2,3,18,30,31")):
+            files[row] = str(tmp_path / f"row{row}.json")
+            run_cli(["construct", "--group", "psl28_paper36", "--base", base,
+                     "-o", files[row]], capsys)
+        decided = r"INFO blockdesigns\.isomorph: iso: the {} decided: {}, in \d+\.\d{{4}} s"
+        cases = (("37", "2", 3, "lambda_3 spectra", "not isomorphic"),
+                 ("2", "42", 3, "certificate search", "not isomorphic"),
+                 ("37", "37", 0, "certificate search", "isomorphic"))
+        for a, b, code, by, answer in cases:
+            quiet_out, quiet_err = self.run(["iso", files[a], files[b]], code)
+            out, err = self.run(["iso", files[a], files[b], "-v"], code)
+            assert out == quiet_out == f"{answer}\n"
+            assert quiet_err == ""
+            assert re.fullmatch(decided.format(by, answer), err.strip()), err
 
 class TestSieve:
     def test_text_summary(self, capsys):

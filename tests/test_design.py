@@ -279,10 +279,10 @@ class TestLambdaOf:
     def test_nothing_ranked_unless_c_v_t_divides_b_c_k_t(self, monkeypatch):
         # counting all C(v, t) subsets would take 33.5 GiB at v = 3000, t = 3,
         # and the weight table alone about 0.5 s at v = 10**6, t = 2
-        def no_ranks(cols, n, count):
+        def no_ranks(rows, n, t):
             raise AssertionError("t-subsets ranked though lambda cannot be uniform")
 
-        monkeypatch.setattr(design, "_lex_ranks", no_ranks)
+        monkeypatch.setattr(design, "subset_ranks", no_ranks)
         assert lambda_of(Design(3000, [(0, 1, 2)]), 3) is None
         assert lambda_of(Design(10**6, [(0, 1)]), 2) is None
         assert lambda_of(orbit_design(cyclic(7), (0, 1, 2, 4)), 3) is None  # 7*4 % 35

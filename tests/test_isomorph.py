@@ -1,6 +1,7 @@
 """Canonical certificates and isomorphism decisions."""
 
 import random
+from collections import Counter, defaultdict
 from itertools import combinations
 from math import comb
 
@@ -10,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from blockdesigns import golden, isomorph
+from blockdesigns import golden, isomorph, kcombs
 from blockdesigns.design import Design, orbit_design
 from blockdesigns.isomorph import (
+    _coverage_spectrum,
     are_isomorphic,
     certificate,
     isomorphism_witness,
@@ -234,7 +236,8 @@ class TestGoalSearch:
             assert isomorphism_witness(d, d2) == two_certificate_witness(d, d2)
 
     def test_rows_37_and_2_are_not_isomorphic(self, psl_group):
-        # same parameters (b = 504), so the goal search runs to the end
+        # same parameters (b = 504) but unequal lambda_3 spectra, so
+        # isomorphism_witness answers before any search
         d37, d2 = table2_design(psl_group, 36), table2_design(psl_group, 1)
         assert two_certificate_witness(d37, d2) is None
         assert isomorphism_witness(d37, d2) is None
@@ -255,6 +258,75 @@ class TestGoalSearch:
         assert found == full
         assert (found.data == goal) == (rows[0] == rows[1])
         assert 0 < goal_leaves <= leaves[0] - goal_leaves
+
+
+class TestCoverageSpectrum:
+    """isomorphism_witness answers "not isomorphic" from unequal lambda_3
+    spectra before any search; every other pair gets the same witness as
+    the two full certificates give."""
+
+    @given(small_designs(), st.permutations(range(9)))
+    def test_invariant_under_relabeling(self, d, images):
+        assert _coverage_spectrum(d.relabel(restricted(images, d.v))) == _coverage_spectrum(d)
+
+    @given(small_designs())
+    def test_matches_python_count(self, d):
+        if d.k < 3:
+            assert _coverage_spectrum(d) is None
+            return
+        covered = Counter(sub for blk in d.block_rows() for sub in combinations(blk, 3))
+        spectrum = Counter(covered.values())
+        spectrum[0] = comb(d.v, 3) - len(covered)
+        assert _coverage_spectrum(d) == tuple(spectrum[c] for c in range(max(spectrum) + 1))
+
+    def test_rows_37_and_2_decided_without_search(self, psl_group, monkeypatch):
+        d37, d2 = table2_design(psl_group, 36), table2_design(psl_group, 1)
+        searches = counting(monkeypatch, isomorph, "_search")
+        assert isomorphism_witness(d37, d2) is None
+        assert isomorphism_witness(d2, d37) is None
+        assert searches[0] == 0
+
+    def test_rows_2_and_42_equal_spectra_go_to_search(self, psl_group, monkeypatch):
+        d2, d42 = table2_design(psl_group, 1), table2_design(psl_group, 41)
+        assert _coverage_spectrum(d2) == _coverage_spectrum(d42)
+        searches = counting(monkeypatch, isomorph, "_search")
+        assert isomorphism_witness(d2, d42) is None
+        assert searches[0] >= 1
+
+    @pytest.mark.parametrize("rows", [(36, 36), (36, 1)])
+    def test_skipped_over_subset_bound(self, psl_group, rows, monkeypatch):
+        rng = random.Random(sum(rows))
+        d1 = table2_design(psl_group, rows[0])
+        d2 = relabeled(table2_design(psl_group, rows[1]), rng)
+        monkeypatch.setattr(kcombs, "MAX_SUBSETS", 1)
+        assert _coverage_spectrum(d1) is None
+        searches = counting(monkeypatch, isomorph, "_search")
+        assert isomorphism_witness(d1, d2) == two_certificate_witness(d1, d2)
+        assert searches[0] >= 1
+
+    def test_skipped_for_blocks_past_uint8_positions(self):
+        # the positions of a block's 3-subsets are uint8
+        d = Design(260, [tuple(range(256)), tuple(range(1, 257))])
+        assert _coverage_spectrum(d) is None
+
+    def test_vertex_bound_refused_before_spectra(self, monkeypatch):
+        d1 = Design(6, [(0, 1, 2, 3), (0, 1, 2, 4)])
+        d2 = Design(6, [(0, 1, 2, 3), (0, 1, 4, 5)])
+        assert _coverage_spectrum(d1) != _coverage_spectrum(d2)
+        monkeypatch.setattr(isomorph, "MAX_VERTICES", 7)
+        with pytest.raises(kcombs.BoundError):
+            isomorphism_witness(d1, d2)
+
+    def test_table2_grouping(self, psl_group):
+        # the Table 2 rows (1-based) that share (b, spectrum); the other 41
+        # rows are told apart with no canonical form
+        groups = defaultdict(list)
+        for row in range(len(golden.TABLE2)):
+            d = table2_design(psl_group, row)
+            groups[d.b, _coverage_spectrum(d)].append(row + 1)
+        shared = sorted(rows for rows in groups.values() if len(rows) > 1)
+        assert shared == [[2, 42], [3, 4, 27], [15, 16, 32], [18, 19], [24, 34]]
+        assert sum(len(rows) == 1 for rows in groups.values()) == 46 - 12
 
 
 class TestBruteForceAgreement:

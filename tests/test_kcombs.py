@@ -16,6 +16,7 @@ from blockdesigns.kcombs import (
     lex_order,
     orbit_labels,
     subset_orbits,
+    subset_ranks,
 )
 from blockdesigns.permcore import PermGroup, Permutation, parse_cycles
 from oracles import block_orbit, rank_colex, rank_lex, unrank_lex
@@ -54,6 +55,18 @@ class TestRanking:
     def test_unrank_validates(self):
         with pytest.raises(ValueError):
             unrank_lex(6, 3, comb(6, 3))
+
+    @given(st.integers(3, 12), st.data())
+    def test_subset_ranks_match_oracle(self, n, data):
+        k = data.draw(st.integers(1, n))
+        t = data.draw(st.integers(0, k))
+        blocks = data.draw(st.lists(st.sets(st.integers(0, n - 1), min_size=k, max_size=k),
+                                    min_size=1, max_size=5))
+        rows = np.array([sorted(b) for b in blocks], dtype=np.int64)
+        ranks = subset_ranks(rows, n, t)
+        assert ranks.shape == (len(rows), comb(k, t))
+        assert ranks.tolist() == [[rank_lex(n, t, sub) for sub in combinations(row, t)]
+                                  for row in rows.tolist()]
 
 
 class TestLexCombinations:
