@@ -8,8 +8,8 @@ from importlib import import_module
 # that `import blockdesigns` and the sieve do not load numpy
 _EXPORTS = {
     **{name: ("design", name) for name in (
-        "Design", "DesignClass", "classify", "classify_builtin", "count_orbits_burnside",
-        "is_flag_transitive", "lambda_of", "lambda_vector", "orbit_design")},
+        "Design", "DesignClass", "classify", "count_orbits_burnside",
+        "is_flag_transitive", "lambda_of", "orbit_design")},
     **{name: ("grouplib", name) for name in (
         "BUILTIN_NAMES", "builtin", "pair_action", "projective_group")},
     **{name: ("isomorph", name) for name in (

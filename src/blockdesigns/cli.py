@@ -63,7 +63,7 @@ def _default_workers() -> int:
     return n
 
 
-def _resolve_group(args) -> tuple[PermGroup, str, bool]:
+def _resolve_group(args) -> tuple[PermGroup, str]:
     """Group selector: --group BUILTIN, or --q with --variant/--action."""
     from .grouplib import builtin, pair_action, projective_group
 
@@ -74,15 +74,14 @@ def _resolve_group(args) -> tuple[PermGroup, str, bool]:
             raise UsageError(
                 f"unknown builtin {args.group!r}; choices: {', '.join(BUILTIN_NAMES)}"
             )
-        return builtin(args.group), args.group, True
+        return builtin(args.group), args.group
     if args.q is None:
         raise UsageError("a group is required: --group NAME or --q Q [--variant V] [--action A]")
     _projective_size(args)  # a bad --q is a usage error before any group is built
-    G, labeling = projective_group(args.q, args.variant)
+    G, _ = projective_group(args.q, args.variant)
     if args.action == "pairs":
-        G, labeling = pair_action(G, labeling)
-    name = f"projective(q={args.q},variant={args.variant},action={args.action})"
-    return G, name, False
+        G, _ = pair_action(G)
+    return G, f"projective(q={args.q},variant={args.variant},action={args.action})"
 
 
 def _parse_base(text: str, degree: int) -> tuple[int, ...]:
@@ -130,7 +129,7 @@ def cmd_construct(args) -> int:
     if sized:
         order, degree = _projective_size(args)
     else:
-        G, name, _ = _resolve_group(args)
+        G, name = _resolve_group(args)
         order, degree = G.order(), G.degree
     base = _parse_base(args.base, degree)
     if not 1 <= args.t <= len(base):
@@ -143,7 +142,7 @@ def cmd_construct(args) -> int:
             f"{order} may have {bound} blocks; construct builds at most {MAX_CONSTRUCT_BLOCKS}"
         )
     if sized:
-        G, name, _ = _resolve_group(args)
+        G, name = _resolve_group(args)
     design = orbit_design(G, base)
     lam = lambda_of(design, args.t)
     record = {
@@ -166,7 +165,7 @@ def cmd_construct(args) -> int:
 
 
 def _classification(args) -> tuple[list, str]:
-    from .design import classify, classify_builtin
+    from .design import classify
     from .kcombs import MAX_POINTS
 
     if args.group is None and args.q is not None:
@@ -175,14 +174,10 @@ def _classification(args) -> tuple[list, str]:
             raise UsageError(
                 f"--q {args.q} gives degree {degree}; classify takes at most {MAX_POINTS}"
             )
-    G, name, is_builtin = _resolve_group(args)
+    G, name = _resolve_group(args)
     if not 1 <= args.t < args.k < G.degree:
         raise UsageError(f"need 1 <= t < k < {G.degree} (the degree); got t={args.t}, k={args.k}")
-    if is_builtin:
-        classes = classify_builtin(name, args.k, args.t, workers=args.workers)
-    else:
-        classes = classify(G, args.k, args.t, workers=args.workers)
-    return classes, name
+    return classify(G, args.k, args.t, workers=args.workers), name
 
 
 def cmd_classify(args) -> int:
@@ -237,9 +232,10 @@ def cmd_sieve(args) -> int:
 def cmd_verify(args) -> int:
     if not args.table2:
         raise UsageError("verify requires --table2")
-    from .design import classify_builtin
+    from .design import classify
+    from .grouplib import builtin
 
-    classes = classify_builtin("psl28_paper36", 6, 2, workers=args.workers)
+    classes = classify(builtin("psl28_paper36"), 6, 2, workers=args.workers)
     got: dict[tuple[tuple[int, ...], int], int] = {}
     for c in classes:
         key = (tuple(_one_based(c.base)), c.lam)

@@ -19,13 +19,11 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, gcd, lcm
 
 import numpy as np
 
 from . import isomorph
-from .grouplib import builtin
 from .kcombs import block_permutation, image_rows, row_keys, subset_orbits, subset_ranks
 from .permcore import PermGroup, Permutation
 
@@ -116,26 +114,6 @@ class Design:
         if sigma.degree != self.v:
             raise ValueError("degree mismatch")
         return Design(self.v, image_rows(sigma.images, self.blocks)[0])
-
-
-@dataclass(frozen=True)
-class LambdaVector:
-    """lambda_s for s = 0..t, exact rationals; values[0] = b, values[1] = r."""
-
-    values: tuple[Fraction, ...]
-
-    @property
-    def integral(self) -> bool:
-        return all(x.denominator == 1 for x in self.values)
-
-
-def lambda_vector(v: int, k: int, t: int, lambda_t: int) -> LambdaVector:
-    if not t <= k <= v:
-        raise ValueError("need t <= k <= v")
-    vals = tuple(
-        Fraction(lambda_t * comb(v - s, t - s), comb(k - s, t - s)) for s in range(t + 1)
-    )
-    return LambdaVector(vals)
 
 
 def orbit_design(G: PermGroup, base) -> Design:
@@ -331,14 +309,3 @@ def classify(G: PermGroup, k: int, t: int = 2, workers: int = 1) -> list[DesignC
     log.info("merging: %d classes", len(classes))
     return classes
 
-
-_CLASSIFY_CACHE: dict[tuple[str, int, int], list[DesignClass]] = {}
-
-
-def classify_builtin(name: str, k: int = 6, t: int = 2, workers: int = 1) -> list[DesignClass]:
-    """classify() for a builtin group, cached per (name, k, t); the worker
-    count is not part of the key because it cannot affect the result."""
-    key = (name, k, t)
-    if key not in _CLASSIFY_CACHE:
-        _CLASSIFY_CACHE[key] = classify(builtin(name), k, t, workers=workers)
-    return _CLASSIFY_CACHE[key]

@@ -15,7 +15,6 @@ constructions compare invariants or isomorphism certificates, never indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
@@ -131,40 +130,6 @@ class FiniteField:
         return f"FiniteField(q={self.q})"
 
 
-@dataclass(frozen=True, eq=False)
-class ActionLabeling:
-    """Bijection between structured action points and dense indices 0..n-1."""
-
-    forward: dict
-    inverse: tuple
-
-    def __post_init__(self):
-        # forward and inverse must be mutually inverse bijections
-        if len(self.forward) != len(self.inverse):
-            raise ValueError("labeling maps disagree in size")
-        for i, pt in enumerate(self.inverse):
-            if self.forward[pt] != i:
-                raise ValueError("labeling maps are not mutually inverse")
-
-    def index(self, pt) -> int:
-        return self.forward[pt]
-
-    def point(self, i: int):
-        return self.inverse[i]
-
-    def __len__(self) -> int:
-        return len(self.inverse)
-
-
-def _labeling(points) -> ActionLabeling:
-    pts = tuple(points)
-    return ActionLabeling({pt: i for i, pt in enumerate(pts)}, pts)
-
-
-def _perm_from_point_map(labeling: ActionLabeling, fn) -> Permutation:
-    return Permutation([labeling.forward[fn(pt)] for pt in labeling.inverse])
-
-
 def projective_order(q: int, variant: str = "socle") -> int:
     """|projective_group(q, variant)| = q(q^2-1)/gcd(2,q-1), times f for
     "full"; ValueError for an unknown variant or a q with no simple socle."""
@@ -178,9 +143,10 @@ def projective_order(q: int, variant: str = "socle") -> int:
     return q * (q * q - 1) // gcd(2, q - 1) * (pf[1] if variant == "full" else 1)
 
 
-def projective_group(q: int, variant: str = "socle") -> tuple[PermGroup, ActionLabeling]:
+def projective_group(q: int, variant: str = "socle") -> tuple[PermGroup, tuple]:
     """PSL(2,q) ("socle") or PSL(2,q) extended by Frobenius ("full"), acting
-    on the q+1 points of the projective line.
+    on the q+1 points of the projective line, and those points in label
+    order: INFINITY, then the field elements.
 
     Generators: x -> x+1, x -> c^e x with c primitive and e = gcd(2, q-1) so
     the scaling stays inside PSL for odd q, and x -> -1/x (equal to x -> 1/x
@@ -189,7 +155,8 @@ def projective_group(q: int, variant: str = "socle") -> tuple[PermGroup, ActionL
     """
     expected = projective_order(q, variant)
     F = FiniteField(q)
-    labeling = _labeling([INFINITY] + F.elements())
+    points = (INFINITY, *F.elements())
+    index = {pt: i for i, pt in enumerate(points)}
 
     def translation(x):
         return x if x == INFINITY else F.add(x, F.one)
@@ -213,18 +180,19 @@ def projective_group(q: int, variant: str = "socle") -> tuple[PermGroup, ActionL
     maps = [translation, scaling, neg_inversion]
     if variant == "full":
         maps.append(frobenius)
-    G = PermGroup([_perm_from_point_map(labeling, fn) for fn in maps])
+    G = PermGroup([Permutation([index[fn(pt)] for pt in points]) for fn in maps])
     if G.order() != expected:
         raise AssertionError(
             f"projective_group({q}, {variant}) has order {G.order()}, expected {expected}"
         )
-    return G, labeling
+    return G, points
 
 
-def pair_action(G: PermGroup, labeling: ActionLabeling | None = None) -> tuple[PermGroup, ActionLabeling]:
+def pair_action(G: PermGroup, points=None) -> tuple[PermGroup, tuple]:
     """Induced action on unordered point pairs, labeled lexicographically by
-    (min, max). The input action must be faithful on pairs; the construction
-    asserts the order is preserved.
+    (min, max), and the pairs in label order as frozensets of two points,
+    taken from points if given, else labels. The input action must be
+    faithful on pairs; the construction asserts the order is preserved.
     """
     n = G.degree
     if n < 3:
@@ -232,14 +200,11 @@ def pair_action(G: PermGroup, labeling: ActionLabeling | None = None) -> tuple[P
     rows = np.stack(np.triu_indices(n, 1), axis=1)  # the pairs i < j in lex order
     H = PermGroup([Permutation(block_permutation(g.images, rows).tolist())
                    for g in G.generators])
-    pairs = rows.tolist()
     if H.order() != G.order():
         raise AssertionError("pair action is not faithful; order changed")
-    if labeling is None:
-        structured = [frozenset(pair) for pair in pairs]
-    else:
-        structured = [frozenset({labeling.inverse[i], labeling.inverse[j]}) for i, j in pairs]
-    return H, _labeling(structured)
+    if points is None:
+        points = range(n)
+    return H, tuple(frozenset({points[i], points[j]}) for i, j in rows.tolist())
 
 
 # Fixed 36-point generator sets (1-based cycle text). Degree 36 is the action

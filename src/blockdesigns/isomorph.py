@@ -53,10 +53,9 @@ canonical labeling does before it searches (McKay and Piperno 2014): the
 parameters (v, b, k), then the lambda_3 spectra, the histogram of how many
 blocks contain each 3-subset of points (Kaski and Ostergard, Classification
 Algorithms for Codes and Designs, 2006). Unequal spectra answer "not
-isomorphic" with no search. The spectrum is skipped when k < 3, when
-k > kcombs.MAX_POINTS, or when the b * C(k,3) 3-subsets of the blocks
-exceed kcombs.MAX_SUBSETS. A pair that
-passes goes to the two searches: d1 to the end (certificate()), d2 only up
+isomorphic" with no search. The spectrum is skipped when k < 3 or when
+the b * C(k,3) 3-subsets of the blocks exceed kcombs.MAX_SUBSETS. A pair
+that passes goes to the two searches: d1 to the end (certificate()), d2 only up
 to its first leaf that encodes like d1's certificate, then unwinds. The
 witness is the one the two full certificates give: if d1 and d2 are
 isomorphic, d1's data is the least leaf of d2's tree too, the full search
@@ -285,12 +284,10 @@ def _coverage_spectrum(design) -> tuple[int, ...] | None:
     """The lambda_3 spectrum of a design: entry c counts the 3-subsets of
     points that lie in exactly c blocks, so entry 0 is C(v,3) minus the
     3-subsets some block covers. Relabeling the points permutes the
-    3-subsets, so isomorphic designs have equal spectra. None when k < 3,
-    when k exceeds kcombs.MAX_POINTS, or when the b * C(k,3) subsets of the
-    blocks exceed kcombs.MAX_SUBSETS."""
+    3-subsets, so isomorphic designs have equal spectra. None when k < 3 or
+    when the b * C(k,3) subsets of the blocks exceed kcombs.MAX_SUBSETS."""
     b, k = design.b, design.k
-    # positions within a block are uint8 in kcombs.subset_ranks
-    if not 3 <= k <= kcombs.MAX_POINTS or b * comb(k, 3) > kcombs.MAX_SUBSETS:
+    if k < 3 or b * comb(k, 3) > kcombs.MAX_SUBSETS:
         return None
     _, counts = np.unique(subset_ranks(design.blocks, design.v, 3), return_counts=True)
     spectrum = np.bincount(counts)

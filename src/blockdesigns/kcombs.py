@@ -8,8 +8,8 @@ subset_ranks() ranks the t-subsets of sorted blocks with it directly, for
 design.py to count their coverage and isomorph.py their coverage spectrum.
 
 row_keys() is the one row key: every lexicographic sort of rows in the
-package (image blocks through lex_order(), the orbit-design closure,
-Design, refinement signatures) sorts one scalar key per row from it.
+package (image_rows(), the orbit-design closure, Design, refinement
+signatures) sorts one scalar key per row from it.
 
 The block-image kernel is the one place blocks are mapped through a point
 permutation: image_rows() sorts the image blocks, and block_permutation()
@@ -38,7 +38,7 @@ import numpy as np
 
 from .permcore import PermGroup
 
-# points are stored as uint8 in the k-subset arrays
+# the orbit scan stores points as uint8
 MAX_POINTS = 255
 # lex_combinations builds at most this many k-subsets; classify over the
 # C(102, 4) = 4,249,575 of them peaked at 486 MB
@@ -51,7 +51,8 @@ class BoundError(ValueError):
 
 
 def lex_combinations(n: int, k: int) -> np.ndarray:
-    """All k-subsets as a (C(n,k), k) uint8 array; row index = lex rank.
+    """All k-subsets as a (C(n,k), k) array of the least unsigned dtype
+    that holds n - 1 (uint8 up to n = 256); row index = lex rank.
 
     Built column by column, from the last column forward. The lex list of
     j-subsets of {m..n-1} is m prepended to the (j-1)-subsets of
@@ -60,14 +61,13 @@ def lex_combinations(n: int, k: int) -> np.ndarray:
     start the last j points of a k-subset need. Size j is that one list,
     C(n-k+j, j) rows, never the subsets of every suffix.
     """
-    if n > MAX_POINTS:
-        raise BoundError(f"uint8 point labels require n <= {MAX_POINTS}")
     count = comb(n, k)
     if count > MAX_SUBSETS:
         raise BoundError(f"the {count} {k}-subsets of {n} points exceed the "
                          f"{MAX_SUBSETS}-subset bound")
+    dtype = np.min_scalar_type(max(n - 1, 0))
     if not 0 < k <= n:
-        return np.zeros((count, k), dtype=np.uint8)
+        return np.zeros((count, k), dtype=dtype)
     cols: list[np.ndarray] = []
     size = 1  # rows of the list for size j - 1
     for j in range(1, k + 1):
@@ -78,7 +78,7 @@ def lex_combinations(n: int, k: int) -> np.ndarray:
             # the rows after first point y are the last lengths[y] of the list
             src = np.arange(ends[-1]) - np.repeat(ends - size, lengths)
             cols = [c[src] for c in cols]
-        cols.insert(0, np.repeat(firsts.astype(np.uint8), lengths))
+        cols.insert(0, np.repeat(firsts.astype(dtype), lengths))
         size = int(ends[-1])
     return np.stack(cols, axis=1)
 
@@ -154,6 +154,9 @@ def _sorted_ranks(cols: list[np.ndarray], n: int, shape: tuple[int, ...]) -> np.
 def _subset_positions(k: int, t: int) -> np.ndarray:
     """The positions of the t-subsets of one k-block, in lex order.
     Read-only: every caller shares it."""
+    if comb(k, t) > MAX_SUBSETS:
+        raise BoundError(f"a block of {k} points has {comb(k, t)} {t}-subsets, more "
+                         f"than the {MAX_SUBSETS}-subset bound")
     positions = lex_combinations(k, t)
     positions.flags.writeable = False
     return positions
@@ -184,20 +187,13 @@ def row_keys(rows: np.ndarray, bound: int) -> np.ndarray:
     return raw.view(f"V{size * width}").ravel()
 
 
-def lex_order(rows: np.ndarray, bound: int) -> np.ndarray:
-    """Stable lexicographic order of the rows of a 2-d array with entries in
-    0..bound-1, as np.lexsort(rows.T[::-1]) gives it, from one sort of one
-    key per row."""
-    return np.argsort(row_keys(rows, bound), kind="stable")
-
-
 def image_rows(images, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The blocks rows (one per row) under the point map images, as
     lex-sorted rows of sorted points, and order: row i of the result is the
     image of rows[order[i]]."""
     images = np.asarray(images)
     blocks = np.sort(images[rows], axis=1)
-    order = lex_order(blocks, len(images))
+    order = np.argsort(row_keys(blocks, len(images)), kind="stable")
     return blocks[order], order
 
 
@@ -255,6 +251,8 @@ def _image_ranks(G: PermGroup, rows: np.ndarray) -> list[np.ndarray]:
 
 
 def subset_orbits(G: PermGroup, k: int) -> SubsetOrbits:
+    if G.degree > MAX_POINTS:
+        raise BoundError(f"uint8 point labels require n <= {MAX_POINTS}")
     rows = lex_combinations(G.degree, k)
     count = len(rows)
     labels = orbit_labels(_image_ranks(G, rows), count)

@@ -97,9 +97,6 @@ class Permutation:
             inv[x] = i
         return Permutation._unsafe(tuple(inv))
 
-    def moved_points(self) -> list[int]:
-        return [i for i, x in enumerate(self.images) if x != i]
-
     def order(self) -> int:
         n = 1
         for c in self.cycles(include_fixed=False):
@@ -248,7 +245,7 @@ class _Chain:
         # h lies in the level-lo group and fixes base[:hi]: levels lo..hi gain
         # it, a new base point (its smallest moved point) if hi is past the end
         if hi == len(self.base):
-            self._new_level(min(h.moved_points()))
+            self._new_level(next(i for i, x in enumerate(h.images) if x != i))
         for i in range(lo, hi + 1):
             self.gens[i] = self.gens[i] + [h]
         for i in range(hi, lo - 1, -1):

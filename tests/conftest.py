@@ -1,6 +1,8 @@
 """Shared fixtures. The two degree-36 classifications are expensive, so they
-are computed once per session (classify_builtin memoizes in-process) with
-wall times recorded for the runtime acceptance bounds."""
+are computed once per session (classify_memo) with wall times recorded for
+the runtime acceptance bounds. The memo_classify fixture lends the same memo
+to the command line, so an in-process `classify --group` or `verify
+--table2` does not classify again."""
 
 import time
 from functools import cache
@@ -8,7 +10,8 @@ from functools import cache
 import pytest
 from hypothesis import HealthCheck, settings
 
-from blockdesigns.design import classify_builtin, is_flag_transitive, orbit_design
+from blockdesigns import design
+from blockdesigns.design import classify, is_flag_transitive, orbit_design
 from blockdesigns.grouplib import builtin
 from blockdesigns.kcombs import subset_orbits
 
@@ -21,6 +24,17 @@ settings.register_profile(
 settings.load_profile("suite")
 
 TIMINGS: dict[str, float] = {}
+
+_CLASSIFIED: dict = {}
+
+
+def classify_memo(G, k, t=2, workers=1):
+    """design.classify, memoized for the session on (generators, k, t); the
+    worker count cannot change the result."""
+    key = (tuple(g.images for g in G.generators), k, t)
+    if key not in _CLASSIFIED:
+        _CLASSIFIED[key] = classify(G, k, t, workers=workers)
+    return _CLASSIFIED[key]
 
 
 @pytest.fixture(scope="session")
@@ -43,7 +57,7 @@ def six_subset_orbits():
 @pytest.fixture(scope="session")
 def psl_classes():
     t0 = time.perf_counter()
-    out = classify_builtin("psl28_paper36", 6, 2)
+    out = classify_memo(builtin("psl28_paper36"), 6, 2)
     TIMINGS.setdefault("classify_psl", time.perf_counter() - t0)
     return out
 
@@ -51,9 +65,16 @@ def psl_classes():
 @pytest.fixture(scope="session")
 def pgl_classes():
     t0 = time.perf_counter()
-    out = classify_builtin("pgammal28_paper36", 6, 2)
+    out = classify_memo(builtin("pgammal28_paper36"), 6, 2)
     TIMINGS.setdefault("classify_pgl", time.perf_counter() - t0)
     return out
+
+
+@pytest.fixture
+def memo_classify(monkeypatch, psl_classes):
+    """design.classify answering from the session memo, which already holds
+    the order-504 classification, for the command line to import."""
+    monkeypatch.setattr(design, "classify", classify_memo)
 
 
 def class_designs(G, classes):

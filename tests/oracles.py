@@ -58,13 +58,6 @@ def field_index(F, a: tuple[int, ...]) -> int:
     return i
 
 
-def lambda_ints(lv) -> tuple[int, ...]:
-    """An integral LambdaVector's values as ints."""
-    if not lv.integral:
-        raise ValueError("non-integral lambda vector")
-    return tuple(int(x) for x in lv.values)
-
-
 def block_orbit(G, block) -> set[tuple[int, ...]]:
     """The G-orbit of a block as a set of sorted point tuples, by a
     breadth-first walk over the generators."""

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: flags, formats, exit codes, determinism."""
 
+import contextlib
 import csv
 import io
 import json
@@ -11,9 +12,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blockdesigns
 from blockdesigns.cli import MAX_CONSTRUCT_BLOCKS, main
+from blockdesigns.golden import BUILTIN_NAMES
 from blockdesigns.sieve import MAX_QMAX
 
 
@@ -24,7 +28,7 @@ def run_cli(args, capsys):
 
 
 class TestConstruct:
-    def test_flag_transitive_case(self, tmp_path, capsys, psl_classes):
+    def test_flag_transitive_case(self, tmp_path, capsys):
         out = tmp_path / "d44.json"
         code, _, _ = run_cli(
             ["construct", "--group", "psl28_paper36",
@@ -124,6 +128,14 @@ class TestConstruct:
             f"may have 2796160 blocks; construct builds at most {MAX_CONSTRUCT_BLOCKS}\n"
         )
 
+    def test_block_with_too_many_t_subsets_is_usage_error(self, capsys):
+        # a 256-point block is fine, C(256, 4) of its 4-subsets are not
+        base = ",".join(map(str, range(1, 257)))
+        code, out, err = run_cli(["construct", "--q", "256", "--base", base, "--t", "4"], capsys)
+        assert code == 2 and out == ""
+        assert err == ("error: a block of 256 points has 174792640 4-subsets, more than the "
+                       "5000000-subset bound\n")
+
     def test_orbit_bound_refused_before_group_is_built(self, capsys, monkeypatch):
         # |PSL(2,2048)| comes from its closed form; building its chain takes seconds
         def unbuilt(*args, **kwargs):
@@ -163,6 +175,67 @@ class TestBadParameters:
         assert "Traceback" not in err
 
 
+@st.composite
+def classify_or_construct_args(draw):
+    """A classify or construct argument vector, valid about two times in
+    three per argument: a group by --q (pair action only up to q = 5), by
+    builtin name, by both --q and --group, by an unknown name or by
+    neither; q, k, t, base points, lambda and --workers in and out of range.
+    Every vector runs in well under a second: classify takes k <= 3 under a
+    builtin group."""
+    command = draw(st.sampled_from(("classify", "construct")))
+    selector = draw(st.sampled_from(("q", "builtin") * 3 + ("both", "unknown", "none")))
+    args = [command]
+    if selector in ("q", "both"):
+        q = draw(st.sampled_from((4, 5, 7, 8, 9) * 2 + (-1, 0, 1, 2, 3, 6)))
+        args += ["--q", str(q), "--variant", draw(st.sampled_from(("socle", "full"))),
+                 "--action", draw(st.sampled_from(("line", "pairs") if q <= 5 else ("line",)))]
+    if selector in ("builtin", "both"):
+        args += ["--group", draw(st.sampled_from(BUILTIN_NAMES))]
+    elif selector == "unknown":
+        args += ["--group", draw(st.sampled_from(("psl28", "")))]
+    t = draw(st.sampled_from((1, 2, 3) * 2 + (-1, 0, 4)))
+    if command == "classify":
+        kmax = 3 if selector == "builtin" else 8
+        k = draw(st.sampled_from(tuple(range(t + 1, kmax + 1)) * 2 + (-1, 0, t, kmax + 1)))
+        args += ["--k", str(k), "--format", draw(st.sampled_from(("json", "csv", "text")))]
+        if draw(st.booleans()):
+            args += ["--lambda", str(draw(st.integers(0, 12)))]
+    else:
+        points = draw(st.one_of(st.lists(st.integers(1, 10), min_size=max(t, 1), max_size=6,
+                                         unique=True),
+                                st.lists(st.integers(-1, 40), max_size=6)))
+        args += ["--base", ",".join(map(str, points))]
+    args += ["--t", str(t)]
+    workers = draw(st.sampled_from((None, 1, 2) * 2 + (0, -1)))
+    return args if workers is None else args + ["--workers", str(workers)]
+
+
+class TestGeneratedArguments:
+    """The exit-code contract on generated input: 0 for an answer, 2 for a
+    usage error, 3 never for these commands, and 1 (an internal fault, its
+    traceback on stderr) for no generated vector. No input here must exit 1:
+    every vector is either answered or refused as a usage error. argparse
+    refuses some vectors itself, e.g. `--base -1,0`, whose value it reads
+    as an option; it exits 2 through SystemExit, as the process would."""
+
+    @settings(max_examples=40)
+    @given(classify_or_construct_args())
+    def test_exit_code_and_no_traceback(self, args):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(args)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert "error: " in err.getvalue().splitlines()[-1]
+        else:
+            assert out.getvalue()
+
+
 class TestMoreThan64Points:
     """PSL(2,16) on the 136 unordered pairs of projective points."""
 
@@ -196,7 +269,7 @@ class TestMoreThan64Points:
 
 
 class TestClassify:
-    def test_json_format(self, capsys, psl_classes):
+    def test_json_format(self, capsys, memo_classify):
         code, out, _ = run_cli(
             ["classify", "--group", "psl28_paper36", "--format", "json"], capsys
         )
@@ -209,7 +282,7 @@ class TestClassify:
         lams = [row["lambda"] for row in payload["classes"]]
         assert lams == sorted(lams)
 
-    def test_lambda_filter_keeps_case_indices(self, capsys, psl_classes):
+    def test_lambda_filter_keeps_case_indices(self, capsys, memo_classify):
         code, out, _ = run_cli(
             ["classify", "--group", "psl28_paper36", "--lambda", "6",
              "--format", "json"],
@@ -220,7 +293,7 @@ class TestClassify:
         assert [row["case"] for row in payload["classes"]] == [2, 3, 4]
         assert all(row["lambda"] == 6 for row in payload["classes"])
 
-    def test_csv_format(self, capsys, psl_classes):
+    def test_csv_format(self, capsys, memo_classify):
         code, out, _ = run_cli(
             ["classify", "--group", "psl28_paper36", "--format", "csv"], capsys
         )
@@ -230,7 +303,7 @@ class TestClassify:
         assert len(rows) == 47
         assert rows[1] == ["1", "1 2 4 16 26 31", "2"]
 
-    def test_text_format_row_count(self, capsys, psl_classes):
+    def test_text_format_row_count(self, capsys, memo_classify):
         code, out, _ = run_cli(["classify", "--group", "psl28_paper36"], capsys)
         assert code == 0
         assert "46 classes" in out
@@ -392,7 +465,7 @@ class TestSieve:
 
 
 class TestVerify:
-    def test_table2_passes(self, capsys, psl_classes):
+    def test_table2_passes(self, capsys, memo_classify):
         code, out, _ = run_cli(["verify", "--table2"], capsys)
         assert code == 0
         assert "PASS" in out and "46" in out

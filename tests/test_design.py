@@ -21,15 +21,14 @@ from blockdesigns.design import (
     fixed_k_subsets,
     is_flag_transitive,
     lambda_of,
-    lambda_vector,
     orbit_design,
 )
 from blockdesigns.grouplib import BUILTIN_NAMES, builtin, pair_action, projective_group
-from blockdesigns.kcombs import subset_orbits
+from blockdesigns.kcombs import BoundError, subset_orbits
 from blockdesigns.permcore import PermGroup, Permutation, parse_cycles
 
 import oracles
-from oracles import block_orbit, lambda_ints, representatives
+from oracles import block_orbit, representatives
 
 
 def cyclic(n):
@@ -293,26 +292,15 @@ class TestLambdaOf:
             with pytest.raises(ValueError):
                 lambda_of(d, t)
 
+    def test_blocks_of_more_than_255_points(self):
+        assert lambda_of(Design(256, [tuple(range(256))]), 1) == 1
+        # the complete 2-(257, 256, 255) design: every 256-subset of 257 points
+        complete = Design(257, [tuple(p for p in range(257) if p != x) for x in range(257)])
+        assert lambda_of(complete, 2) == 255
 
-class TestLambdaVector:
-    def test_fano_vector(self):
-        lv = lambda_vector(7, 3, 2, 1)
-        assert lv.integral
-        assert lambda_ints(lv) == (7, 3, 1)
-
-    def test_non_integral_flagged(self):
-        lv = lambda_vector(8, 3, 2, 1)
-        assert not lv.integral
-
-    @given(st.integers(2, 30), st.integers(2, 8), st.integers(1, 20))
-    def test_identities(self, v, k, lam):
-        if not 2 < k < v:
-            return
-        lv = lambda_vector(v, k, 2, lam)
-        b, r, l2 = lv.values
-        assert l2 == lam
-        assert r * (k - 1) == lam * (v - 1)
-        assert b * k == v * r
+    def test_block_with_too_many_t_subsets_is_refused(self):
+        with pytest.raises(BoundError, match=r"block of 256 points has 174792640 4-subsets"):
+            lambda_of(Design(256, [tuple(range(256))]), 4)
 
 
 class TestFlagTransitivity:

@@ -143,17 +143,15 @@ class TestProjectiveGroup:
         ],
     )
     def test_orders(self, q, variant, order):
-        G, labeling = projective_group(q, variant)
-        assert G.degree == q + 1
+        G, points = projective_group(q, variant)
+        assert G.degree == len(points) == q + 1
         assert G.order() == order == projective_order(q, variant)
         assert len(G.orbit(0)) == q + 1  # transitive
 
     def test_labeling_starts_at_infinity(self):
-        _, labeling = projective_group(5, "socle")
-        assert labeling.point(0) == INFINITY
-        assert len(labeling) == 6
-        for i in range(6):
-            assert labeling.index(labeling.point(i)) == i
+        _, points = projective_group(5, "socle")
+        assert points == (INFINITY, *FiniteField(5).elements())
+        assert len(set(points)) == 6
 
     def test_rejects_bad_variant(self):
         with pytest.raises(ValueError):
@@ -167,22 +165,22 @@ class TestProjectiveGroup:
 class TestPairAction:
     def test_s3_on_pairs_of_three(self):
         G = PermGroup([Permutation((1, 0, 2)), Permutation((1, 2, 0))])
-        H, labeling = pair_action(G)
+        H, pairs = pair_action(G)
         assert H.degree == 3
         assert H.order() == 6
-        assert len(labeling) == 3
-        assert all(isinstance(labeling.point(i), frozenset) for i in range(3))
+        assert pairs == (frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2}))
 
     def test_psl28_pair_action(self):
-        G, labeling = projective_group(8, "socle")
-        H, pl = pair_action(G, labeling)
-        assert H.degree == 36
+        G, points = projective_group(8, "socle")
+        H, pairs = pair_action(G, points)
+        assert pairs[0] == frozenset({INFINITY, points[1]})
+        assert len(set(pairs)) == H.degree == 36
         assert H.order() == 504
         assert H.pointwise_stabilizer((0,)).order() == 14
 
     def test_full_pair_action(self):
-        G, labeling = projective_group(8, "full")
-        H, _ = pair_action(G, labeling)
+        G, points = projective_group(8, "full")
+        H, _ = pair_action(G, points)
         assert H.degree == 36
         assert H.order() == 1512
         assert H.pointwise_stabilizer((0,)).order() == 42
@@ -191,12 +189,10 @@ class TestPairAction:
         lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=3)))
     def test_generators_match_dict_oracle(self, images):
         G = PermGroup([Permutation(im) for im in images])
-        H, labeling = pair_action(G)
+        H, pairs = pair_action(G)
         assert [h.images for h in H.generators] == pair_images(G)
         n = G.degree
-        assert [labeling.point(m) for m in range(len(labeling))] == [
-            frozenset({i, j}) for i in range(n) for j in range(i + 1, n)
-        ]
+        assert list(pairs) == [frozenset({i, j}) for i in range(n) for j in range(i + 1, n)]
 
 
 class TestBuiltins:

@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockdesigns.kcombs import (
+    BoundError,
     block_permutation,
     image_rows,
     lex_combinations,
-    lex_order,
     orbit_labels,
+    row_keys,
     subset_orbits,
     subset_ranks,
 )
@@ -94,8 +95,14 @@ class TestLexCombinations:
             assert rows[r].tolist() == [x for x in range(40) if x != 39 - r]
 
     def test_degree_limit(self):
-        with pytest.raises(ValueError):
-            lex_combinations(256, 2)
+        # the orbit scan stores points as uint8; the rows themselves do not
+        # need to, since the t-subset positions of a block of 256 or more
+        # points are rows of lex_combinations too
+        with pytest.raises(BoundError):
+            subset_orbits(PermGroup([Permutation(tuple(range(1, 256)) + (0,))]), 2)
+        rows = lex_combinations(300, 2)
+        assert rows.dtype == np.uint16
+        assert rows.tolist() == [list(c) for c in combinations(range(300), 2)]
 
 
 def brute_orbits(G, k):
@@ -140,6 +147,11 @@ def rows_near_int64_edge(draw):
     pool = draw(st.lists(row, min_size=1, max_size=5))
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=30))
     return np.array([pool[i] for i in picks], dtype=np.int64), bound
+
+
+def lex_order(rows, bound):
+    """The stable row order every lexicographic sort in the package uses."""
+    return np.argsort(row_keys(rows, bound), kind="stable")
 
 
 class TestLexOrder:
