@@ -100,11 +100,15 @@ def _parse_base(text: str, degree: int) -> tuple[int, ...]:
 
 
 def _emit(text: str, path: str | None) -> None:
+    _emit_chunks((text,), path)
+
+
+def _emit_chunks(chunks, path: str | None) -> None:
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _one_based(block: tuple[int, ...]) -> list[int]:
@@ -222,10 +226,10 @@ def cmd_sieve(args) -> int:
         raise UsageError(f"--qmax must be in 4..{MAX_QMAX}")
     report = sieve_run(args.qmax)
     if args.format == "json":
-        text = report.json_lines()
+        # written a chunk at a time: at --qmax 10**6 the whole text is 52 MB
+        _emit_chunks(report.json_chunks(), args.output)
     else:
-        text = report.summary_text()
-    _emit(text, args.output)
+        _emit(report.summary_text(), args.output)
     return 0
 
 

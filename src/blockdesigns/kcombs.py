@@ -6,6 +6,8 @@ iterator follows. _sorted_ranks() is the one subset rank: the orbit scan
 ranks generator images with it after sorting each row (_lex_ranks()), and
 subset_ranks() ranks the t-subsets of sorted blocks with it directly, for
 design.py to count their coverage and isomorph.py their coverage spectrum.
+It subtracts one column's weights at a time, so a (b, C(k,t)) ranking holds
+the ranks and one gathered column, not all t of them.
 
 row_keys() is the one row key: every lexicographic sort of rows in the
 package (image_rows(), the orbit-design closure, Design, refinement
@@ -137,16 +139,18 @@ def _lex_ranks(cols: list[np.ndarray], n: int, count: int) -> np.ndarray:
             lo = np.minimum(cols[i], cols[i + 1])
             np.maximum(cols[i], cols[i + 1], out=cols[i + 1])
             cols[i] = lo
-    return _sorted_ranks(cols, n, (count,))
+    return _sorted_ranks(lambda i, table: table[cols[i].astype(np.intp, copy=False)],
+                         n, k, (count,))
 
 
-def _sorted_ranks(cols: list[np.ndarray], n: int, shape: tuple[int, ...]) -> np.ndarray:
-    """Lex ranks of k-subsets s_0 < ... < s_{k-1} of {0..n-1} given as k
-    columns of one shape, as C(n,k) - 1 - sum_i C(n-1-s_i, k-i)."""
-    k = len(cols)
+def _sorted_ranks(lookup, n: int, k: int, shape: tuple[int, ...]) -> np.ndarray:
+    """Lex ranks of k-subsets s_0 < ... < s_{k-1} of {0..n-1} as
+    C(n,k) - 1 - sum_i C(n-1-s_i, k-i), in the given shape. lookup(i, table)
+    returns table[s_i] for every subset; each is subtracted before the next
+    is looked up, so the ranks and one such array are held at a time."""
     ranks = np.full(shape, comb(n, k) - 1, dtype=np.int64)
-    for weights, col in zip(_lex_weights(n, k), cols):
-        ranks -= weights[col.astype(np.intp, copy=False)]
+    for i, weights in enumerate(_lex_weights(n, k)):
+        ranks -= lookup(i, weights)
     return ranks
 
 
@@ -166,10 +170,12 @@ def subset_ranks(rows: np.ndarray, n: int, t: int) -> np.ndarray:
     """The lex ranks among the t-subsets of {0..n-1} of the C(k,t) t-subsets
     of every row of a (b, k) array of sorted rows, as a (b, C(k,t)) array:
     column j is the j-th t-subset of each row in lex order. The t-subsets of
-    a sorted row are sorted, so they are ranked without a sorting network."""
+    a sorted row are sorted, so they are ranked without a sorting network.
+    Each weight is looked up on the (b, k) rows and then gathered to the
+    t-subset positions, so no (b, C(k,t)) array of points is built."""
     positions = _subset_positions(rows.shape[1], t)
-    cols = [rows[:, positions[:, i]] for i in range(t)]
-    return _sorted_ranks(cols, n, (len(rows), len(positions)))
+    return _sorted_ranks(lambda i, table: table[rows][:, positions[:, i]],
+                         n, t, (len(rows), len(positions)))
 
 
 def row_keys(rows: np.ndarray, bound: int) -> np.ndarray:

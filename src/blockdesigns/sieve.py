@@ -23,15 +23,24 @@ arithmetic; no floating point. The run report states the verified range:
 the sieve checks a finite range numerically, it does not prove anything
 beyond it.
 
-A run builds tens of thousands of small records, so they are cheap ones:
-CaseSpec and SieveVerdict are typing.NamedTuple classes, immutable and
-hashable. run() does not factorize each q: it walks the ascending list of
-prime powers up to q_max, in which every power p^(f+1) comes after p^f, and
-carries (p, f+1) forward from q = p^f to q*p; a q that nothing carried to is
-a prime, (q, 1). It refuses q_max above MAX_QMAX before building that list.
+A run builds tens of thousands of small records, so the per-case work is
+kept small. CaseSpec and SieveVerdict are typing.NamedTuple classes,
+immutable and hashable, but the catalog builds each case as a plain tuple in
+CaseSpec's field order, and only case_catalog() wraps them as CaseSpec.
+evaluate() takes either form, unpacks it once and returns at the square test
+when v is not a square, as almost every case does. run() does not factorize
+each q: it walks the ascending list of prime powers up to q_max, in which
+every power p^(f+1) comes after p^f, and carries (p, f+1) forward from
+q = p^f to q*p; a q that nothing carried to is a prime, (q, 1). It refuses
+q_max above MAX_QMAX before building that list.
+
 The JSON line format is fixed: one object per verdict with its keys sorted
 and json.dumps' default separators, the bytes of json.dumps(record,
-sort_keys=True), written by one f-string in SieveVerdict.to_json.
+sort_keys=True), written by one f-string in SieveVerdict.to_json. The case
+id, failure name and notes go through a bounded memo of json.dumps, since a
+run holds only a few dozen distinct ones. SieveReport.json_chunks() yields
+the lines JSON_CHUNK verdicts at a time; the CLI writes the chunks as they
+come, and json_lines() joins the same chunks.
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, isqrt
 from typing import NamedTuple
 
@@ -47,8 +57,9 @@ from .numth import factorize, prime_power, prime_powers_upto
 CONSTRAINT_ORDER = ("square", "k_guard", "subdegree", "block_count", "stabilizer")
 
 # run() refuses a larger q_max before allocating anything: the prime-power
-# table, the verdicts and their JSON lines take memory linear in q_max, and
-# run(10**6) plus json_lines() peaked at 231 MB in 3.6 s (2-vCPU x86 VM)
+# table and the verdicts take memory linear in q_max. run(10**6) peaks at
+# 78 MB in 1.2 s, and 191 MB in 1.9 s with json_lines() (2-vCPU x86 VM);
+# `sieve --qmax 1000000 --format json` streams its chunks at an 80 MB peak
 MAX_QMAX = 10**6
 
 
@@ -84,17 +95,23 @@ class SieveVerdict(NamedTuple):
     def to_json(self) -> str:
         """One JSON object with sorted keys and the default separators: the
         bytes json.dumps(..., sort_keys=True) gives for the same record."""
-        failed = "null" if self.failed is None else json.dumps(self.failed)
         k = "null" if self.k is None else self.k
-        notes = json.dumps(list(self.notes)) if self.notes else "[]"
         square = "true" if self.square else "false"
         survivor = "true" if self.survivor else "false"
         trivial = "true" if self.trivial else "false"
         return (
-            f'{{"case": {json.dumps(self.case_id)}, "failed": {failed}, "k": {k}, '
-            f'"notes": {notes}, "q": {self.q}, "square": {square}, '
+            f'{{"case": {_dumps(self.case_id)}, "failed": {_dumps(self.failed)}, "k": {k}, '
+            f'"notes": {_dumps(self.notes)}, "q": {self.q}, "square": {square}, '
             f'"survivor": {survivor}, "trivial": {trivial}, "v": {self.v}}}'
         )
+
+
+# json.dumps of a case id, a failure name (or None) and a notes tuple (a JSON
+# list): a run holds a few dozen distinct ones, so each is encoded once
+_dumps = lru_cache(maxsize=256)(json.dumps)
+
+# the verdict lines per chunk that SieveReport.json_chunks joins
+JSON_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -111,8 +128,15 @@ class SieveReport:
     def trivial_survivors(self) -> tuple[SieveVerdict, ...]:
         return tuple(x for x in self.verdicts if x.survivor and x.trivial)
 
+    def json_chunks(self):
+        """The JSON lines, newline-terminated, joined JSON_CHUNK verdicts at a
+        time: a writer holds one chunk of text, not the whole output."""
+        verdicts = self.verdicts
+        for i in range(0, len(verdicts), JSON_CHUNK):
+            yield "\n".join([x.to_json() for x in verdicts[i:i + JSON_CHUNK]]) + "\n"
+
     def json_lines(self) -> str:
-        return "\n".join([x.to_json() for x in self.verdicts]) + "\n"
+        return "".join(self.json_chunks())
 
     def summary_text(self) -> str:
         fails = Counter(x.failed for x in self.verdicts)
@@ -144,49 +168,49 @@ _TABLE1_ROWS = {
     11: [(9, 1320, 20, 66)],
 }
 
+_PRIME_Q_NOTE = ("subdegree pattern stated for prime q; applied here with q = p^f, f > 1",)
 
-def _odd_cases(case, q: int, p: int, f: int) -> list[CaseSpec]:
-    cases = [case("odd-1", v=q + 1, stabilizer_order=q * (q - 1) // 2)]
+
+def _odd_cases(q: int, p: int, f: int, ambient: int, out: int) -> list[tuple]:
+    cases = [("odd-1", q, q + 1, ambient, q * (q - 1) // 2, out, (), False, ())]
     if q >= 13:
-        cases.append(case("odd-2", v=q * (q + 1) // 2, stabilizer_order=q - 1,
-                          subdegrees=((q - 1) // 2, 2 * (q - 1), q - 1)))
+        cases.append(("odd-2", q, q * (q + 1) // 2, ambient, q - 1, out,
+                      ((q - 1) // 2, 2 * (q - 1), q - 1), False, ()))
     if q not in (7, 9):
-        notes = ()
-        if f > 1:
-            notes = ("subdegree pattern stated for prime q; applied here with q = p^f, f > 1",)
-        cases.append(case("odd-3", v=q * (q - 1) // 2, stabilizer_order=q + 1,
-                          subdegrees=((q + 1) // 2, q + 1), notes=notes))
+        cases.append(("odd-3", q, q * (q - 1) // 2, ambient, q + 1, out,
+                      ((q + 1) // 2, q + 1), False, _PRIME_Q_NOTE if f > 1 else ()))
     if f % 2 == 0:
         q0 = p ** (f // 2)
-        cases.append(case("odd-4", v=q0 * (q0 * q0 + 1) // 2, stabilizer_order=q0 * (q0 * q0 - 1)))
+        cases.append(("odd-4", q, q0 * (q0 * q0 + 1) // 2, ambient, q0 * (q0 * q0 - 1), out,
+                      (), False, ()))
     for r in sorted(r for r in factorize(f) if r % 2 == 1):
         q0 = p ** (f // r)
         v = q0 ** (r - 1) * (q0 ** (2 * r) - 1) // (q0 * q0 - 1)
-        cases.append(case("odd-5", v=v, stabilizer_order=q0 * (q0 * q0 - 1) // 2))
+        cases.append(("odd-5", q, v, ambient, q0 * (q0 * q0 - 1) // 2, out, (), False, ()))
     if q % 10 in (1, 9) and (f == 1 or (f == 2 and p % 10 in (3, 7))):
-        cases.append(case("odd-6", v=q * (q * q - 1) // 120, stabilizer_order=60))
+        cases.append(("odd-6", q, q * (q * q - 1) // 120, ambient, 60, out, (), False, ()))
     if f == 1 and q % 8 in (3, 5) and q % 10 not in (1, 9):
-        cases.append(case("odd-7", v=q * (q * q - 1) // 24, stabilizer_order=12))
+        cases.append(("odd-7", q, q * (q * q - 1) // 24, ambient, 12, out, (), False, ()))
     if f == 1 and q % 8 in (1, 7):
-        cases.append(case("odd-8", v=q * (q * q - 1) // 48, stabilizer_order=24))
+        cases.append(("odd-8", q, q * (q * q - 1) // 48, ambient, 24, out, (), False, ()))
     return cases
 
 
-def _even_cases(case, q: int, f: int) -> list[CaseSpec]:
+def _even_cases(q: int, f: int, ambient: int, out: int) -> list[tuple]:
     # the Borel survivor at q = 8 sits inside a 3-transitive degree-9 action,
     # which forces the complete 3-subset design: flag it trivial
     cases = [
-        case("even-1", v=q + 1, stabilizer_order=q * (q - 1), trivial_if_survivor=(q == 8)),
-        case("even-2", v=q * (q - 1) // 2, stabilizer_order=2 * (q + 1), subdegrees=(q + 1,)),
-        case("even-3", v=q * (q + 1) // 2, stabilizer_order=2 * (q - 1),
-             subdegrees=(2 * (q - 1), q - 1)),
+        ("even-1", q, q + 1, ambient, q * (q - 1), out, (), q == 8, ()),
+        ("even-2", q, q * (q - 1) // 2, ambient, 2 * (q + 1), out, (q + 1,), False, ()),
+        ("even-3", q, q * (q + 1) // 2, ambient, 2 * (q - 1), out,
+         (2 * (q - 1), q - 1), False, ()),
     ]
     for r in sorted(factorize(f)):
         if f // r < 2:
             continue  # q0 = 2 is excluded
         q0 = 2 ** (f // r)
         v = q0 ** (r - 1) * (q0 ** (2 * r) - 1) // (q0 * q0 - 1)
-        cases.append(case("even-4", v=v, stabilizer_order=q0 * (q0 * q0 - 1)))
+        cases.append(("even-4", q, v, ambient, q0 * (q0 * q0 - 1), out, (), False, ()))
     return cases
 
 
@@ -195,51 +219,47 @@ def case_catalog(q: int) -> list[CaseSpec]:
     pf = prime_power(q)
     if pf is None or q < 4:
         raise ValueError(f"{q} is not a prime power >= 4")
-    return _catalog(q, *pf)
+    return [CaseSpec._make(c) for c in _catalog(q, *pf)]
 
 
-def _catalog(q: int, p: int, f: int) -> list[CaseSpec]:
-    """case_catalog(q) for q = p**f >= 4, with p and f already known."""
+def _catalog(q: int, p: int, f: int) -> list[tuple]:
+    """The cases of case_catalog(q) as plain tuples in CaseSpec's field
+    order, for q = p**f >= 4 with p and f already known."""
     out = f if p == 2 else 2 * f
     # the per-q fields of a socle-maximal case; a table-1 line overrides both
     ambient = q * (q * q - 1) // gcd(2, q - 1) * out
-
-    # a closure, not functools.partial, whose keyword calls cost twice as much
-    def case(case_id, v, stabilizer_order, subdegrees=(), trivial_if_survivor=False, notes=(),
-             ambient_order=ambient, out_order=out):
-        return CaseSpec(case_id, q, v, ambient_order, stabilizer_order, out_order,
-                        subdegrees, trivial_if_survivor, notes)
-
-    cases = _even_cases(case, q, f) if p == 2 else _odd_cases(case, q, p, f)
-    rows = list(_TABLE1_ROWS.get(q, ()))
+    cases = _even_cases(q, f, ambient, out) if p == 2 else _odd_cases(q, p, f, ambient, out)
+    rows = _TABLE1_ROWS.get(q, ())
     if f == 1 and q % 40 in (11, 19, 21, 29):
         g = q * (q * q - 1)
-        rows.append((10, g, 24, g // 24))
-    return cases + [
-        case(f"table1-line-{line}", v=v, ambient_order=g, stabilizer_order=m, out_order=1)
-        for line, g, m, v in rows
-    ]
+        rows = [*rows, (10, g, 24, g // 24)]
+    cases += [(f"table1-line-{line}", q, v, g, m, 1, (), False, ()) for line, g, m, v in rows]
+    return cases
 
 
-def evaluate(case: CaseSpec) -> SieveVerdict:
-    """Apply the constraints in order; record the first violation."""
-    k = isqrt(case.v)
-    square = k * k == case.v
-    if not square:
-        failed, k = "square", None
-    elif k < 3:
+# a SieveVerdict from one tuple of its nine fields, without the keyword-aware
+# constructor NamedTuple generates (half the cost per verdict)
+_new = tuple.__new__
+
+
+def evaluate(case: CaseSpec | tuple) -> SieveVerdict:
+    """Apply the constraints in order; record the first violation. The case
+    is a CaseSpec or a plain tuple of its nine fields."""
+    case_id, q, v, ambient, stabilizer, out, subdegrees, trivial, notes = case
+    k = isqrt(v)
+    if k * k != v:
+        return _new(SieveVerdict, (case_id, q, v, False, None, "square", False, False, notes))
+    if k < 3:
         failed = "k_guard"
-    elif any(s % (k + 1) for s in case.subdegrees):
+    elif any(s % (k + 1) for s in subdegrees):
         failed = "subdegree"
-    elif case.ambient_order % (k * (k + 1)):
+    elif ambient % (k * (k + 1)):
         failed = "block_count"
-    elif case.stabilizer_order % ((k + 1) // gcd(k + 1, case.out_order)):
+    elif stabilizer % ((k + 1) // gcd(k + 1, out)):
         failed = "stabilizer"
     else:
-        failed = None
-    survivor = failed is None
-    return SieveVerdict(case.case_id, case.q, case.v, square, k, failed, survivor,
-                        survivor and case.trivial_if_survivor, case.notes)
+        return _new(SieveVerdict, (case_id, q, v, True, k, None, True, trivial, notes))
+    return _new(SieveVerdict, (case_id, q, v, True, k, failed, False, False, notes))
 
 
 def _prime_powers_with_pf(q_max: int):

@@ -3,13 +3,15 @@
 import struct
 from collections import Counter
 from itertools import chain, combinations, permutations
-from math import comb
+from math import comb, gcd, isqrt
 
 import numpy as np
 
 from blockdesigns.design import Design
 from blockdesigns.kcombs import SubsetOrbits
+from blockdesigns.numth import factorize, prime_power
 from blockdesigns.permcore import Permutation, compose
+from blockdesigns.sieve import CaseSpec, SieveVerdict
 
 
 def rank_colex(subset) -> int:
@@ -368,3 +370,102 @@ def ungated_classify(G, k: int, t: int) -> list[tuple[int, ...]]:
         if len(cover) == comb(n, t) and len(set(cover.values())) == 1:
             out.append(rows[0])
     return out
+
+
+# The sieve's case catalog and constraint check as first written, one keyword
+# CaseSpec constructor call per case and one attribute read per field: the
+# plain-tuple catalog and the early-exit evaluate in blockdesigns.sieve must
+# give the same records.
+
+_TABLE1_ROWS = {
+    7: [(1, 336, 12, 28), (2, 336, 16, 21)],
+    9: [(3, 720, 20, 36), (4, 720, 16, 45), (5, 720, 20, 36), (6, 720, 16, 45),
+        (7, 1440, 40, 36), (8, 1440, 32, 45)],
+    11: [(9, 1320, 20, 66)],
+}
+
+
+def _odd_cases(case, q: int, p: int, f: int) -> list[CaseSpec]:
+    cases = [case("odd-1", v=q + 1, stabilizer_order=q * (q - 1) // 2)]
+    if q >= 13:
+        cases.append(case("odd-2", v=q * (q + 1) // 2, stabilizer_order=q - 1,
+                          subdegrees=((q - 1) // 2, 2 * (q - 1), q - 1)))
+    if q not in (7, 9):
+        notes = ()
+        if f > 1:
+            notes = ("subdegree pattern stated for prime q; applied here with q = p^f, f > 1",)
+        cases.append(case("odd-3", v=q * (q - 1) // 2, stabilizer_order=q + 1,
+                          subdegrees=((q + 1) // 2, q + 1), notes=notes))
+    if f % 2 == 0:
+        q0 = p ** (f // 2)
+        cases.append(case("odd-4", v=q0 * (q0 * q0 + 1) // 2, stabilizer_order=q0 * (q0 * q0 - 1)))
+    for r in sorted(r for r in factorize(f) if r % 2 == 1):
+        q0 = p ** (f // r)
+        v = q0 ** (r - 1) * (q0 ** (2 * r) - 1) // (q0 * q0 - 1)
+        cases.append(case("odd-5", v=v, stabilizer_order=q0 * (q0 * q0 - 1) // 2))
+    if q % 10 in (1, 9) and (f == 1 or (f == 2 and p % 10 in (3, 7))):
+        cases.append(case("odd-6", v=q * (q * q - 1) // 120, stabilizer_order=60))
+    if f == 1 and q % 8 in (3, 5) and q % 10 not in (1, 9):
+        cases.append(case("odd-7", v=q * (q * q - 1) // 24, stabilizer_order=12))
+    if f == 1 and q % 8 in (1, 7):
+        cases.append(case("odd-8", v=q * (q * q - 1) // 48, stabilizer_order=24))
+    return cases
+
+
+def _even_cases(case, q: int, f: int) -> list[CaseSpec]:
+    cases = [
+        case("even-1", v=q + 1, stabilizer_order=q * (q - 1), trivial_if_survivor=(q == 8)),
+        case("even-2", v=q * (q - 1) // 2, stabilizer_order=2 * (q + 1), subdegrees=(q + 1,)),
+        case("even-3", v=q * (q + 1) // 2, stabilizer_order=2 * (q - 1),
+             subdegrees=(2 * (q - 1), q - 1)),
+    ]
+    for r in sorted(factorize(f)):
+        if f // r < 2:
+            continue
+        q0 = 2 ** (f // r)
+        v = q0 ** (r - 1) * (q0 ** (2 * r) - 1) // (q0 * q0 - 1)
+        cases.append(case("even-4", v=v, stabilizer_order=q0 * (q0 * q0 - 1)))
+    return cases
+
+
+def case_catalog(q: int) -> list[CaseSpec]:
+    """All applicable maximal-subgroup cases at a prime power q >= 4."""
+    p, f = prime_power(q)
+    out = f if p == 2 else 2 * f
+    ambient = q * (q * q - 1) // gcd(2, q - 1) * out
+
+    def case(case_id, v, stabilizer_order, subdegrees=(), trivial_if_survivor=False, notes=(),
+             ambient_order=ambient, out_order=out):
+        return CaseSpec(case_id, q, v, ambient_order, stabilizer_order, out_order,
+                        subdegrees, trivial_if_survivor, notes)
+
+    cases = _even_cases(case, q, f) if p == 2 else _odd_cases(case, q, p, f)
+    rows = list(_TABLE1_ROWS.get(q, ()))
+    if f == 1 and q % 40 in (11, 19, 21, 29):
+        g = q * (q * q - 1)
+        rows.append((10, g, 24, g // 24))
+    return cases + [
+        case(f"table1-line-{line}", v=v, ambient_order=g, stabilizer_order=m, out_order=1)
+        for line, g, m, v in rows
+    ]
+
+
+def evaluate(case: CaseSpec) -> SieveVerdict:
+    """Apply the constraints in order; record the first violation."""
+    k = isqrt(case.v)
+    square = k * k == case.v
+    if not square:
+        failed, k = "square", None
+    elif k < 3:
+        failed = "k_guard"
+    elif any(s % (k + 1) for s in case.subdegrees):
+        failed = "subdegree"
+    elif case.ambient_order % (k * (k + 1)):
+        failed = "block_count"
+    elif case.stabilizer_order % ((k + 1) // gcd(k + 1, case.out_order)):
+        failed = "stabilizer"
+    else:
+        failed = None
+    survivor = failed is None
+    return SieveVerdict(case.case_id, case.q, case.v, square, k, failed, survivor,
+                        survivor and case.trivial_if_survivor, case.notes)

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blockdesigns
+from blockdesigns import sieve
 from blockdesigns.cli import MAX_CONSTRUCT_BLOCKS, main
 from blockdesigns.golden import BUILTIN_NAMES
 from blockdesigns.sieve import MAX_QMAX
@@ -454,6 +455,26 @@ class TestSieve:
             assert getattr(blockdesigns, name) is not None
         with pytest.raises(AttributeError):
             blockdesigns.no_such_name
+
+    def test_streamed_json_is_json_lines(self, tmp_path, capsys, monkeypatch):
+        # 5,735 verdicts: one full chunk and a partial one
+        report = sieve.run(10_000)
+        assert len(report.verdicts) > sieve.JSON_CHUNK
+        assert len(report.verdicts) % sieve.JSON_CHUNK
+        text = report.json_lines()
+
+        # the CLI writes chunk by chunk and never builds the whole text
+        def whole_text(self):
+            raise AssertionError("json_lines called")
+
+        monkeypatch.setattr(sieve.SieveReport, "json_lines", whole_text)
+        out_file = tmp_path / "sieve.jsonl"
+        code, out, _ = run_cli(["sieve", "--qmax", "10000", "--format", "json"], capsys)
+        assert code == 0
+        code, file_out, _ = run_cli(["sieve", "--qmax", "10000", "--format", "json",
+                                     "-o", str(out_file)], capsys)
+        assert code == 0 and file_out == ""
+        assert out.encode() == out_file.read_bytes() == text.encode()
 
     def test_worker_count_gives_identical_bytes(self, capsys):
         # --workers is accepted on sieve; it runs in one process regardless

@@ -69,6 +69,21 @@ class TestRanking:
         assert ranks.tolist() == [[rank_lex(n, t, sub) for sub in combinations(row, t)]
                                   for row in rows.tolist()]
 
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_subset_ranks_hold_one_column(self, t):
+        # the rank array plus one gathered weight column; gathering all t
+        # (b, C(k,t)) point columns before ranking would peak near t + 2
+        # rank arrays
+        rng = np.random.default_rng(7)
+        n, k = 100, 40 if t == 2 else 16
+        rows = np.sort(np.array([rng.choice(n, k, replace=False) for _ in range(60)]), axis=1)
+        tracemalloc.start()
+        ranks = subset_ranks(rows, n, t)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 2.5 * ranks.nbytes
+        assert ranks[0].tolist() == [rank_lex(n, t, sub) for sub in combinations(rows[0], t)]
+
 
 class TestLexCombinations:
     @pytest.mark.parametrize(

@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+from itertools import product
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import oracles
 from blockdesigns import sieve
 from blockdesigns.numth import prime_power, prime_powers_upto
 from blockdesigns.sieve import (
@@ -247,6 +249,36 @@ class TestFastPath:
             assert hash(record) == hash(tuple(record))
             with pytest.raises(AttributeError):
                 record.q = 9
+
+
+class TestReference:
+    """The plain-tuple catalog and the early-exit evaluate against the
+    keyword-built catalog and attribute-reading evaluate in tests/oracles.py."""
+
+    @pytest.fixture(scope="class")
+    def catalogs(self):
+        return [(case_catalog(q), oracles.case_catalog(q)) for q in prime_powers_upto(4, 20_000)]
+
+    def test_catalog_matches_reference(self, catalogs):
+        for cases, expect in catalogs:
+            assert cases == expect
+            assert all(type(c) is CaseSpec for c in cases)
+
+    def test_evaluate_matches_reference_on_tuples(self, catalogs):
+        for cases, _ in catalogs:
+            for c in cases:
+                verdict = evaluate(c)
+                assert type(verdict) is SieveVerdict
+                assert evaluate(tuple(c)) == verdict == oracles.evaluate(c)
+
+    @pytest.mark.parametrize("v", [9, 16, 25, 36, 49, 64, 100])
+    def test_every_constraint_matches_reference_on_squares(self, v):
+        # the catalog's squares reach few constraints; vary every field here
+        fields = product((1, 720, 1512, 4 * 3 * 5 * 7 * 9 * 11), (1, 4, 12, 60), (1, 2, 3),
+                         ((), (12,), (11, 77)), (False, True))
+        for ambient, stabilizer, out, subdegrees, trivial in fields:
+            c = CaseSpec("x", 8, v, ambient, stabilizer, out, subdegrees, trivial, ("n",))
+            assert evaluate(tuple(c)) == evaluate(c) == oracles.evaluate(c)
 
 
 def _encoded(x: SieveVerdict) -> str:
