@@ -185,6 +185,8 @@ def _classification(args) -> tuple[list, str]:
 
 
 def cmd_classify(args) -> int:
+    if args.lam is not None and args.lam < 1:
+        raise UsageError(f"--lambda must be at least 1, as for every t-design; got {args.lam}")
     classes, name = _classification(args)
     rows = [
         (i + 1, _one_based(c.base), c.lam, c.b, c.certificate.hexdigest)
@@ -335,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_group_args(p)
     p.add_argument("--k", type=int, default=6)
     p.add_argument("--t", type=int, default=2)
-    p.add_argument("--lambda", dest="lam", type=int, default=None, help="keep only this lambda")
+    p.add_argument("--lambda", dest="lam", type=int, default=None,
+                   help="keep only this lambda (at least 1)")
     p.add_argument("--format", choices=("json", "csv", "text"), default="text")
     _add_common(p)
     p.set_defaults(func=cmd_classify)

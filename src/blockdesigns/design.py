@@ -5,10 +5,15 @@ read-only (b, k) int64 array of sorted rows in lexicographic order. Every
 computation here and in isomorph.py reads that array; tuples of points
 appear only in Design.block_rows(), for output and tests. orbit_design()
 realizes the block-transitive construction: the block set is one group
-orbit. classify() enumerates every orbit of k-subsets, keeps the orbits
-whose designs are t-designs, and merges them into isomorphism classes by
-canonical certificate. It enumerates nothing when divisibility alone rules
-out every orbit (block_count_step()).
+orbit. _orbit_rows() enumerates it down the group's stabilizer chain, one
+gather, row sort and unique per level, when |G| * k <= kcombs.MAX_SUBSETS:
+no level gathers more than |G| blocks. A larger group is closed under its
+generators, whose rounds hold only the orbit found so far.
+is_flag_transitive() counts one block's orbit under a point stabilizer
+the same way. classify() enumerates every orbit of k-subsets, keeps the
+orbits whose designs are t-designs, and merges them into isomorphism
+classes by canonical certificate. It enumerates nothing when divisibility
+alone rules out every orbit (block_count_step()).
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from math import comb, gcd, lcm
 
 import numpy as np
 
-from . import isomorph
+from . import isomorph, kcombs
 from .kcombs import block_permutation, image_rows, row_keys, subset_orbits, subset_ranks
 from .permcore import PermGroup, Permutation
 
@@ -116,21 +121,57 @@ class Design:
         return Design(self.v, image_rows(sigma.images, self.blocks)[0])
 
 
-def orbit_design(G: PermGroup, base) -> Design:
-    """The G-orbit of a base block, as a design. G is block-transitive on the
-    result by construction, and the block count divides the group order."""
-    seen = Design(G.degree, [base]).blocks
+def _orbit_rows(G: PermGroup, block: np.ndarray) -> tuple[np.ndarray, str]:
+    """The G-orbit of block, one sorted row in a (1, k) array, as unique
+    lex-sorted rows, and how it was enumerated.
+
+    Down the stabilizer chain when |G| * k <= kcombs.MAX_SUBSETS: G^(i),
+    the group of level i, is U_i G^(i+1) for the level's transversal U_i,
+    so the orbit O_i of G^(i) is the union of u(O_(i+1)) over u in U_i,
+    gathered, row-sorted and made unique in one pass per level, deepest
+    first. A level gathers |U_i| |O_(i+1)| <= |U_i| |G^(i+1)| = |G^(i)|
+    rows, never more than |G|. A larger group, whose orbit may still be
+    small, is closed under its generators instead, one round per step of
+    breadth-first search: the orbit of a 256-subset under PSL(2,256) has
+    257 blocks, but a chain pass would gather 256 * 255 rows of 256 points
+    at the middle level."""
+    v, k = G.degree, block.shape[1]
+    if G.order() * k <= kcombs.MAX_SUBSETS:
+        levels = G.transversals()
+        orbit = block
+        for level in reversed(levels):
+            images = np.array([u.images for u in level])
+            moved = np.sort(images[:, orbit].reshape(-1, k), axis=1)
+            _, first = np.unique(row_keys(moved, v), return_index=True)
+            orbit = moved[first]
+        return orbit, f"chain levels with transversals {[len(level) for level in levels]}"
+    seen = frontier = block
     gens = [np.asarray(g.images) for g in G.generators]
-    frontier = seen
+    rounds = 0
     while len(frontier):
         rows = np.concatenate([seen] + [image_rows(im, frontier)[0] for im in gens])
-        keys = row_keys(rows, G.degree)
+        keys = row_keys(rows, v)
         order = np.argsort(keys, kind="stable")  # a seen block sorts first among equals
         keys, srt = keys[order], rows[order]
         first = np.concatenate(([True], keys[1:] != keys[:-1]))
         frontier = srt[first & (order >= len(seen))]
         seen = srt[first]
-    return Design(G.degree, seen)
+        rounds += 1
+    return seen, f"generator closure in {rounds} rounds"
+
+
+def orbit_design(G: PermGroup, base) -> Design:
+    """The G-orbit of a base block, as a design. G is block-transitive on the
+    result by construction, and the block count divides the group order.
+    The orbit is enumerated down G's stabilizer chain, one pass per level,
+    when |G| * k <= kcombs.MAX_SUBSETS, else closed under G's generators
+    (_orbit_rows())."""
+    start = time.perf_counter()
+    rows, how = _orbit_rows(G, Design(G.degree, [base]).blocks)
+    design = Design(G.degree, rows)
+    log.info("orbit design: %d blocks by %s, in %.2f s",
+             design.b, how, time.perf_counter() - start)
+    return design
 
 
 def _uniform_lambda(rows: np.ndarray, v: int, t: int) -> int | None:
@@ -158,16 +199,20 @@ def is_flag_transitive(G: PermGroup, design: Design) -> bool:
     """True iff G is transitive on incident (point, block) pairs. Raises if G
     does not stabilize the block set. By orbit-stabilizer, the flag (p, B),
     B the first block and p its first point, has |G:G_p| * |G_p:G_pB| images
-    (G_pB fixing both): all b*k flags iff G is flag-transitive."""
+    (G_pB fixing both): all b*k flags iff G is flag-transitive. |G_p:G_pB|
+    is the size of B's G_p-orbit, enumerated by _orbit_rows() (down G_p's
+    chain while |G_p| * k <= kcombs.MAX_SUBSETS) and only counted: it lies
+    in the checked block set, so no design is built from it."""
     if G.degree != design.v:
         raise ValueError("degree mismatch")
     for g in G.generators:
         if block_permutation(g.images, design.blocks) is None:
             raise ValueError("group does not preserve the block set")
-    B = design.blocks[0]
-    p = int(B[0])
+    B = design.blocks[:1]
+    p = int(B[0, 0])
     # G_p from G's memo, which certificate searches under G share
-    return len(G.orbit(p)) * orbit_design(G.pointwise_stabilizer((p,)), B).b == design.b * design.k
+    orbit_p = _orbit_rows(G.pointwise_stabilizer((p,)), B)[0]
+    return len(G.orbit(p)) * len(orbit_p) == design.b * design.k
 
 
 def fixed_k_subsets(p: Permutation, k: int) -> int:

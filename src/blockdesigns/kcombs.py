@@ -10,13 +10,13 @@ It subtracts one column's weights at a time, so a (b, C(k,t)) ranking holds
 the ranks and one gathered column, not all t of them.
 
 row_keys() is the one row key: every lexicographic sort of rows in the
-package (image_rows(), the orbit-design closure, Design, refinement
-signatures) sorts one scalar key per row from it.
+package (image_rows(), the orbit-design chain pass and closure, Design,
+refinement signatures) sorts one scalar key per row from it.
 
-The block-image kernel is the one place blocks are mapped through a point
-permutation: image_rows() sorts the image blocks, and block_permutation()
-says where each block of a lex-sorted list goes, or that the list is not
-preserved. Orbit designs, the invariance check of flag transitivity,
+The block-image kernel maps a block list through one point permutation:
+image_rows() sorts the image blocks, and block_permutation() says where
+each block of a lex-sorted list goes, or that the list is not preserved.
+The orbit-design closure, the invariance check of flag transitivity,
 automorphism checks and the pair action all use them. orbit_labels() labels
 every index by the least index in its orbit under a list of index
 permutations, propagating minima along the maps and their inverses with

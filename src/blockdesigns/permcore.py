@@ -22,6 +22,9 @@ is never mutated: adding assigns fresh per-level lists and dicts, so a copy
 can share the levels it does not change, and a group memoizes its pointwise
 stabilizers. Identical inputs (the generator list, plus the point list for a
 stabilizer) give identical chains, orders and element streams.
+transversals() hands the chain's transversals out as tuples of permutations,
+for callers that walk the chain level by level (design.py enumerates block
+orbits that way) without reaching into it; permcore itself needs no numpy.
 """
 
 from __future__ import annotations
@@ -318,6 +321,15 @@ class PermGroup:
 
     def order(self) -> int:
         return math.prod(len(t) for t in self._chain.trans)
+
+    def transversals(self) -> tuple[tuple[Permutation, ...], ...]:
+        """Per chain level, base point first, one element carrying the
+        level's base point to each point of its orbit under the level's
+        group, in the order the points were found. Every group element is,
+        in exactly one way, the product of one element per level applied
+        deepest level first (as elements() lists them). Read-only: fresh
+        tuples over the chain's immutable permutations."""
+        return tuple(tuple(t.values()) for t in self._chain.trans)
 
     def sift(self, p: Permutation) -> Permutation:
         """Residue of p after sifting through the chain; identity iff p is a member."""

@@ -294,6 +294,19 @@ class TestClassify:
         assert [row["case"] for row in payload["classes"]] == [2, 3, 4]
         assert all(row["lambda"] == 6 for row in payload["classes"])
 
+    @pytest.mark.parametrize("lam", ["0", "-3"])
+    def test_lambda_below_1_is_usage_error_before_any_group(self, lam, capsys, monkeypatch):
+        # no t-design has lambda < 1: an empty answer would pass for a result
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("group built")
+
+        monkeypatch.setattr("blockdesigns.grouplib.builtin", unbuilt)
+        monkeypatch.setattr("blockdesigns.grouplib.projective_group", unbuilt)
+        for selector in (["--group", "psl28_paper36"], ["--q", "13"]):
+            code, out, err = run_cli(["classify", *selector, "--k", "5", "--lambda", lam], capsys)
+            assert code == 2 and out == ""
+            assert err == f"error: --lambda must be at least 1, as for every t-design; got {lam}\n"
+
     def test_csv_format(self, capsys, memo_classify):
         code, out, _ = run_cli(
             ["classify", "--group", "psl28_paper36", "--format", "csv"], capsys
@@ -337,7 +350,8 @@ class TestClassify:
 
 
 class TestVerboseStages:
-    """-v logs one line per classify stage to stderr; stdout is unchanged.
+    """-v logs one line per classify stage to stderr, one for the orbit
+    construct enumerates and one for what decided iso; stdout is unchanged.
     Run in a fresh interpreter: logging is configured once per process."""
 
     ARGS = ["classify", "--q", "13", "--k", "5", "--t", "2", "--format", "json"]
@@ -382,6 +396,20 @@ class TestVerboseStages:
             "of 714, the least block count of a 3-design"
         ]
 
+
+    def test_construct_names_the_orbit_enumeration(self):
+        # |PSL(2,13)| * 5 = 5460 points to gather: down the chain; |PSL(2,181)|
+        # * 2 = 5,929,560 is past kcombs.MAX_SUBSETS: closed under generators
+        line = r"INFO blockdesigns\.design: orbit design: {} blocks by {}, in \d+\.\d\d s"
+        cases = ((["--q", "13", "--base", "1,2,3,5,8"], 546,
+                  r"chain levels with transversals \[14, 13, 6\]"),
+                 (["--q", "181", "--base", "1,2"], 16471, "generator closure in 16 rounds"))
+        for args, b, how in cases:
+            quiet_out, quiet_err = self.run(["construct", *args])
+            out, err = self.run(["construct", *args, "-v"])
+            assert out == quiet_out and quiet_err == ""
+            assert json.loads(out)["b"] == b
+            assert re.fullmatch(line.format(b, how), err.strip()), err
 
     def test_iso_names_what_decided(self, tmp_path, capsys):
         # rows 37 and 2 differ in their lambda_3 spectra; rows 2 and 42 share

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from blockdesigns import design
+from blockdesigns import design, kcombs
 from blockdesigns.design import (
     Design,
     block_count_step,
@@ -334,17 +334,55 @@ def group_and_base(draw):
     return PermGroup([Permutation(g) for g in gens]), tuple(base)
 
 
+@pytest.fixture(scope="class", params=["chain", "closure"])
+def enumeration(request):
+    """Block orbits enumerated down the stabilizer chain, as every group in
+    these tests allows, or by generator closure, forced by a subset bound
+    that no |G| * k meets."""
+    with pytest.MonkeyPatch.context() as mp:
+        if request.param == "closure":
+            mp.setattr(kcombs, "MAX_SUBSETS", 0)
+        yield request.param
+
+
 class TestAgainstOracles:
     """The numpy orbit design and flag orbits against the breadth-first
-    walks in tests/oracles.py."""
+    walks in tests/oracles.py, by either enumeration of a block orbit."""
 
     @given(group_and_base())
-    def test_orbit_design(self, case):
+    def test_orbit_design(self, enumeration, case):
         G, base = case
         assert orbit_design(G, base) == oracles.orbit_design(G, base)
 
+    @pytest.mark.parametrize("gens,degree,base,b", [
+        ((), 5, (3, 1), 1),  # the identity: no chain levels, the base block alone
+        (("(1,2,3)", "(4,5)"), 6, (0, 3), 6),  # intransitive: orbits {0,1,2}, {3,4}, {5}
+        (("(1,2,3)", "(4,5)"), 6, (0, 1, 5), 3),
+        (("(1,2,3)", "(4,5)"), 6, (5,), 1),
+    ], ids=["identity", "intransitive-6", "intransitive-3", "intransitive-fixed"])
+    def test_small_groups(self, enumeration, gens, degree, base, b):
+        G = PermGroup([parse_cycles(g, degree) for g in gens]
+                      or [Permutation.identity(degree)])
+        d = orbit_design(G, base)
+        assert d.b == b and d == oracles.orbit_design(G, base)
+        assert is_flag_transitive(G, d) == oracles.is_flag_transitive(G, d)
+        how = design._orbit_rows(G, d.blocks[:1])[1]
+        assert how.startswith({"chain": "chain levels", "closure": "generator closure"}[enumeration])
+        if not gens and enumeration == "chain":
+            assert how == "chain levels with transversals []"
+
+    def test_base_block_off_the_chain_base(self, enumeration):
+        # PSL(2,13) on 14 points, base (1, 2, 0): a block meeting no base
+        # point is still carried along every level
+        G, _ = projective_group(13)
+        base = tuple(p for p in range(14) if p not in G.base)[:5]
+        d = orbit_design(G, base)
+        assert d == oracles.orbit_design(G, base)
+        assert d.b == 182  # the 5-set (3..7) is stabilized by 6 of the 1092 elements
+        assert is_flag_transitive(G, d) == oracles.is_flag_transitive(G, d)
+
     @given(group_and_base(), st.data())
-    def test_flag_transitivity(self, case, data):
+    def test_flag_transitivity(self, enumeration, case, data):
         H, base = case
         d = orbit_design(H, base)
         # the design's own group, or a random one that need not preserve it

@@ -315,6 +315,23 @@ class TestChainInvariants:
                 assert_inverse_transversals(H)
 
 
+    def test_transversals_factor_every_element_once(self):
+        # one element per level, applied deepest level first, gives each
+        # group element exactly once; level i's elements move base[i] to
+        # distinct points and fix the base points before it
+        for G in random_groups(20261019, 30, max_degree=7):
+            levels = G.transversals()
+            assert [len(t) for t in levels] == [len(t) for t in G._chain.trans]
+            products = [Permutation.identity(G.degree)]
+            for i, level in enumerate(levels):
+                assert level[0].is_identity()
+                assert len({u(G.base[i]) for u in level}) == len(level)
+                assert all(u(b) == b for u in level for b in G.base[:i])
+                products = [compose(u, p) for p in products for u in level]
+            assert len(products) == len(set(products)) == G.order()
+            assert set(products) == brute_force_elements(G.generators)
+
+
 class TestPickle:
     """A permutation pickles as its images and is checked again on load, so a
     group crosses to a worker process with its stabilizer chain."""
