@@ -66,6 +66,7 @@ def _default_workers() -> int:
 def _resolve_group(args) -> tuple[PermGroup, str]:
     """Group selector: --group BUILTIN, or --q with --variant/--action."""
     from .grouplib import builtin, pair_action, projective_group
+    from .kcombs import MAX_SUBSETS
 
     if args.group is not None:
         if args.q is not None:
@@ -77,7 +78,13 @@ def _resolve_group(args) -> tuple[PermGroup, str]:
         return builtin(args.group), args.group
     if args.q is None:
         raise UsageError("a group is required: --group NAME or --q Q [--variant V] [--action A]")
-    _projective_size(args)  # a bad --q is a usage error before any group is built
+    # a bad --q is a usage error before any group is built
+    _, degree = _projective_size(args)
+    if degree * degree > MAX_SUBSETS:
+        # the first chain level of a transitive group: degree images of degree points
+        raise UsageError(f"--q {args.q} gives degree {degree}; the first level of its "
+                         f"stabilizer chain would hold {degree}^2 = {degree * degree} "
+                         f"points, more than the {MAX_SUBSETS} bound")
     G, _ = projective_group(args.q, args.variant)
     if args.action == "pairs":
         G, _ = pair_action(G)

@@ -179,11 +179,17 @@ def _uniform_lambda(rows: np.ndarray, v: int, t: int) -> int | None:
     t-subset of 0..v-1 lies in equally many of them, else None. Uniform
     coverage needs lambda_t * C(v,t) = b * C(k,t), so nothing is ranked
     unless C(v,t) divides b * C(k,t); then the coverage of all C(v,t)
-    subsets is counted exactly, in a counter of at most b * C(k,t) entries."""
+    subsets is counted exactly, in a counter of at most b * C(k,t) entries,
+    ranking the t-subsets of as many blocks at a time as keep them within
+    kcombs.MAX_SUBSETS (one block at least)."""
     b, k = rows.shape
     if b * comb(k, t) % comb(v, t):
         return None
-    counts = np.bincount(subset_ranks(rows, v, t).ravel(), minlength=comb(v, t))
+    per_chunk = max(1, kcombs.MAX_SUBSETS // comb(k, t))
+    counts = np.zeros(comb(v, t), dtype=np.int64)
+    for i in range(0, b, per_chunk):
+        counts += np.bincount(subset_ranks(rows[i:i + per_chunk], v, t).ravel(),
+                              minlength=comb(v, t))
     return int(counts[0]) if counts.min() == counts.max() else None
 
 

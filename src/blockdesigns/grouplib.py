@@ -4,7 +4,9 @@ The projective line over GF(q) is labeled [infinity, e_0, ..., e_{q-1}] where
 e_i is the field element whose coefficient vector encodes i in base p. Groups
 are generated by Mobius maps (translation, primitive scaling, negated
 inversion) plus the Frobenius map for the "full" variant; pair_action then
-induces the degree-n(n-1)/2 action on unordered point pairs.
+induces the degree-n(n-1)/2 action on unordered point pairs. FiniteField
+tabulates the powers of one primitive element, so products, inverses and
+Frobenius images add or scale exponents instead of multiplying polynomials.
 
 builtin() exposes two fixed degree-36 generator sets. They are constants:
 the golden classification tables in this package are tied to this exact
@@ -21,7 +23,7 @@ import numpy as np
 
 from .golden import BUILTIN_NAMES
 from .kcombs import block_permutation
-from .numth import factorize, prime_power, smallest_primitive_root
+from .numth import prime_power
 from .permcore import PermGroup, Permutation, parse_cycles
 
 # sentinel for the point at infinity; field elements are coefficient tuples,
@@ -32,41 +34,48 @@ INFINITY = "oo"
 class FiniteField:
     """GF(p^f) with elements as length-f coefficient tuples, low degree first.
 
-    For f >= 2 arithmetic is polynomial arithmetic modulo a monic primitive
-    polynomial x^f + a_{f-1} x^{f-1} + ... + a0 over GF(p): the one whose
-    coefficient vector (a0, ..., a_{f-1}), read as a base-p number, is
-    smallest. Its root x = (0,1,0,...) is a primitive element; the choice
-    fixes the element labeling, so it must never change. For f = 1 the
-    primitive element is the smallest primitive root mod p.
+    The nonzero elements are kept as the powers of one primitive element c:
+    exp[i] = c^i and log[c^i] = i, so a product, inverse or Frobenius image
+    is a sum or multiple of exponents mod q-1. The constructor finds c by
+    walking a candidate's powers until the walk returns to 1; the first
+    walk of q-1 steps is the exp table. For f = 1 the candidates are
+    multiplication by c = 1, 2, ..., so c is the smallest primitive root
+    mod p. For f >= 2 they are multiplication by x modulo each monic
+    x^f + a_{f-1} x^{f-1} + ... + a0 with a0 != 0, in ascending base-p
+    order of (a0, ..., a_{f-1}); a reducible modulus has fewer than q-1
+    units, so the first walk of q-1 steps also proves the modulus
+    irreducible. The choice fixes the element labeling, so it must never
+    change.
     """
 
     def __init__(self, q: int):
         pf = prime_power(q)
         if pf is None:
             raise ValueError(f"{q} is not a prime power")
-        self.p, self.f = pf
+        self.p, self.f = p, f = pf
         self.q = q
-        self.zero = (0,) * self.f
-        self.one = (1,) + (0,) * (self.f - 1)
+        self.zero = (0,) * f
+        self.one = (1,) + (0,) * (f - 1)
         self.modulus = None
-        if self.f > 1:
-            self.modulus = self._smallest_primitive_modulus()
-
-    def _smallest_primitive_modulus(self) -> tuple[int, ...]:
-        # x has order q-1 modulo m iff x^(q-1) = 1 and x^((q-1)/r) != 1 for
-        # every prime r | q-1. A reducible m has fewer than q-1 units, so
-        # this also proves m irreducible.
-        x = self.primitive_element()
-        cofactors = [(self.q - 1) // r for r in factorize(self.q - 1)]
-        for code in range(1, self.q):
-            if code % self.p == 0:  # a0 = 0: x divides the polynomial
+        for code in range(1, q):
+            if f == 1:
+                step = lambda a, c=code: (a[0] * c % p,)
+            elif code % p == 0:  # a0 = 0: x divides the polynomial
                 continue
-            self.modulus = self.from_index(code) + (1,)
-            if self.pow(x, self.q - 1) == self.one and all(
-                self.pow(x, c) != self.one for c in cofactors
-            ):
-                return self.modulus
-        raise AssertionError(f"no primitive polynomial of degree {self.f} over GF({self.p})")
+            else:
+                self.modulus = mod = self.from_index(code) + (1,)
+                # x * a, reduced by x^f = -(a0 + ... + a_{f-1} x^{f-1})
+                step = lambda a: tuple((lo - a[-1] * m) % p
+                                       for lo, m in zip((0,) + a[:-1], mod))
+            powers = [self.one]
+            a = step(self.one)
+            while a != self.one:
+                powers.append(a)
+                a = step(a)
+            if len(powers) == q - 1:
+                break
+        self._exp = powers
+        self._log = {a: i for i, a in enumerate(powers)}
 
     def elements(self) -> list[tuple[int, ...]]:
         return [self.from_index(i) for i in range(self.q)]
@@ -81,9 +90,7 @@ class FiniteField:
         return tuple(digits)
 
     def primitive_element(self) -> tuple[int, ...]:
-        if self.f == 1:
-            return (smallest_primitive_root(self.p),)
-        return (0, 1) + (0,) * (self.f - 2)
+        return self._exp[1 % (self.q - 1)]  # GF(2)* is {1}
 
     def add(self, a, b):
         return tuple((x + y) % self.p for x, y in zip(a, b))
@@ -92,39 +99,17 @@ class FiniteField:
         return tuple((-x) % self.p for x in a)
 
     def mul(self, a, b):
-        if self.f == 1:
-            return ((a[0] * b[0]) % self.p,)
-        out = [0] * (2 * self.f - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] = (out[i + j] + ai * bj) % self.p
-        mod = self.modulus
-        for i in range(len(out) - 1, self.f - 1, -1):
-            c = out[i]
-            if c:
-                out[i] = 0
-                for j in range(self.f + 1):
-                    out[i - self.f + j] = (out[i - self.f + j] - c * mod[j]) % self.p
-        return tuple(out[: self.f])
-
-    def pow(self, a, e: int):
-        result = self.one
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        if a == self.zero or b == self.zero:
+            return self.zero
+        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
 
     def inv(self, a):
         if a == self.zero:
             raise ZeroDivisionError("field inverse of zero")
-        return self.pow(a, self.q - 2)
+        return self._exp[-self._log[a] % (self.q - 1)]
 
     def frobenius(self, a):
-        return self.pow(a, self.p)
+        return a if a == self.zero else self._exp[self._log[a] * self.p % (self.q - 1)]
 
     def __repr__(self):
         return f"FiniteField(q={self.q})"

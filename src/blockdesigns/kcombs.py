@@ -42,8 +42,11 @@ from .permcore import PermGroup
 
 # the orbit scan stores points as uint8
 MAX_POINTS = 255
-# lex_combinations builds at most this many k-subsets; classify over the
-# C(102, 4) = 4,249,575 of them peaked at 486 MB
+# lex_combinations builds at most this many k-subsets (classify over the
+# C(102, 4) = 4,249,575 of them peaked at 486 MB). It also bounds the
+# t-subsets of one block (_subset_positions), those a lambda_t count ranks at
+# a time, the 3-subsets of an iso spectrum, |G| * k for an orbit pass down the
+# stabilizer chain, and degree^2 for a group the CLI builds from --q
 MAX_SUBSETS = 5_000_000
 
 

@@ -1,4 +1,5 @@
-"""Small exact integer helpers shared by the field constructions and the sieve.
+"""Small exact integer helpers: prime factorization, the prime-power test
+that grouplib's fields and the sieve share, and the sieve's prime-power table.
 
 Everything here is integer-only; no floats anywhere.
 """
@@ -6,7 +7,6 @@ Everything here is integer-only; no floats anywhere.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import compress
 
 
@@ -64,16 +64,3 @@ def prime_powers_upto(lo: int, hi: int) -> list[int]:
     out.sort()
     return out
 
-
-@lru_cache(maxsize=None)
-def smallest_primitive_root(p: int) -> int:
-    """Smallest primitive root mod a prime p."""
-    if prime_power(p) != (p, 1):
-        raise ValueError(f"{p} is not prime")
-    if p == 2:
-        return 1
-    order_facs = list(factorize(p - 1))
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // ell, p) != 1 for ell in order_facs):
-            return g
-    raise AssertionError("unreachable: some residue is primitive")

@@ -28,6 +28,11 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
+def unbuilt(*args, **kwargs):
+    """Stands in for grouplib.projective_group where a refusal must come first."""
+    raise AssertionError("projective_group called")
+
+
 class TestConstruct:
     def test_flag_transitive_case(self, tmp_path, capsys):
         out = tmp_path / "d44.json"
@@ -139,9 +144,6 @@ class TestConstruct:
 
     def test_orbit_bound_refused_before_group_is_built(self, capsys, monkeypatch):
         # |PSL(2,2048)| comes from its closed form; building its chain takes seconds
-        def unbuilt(*args, **kwargs):
-            raise AssertionError("projective_group called")
-
         monkeypatch.setattr("blockdesigns.grouplib.projective_group", unbuilt)
         code, out, err = run_cli(["construct", "--q", "2048", "--base", "1,2"], capsys)
         assert code == 2 and out == ""
@@ -149,6 +151,20 @@ class TestConstruct:
             "error: the orbit of a 2-subset of 2049 points under a group of order 8589932544 "
             f"may have 2098176 blocks; construct builds at most {MAX_CONSTRUCT_BLOCKS}\n"
         )
+
+    @pytest.mark.parametrize("q,action,degree", [(4096, "line", 4097), (67, "pairs", 2278)])
+    def test_degree_past_the_chain_bound_refused_before_group_is_built(
+            self, capsys, monkeypatch, q, action, degree):
+        # the orbit of one point passes the orbit bound, but the first chain
+        # level of a transitive group holds degree images of degree points:
+        # for PSL(2,4096) it ran out of memory after 23 s under a 3 GB cap
+        monkeypatch.setattr("blockdesigns.grouplib.projective_group", unbuilt)
+        code, out, err = run_cli(["construct", "--q", str(q), "--action", action,
+                                  "--base", "1", "--t", "1"], capsys)
+        assert code == 2 and out == ""
+        assert err == (f"error: --q {q} gives degree {degree}; the first level of its "
+                       f"stabilizer chain would hold {degree}^2 = {degree**2} points, "
+                       "more than the 5000000 bound\n")
 
 
 class TestBadParameters:

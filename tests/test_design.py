@@ -24,7 +24,7 @@ from blockdesigns.design import (
     orbit_design,
 )
 from blockdesigns.grouplib import BUILTIN_NAMES, builtin, pair_action, projective_group
-from blockdesigns.kcombs import BoundError, subset_orbits
+from blockdesigns.kcombs import BoundError, subset_orbits, subset_ranks
 from blockdesigns.permcore import PermGroup, Permutation, parse_cycles
 
 import oracles
@@ -285,6 +285,29 @@ class TestLambdaOf:
         assert lambda_of(Design(3000, [(0, 1, 2)]), 3) is None
         assert lambda_of(Design(10**6, [(0, 1)]), 2) is None
         assert lambda_of(orbit_design(cyclic(7), (0, 1, 2, 4)), 3) is None  # 7*4 % 35
+
+    @pytest.mark.parametrize("blocks_per_chunk", [1, 2, 7])
+    def test_counted_a_chunk_of_blocks_at_a_time(self, monkeypatch, blocks_per_chunk):
+        # PSL(2,8) is 3-transitive on its 9 points, so its orbits are 3-designs;
+        # the 7 translates of {0, 1, 2} cover the pair {0, 1} twice, {0, 3} never
+        G8, _ = projective_group(8)
+        designs = [orbit_design(G8, (0, 1, 2, 3)), orbit_design(G8, (0, 1, 2, 4, 5)),
+                   orbit_design(cyclic(7), FANO_BASE), orbit_design(cyclic(7), (0, 1, 2))]
+        ranked = []
+
+        def spy(rows, n, t):
+            ranked.append(len(rows))
+            return subset_ranks(rows, n, t)
+
+        monkeypatch.setattr(design, "subset_ranks", spy)
+        for d in designs:
+            for t in (1, 2, 3):
+                monkeypatch.setattr(kcombs, "MAX_SUBSETS", comb(d.k, t) * blocks_per_chunk)
+                ranked.clear()
+                counts = Counter(sub for blk in d.block_rows() for sub in combinations(blk, t))
+                uniform = len(counts) == comb(d.v, t) and len(set(counts.values())) == 1
+                assert lambda_of(d, t) == (next(iter(counts.values())) if uniform else None)
+                assert sum(ranked) in (0, d.b) and max(ranked, default=0) <= blocks_per_chunk
 
     def test_t_outside_1_to_k_rejected(self):
         d = orbit_design(cyclic(7), FANO_BASE)

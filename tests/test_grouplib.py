@@ -58,6 +58,13 @@ def field_elems(q):
     return st.integers(min_value=0, max_value=q - 1).map(F.from_index)
 
 
+def sympy_element(F, a):
+    """a as a sympy polynomial over GF(p), for arithmetic modulo F.modulus
+    (modulo x in a prime field) that never reads the field's tables."""
+    x = sympy.Symbol("x")
+    return sympy.Poly(sum(int(c) * x**i for i, c in enumerate(a)), x, modulus=F.p)
+
+
 class TestPolynomialTable:
     def test_keys_cover_prime_powers(self):
         for (p, f), coeffs in PRIMITIVE_POLY.items():
@@ -90,7 +97,28 @@ class TestPolynomialTable:
             assert len(seen) == q - 1
 
 
+class TestPrimeFields:
+    def test_primitive_element_is_the_smallest_primitive_root(self):
+        primes = [p for p in range(2, 1000) if prime_power(p) == (p, 1)]
+        assert len(primes) == 168
+        for p in primes:
+            assert FiniteField(p).primitive_element() == (sympy.ntheory.primitive_root(p),), p
+
+
 class TestFieldArithmetic:
+    @pytest.mark.parametrize("q", SMALL_Q)
+    def test_inverse_and_frobenius_of_every_element(self, q):
+        F = FiniteField(q)
+        modulus = sympy_element(F, F.modulus or (0, 1))
+        for a in F.elements():
+            poly = sympy_element(F, a)
+            assert sympy_element(F, F.frobenius(a)) == (poly ** F.p).rem(modulus)
+            if a == F.zero:
+                with pytest.raises(ZeroDivisionError):
+                    F.inv(a)
+            else:
+                assert sympy_element(F, F.inv(a)) == poly.invert(modulus)
+
     @pytest.mark.parametrize("q", SMALL_Q)
     def test_structure_constants(self, q):
         F = FiniteField(q)
