@@ -278,6 +278,9 @@ def _load_design(path: str) -> Design:
         raise UsageError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}")
+    if not isinstance(data, dict):
+        raise UsageError(f'{path} must hold a JSON object with "v" and "blocks", '
+                         f"not {json.dumps(data)[:40]}")
 
     def integer(x):
         # JSON true is a Python int, but not a point

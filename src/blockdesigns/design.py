@@ -118,7 +118,7 @@ class Design:
     def relabel(self, sigma: Permutation) -> "Design":
         if sigma.degree != self.v:
             raise ValueError("degree mismatch")
-        return Design(self.v, image_rows(sigma.images, self.blocks)[0])
+        return Design(self.v, image_rows(sigma.images, self.blocks))
 
 
 def _orbit_rows(G: PermGroup, block: np.ndarray) -> tuple[np.ndarray, str]:
@@ -149,7 +149,7 @@ def _orbit_rows(G: PermGroup, block: np.ndarray) -> tuple[np.ndarray, str]:
     gens = [np.asarray(g.images) for g in G.generators]
     rounds = 0
     while len(frontier):
-        rows = np.concatenate([seen] + [image_rows(im, frontier)[0] for im in gens])
+        rows = np.concatenate([seen] + [image_rows(im, frontier) for im in gens])
         keys = row_keys(rows, v)
         order = np.argsort(keys, kind="stable")  # a seen block sorts first among equals
         keys, srt = keys[order], rows[order]

@@ -9,9 +9,14 @@ design.py to count their coverage and isomorph.py their coverage spectrum.
 It subtracts one column's weights at a time, so a (b, C(k,t)) ranking holds
 the ranks and one gathered column, not all t of them.
 
-row_keys() is the one row key: every lexicographic sort of rows in the
-package (image_rows(), the orbit-design chain pass and closure, Design,
-refinement signatures) sorts one scalar key per row from it.
+Rows are ordered by one of two keys. row_keys() keys a row by its entries
+in place: every lexicographic sort of rows in the package (image_rows(),
+the orbit-design chain pass and closure, Design, point signatures of
+refinement) sorts one scalar key per row from it. digit_ranks() keys a row
+as a multiset, by a digit sum over its entries that orders rows as their
+sorted copies would be, so rows that are compared or ranked but not needed
+sorted (block signatures of refinement, the block order of a leaf,
+block_permutation()) are never sorted; dense_ranks() ranks either key.
 
 The block-image kernel maps a block list through one point permutation:
 image_rows() sorts the image blocks, and block_permutation() says where
@@ -196,26 +201,96 @@ def row_keys(rows: np.ndarray, bound: int) -> np.ndarray:
     return raw.view(f"V{size * width}").ravel()
 
 
-def image_rows(images, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def image_rows(images, rows: np.ndarray) -> np.ndarray:
     """The blocks rows (one per row) under the point map images, as
-    lex-sorted rows of sorted points, and order: row i of the result is the
-    image of rows[order[i]]."""
+    lex-sorted rows of sorted points."""
     images = np.asarray(images)
     blocks = np.sort(images[rows], axis=1)
-    order = np.argsort(row_keys(blocks, len(images)), kind="stable")
-    return blocks[order], order
+    return blocks[np.argsort(row_keys(blocks, len(images)), kind="stable")]
+
+
+@lru_cache(maxsize=None)
+def _digit_weights(base: int) -> np.ndarray:
+    """base**(d-1), ..., base, 1 for the most digits d with base**d <= 2**63,
+    negated: the weights of one int64 key word of digit_ranks(). Read-only."""
+    digits = 1
+    while base ** (digits + 1) <= 2**63:
+        digits += 1
+    weights = -np.array([base**i for i in range(digits - 1, -1, -1)], dtype=np.int64)
+    weights.flags.writeable = False
+    return weights
+
+
+def digit_ranks(members: np.ndarray, labels, count: int,
+                most: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Keys, dense ranks and distinct count of the multisets
+    labels[members[:, j]], one per column of the 2-d index array members,
+    ordered as their sorted rows are lexicographically. Labels lie in
+    0..count-1, and no multiset holds more than most copies of one label.
+
+    Of two sorted rows of equal length, the one with more copies of the
+    least label whose count differs is the lex-smaller. So minus the
+    base-(most+1) number whose digits are the label counts, label 0 the
+    most significant, orders the rows exactly, without sorting any: it is
+    a sum of one weight per member. A key word holds the digits of as many
+    labels as fit an int64; keys[w, j] is word w of multiset j, and the
+    words are ranked in turn (dense_ranks()). A point set over n points
+    thus takes ceil(n/63) words, whatever its size."""
+    keys = _digit_keys(members, labels, count, most)
+    return (keys, *dense_ranks(keys))
+
+
+def _digit_keys(members: np.ndarray, labels, count: int, most: int) -> np.ndarray:
+    """The keys of digit_ranks() alone."""
+    weights = _digit_weights(most + 1)
+    digits = len(weights)
+    labels = np.asarray(labels)
+    if count <= digits:
+        return weights[digits - count:][labels][members].sum(axis=0)[None]
+    # each member adds its label's weight to its label's word; one row of
+    # members lies in distinct columns, so no index repeats in one addition
+    word, digit = np.divmod(labels, digits)
+    width = members.shape[1]
+    keys = np.zeros(-(-count // digits) * width, dtype=np.int64)
+    starts, label_weights, columns = word * width, weights[digit], np.arange(width)
+    for row in members:
+        keys[starts[row] + columns] += label_weights[row]
+    return keys.reshape(-1, width)
+
+
+def dense_ranks(keys) -> tuple[np.ndarray, int]:
+    """For items compared key by key, keys a sequence of equal-length 1-d
+    arrays (int or np.void), each item's number of distinct items before
+    it, and the number of distinct items."""
+    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+    srt = keys[0][order]
+    new = srt[1:] != srt[:-1]
+    for key in keys[1:]:
+        srt = key[order]
+        new |= srt[1:] != srt[:-1]
+    ranks = np.zeros(len(order), dtype=np.intp)
+    np.cumsum(new, out=ranks[1:])
+    out = np.empty_like(ranks)
+    out[order] = ranks
+    return out, int(ranks[-1]) + 1 if len(ranks) else 0
 
 
 def block_permutation(images, rows: np.ndarray) -> np.ndarray | None:
-    """For distinct lex-sorted blocks of sorted points rows, the index in rows
-    of each block's image under the point map images; None if the images
-    are not the same block set."""
-    moved, order = image_rows(images, rows)
-    if not np.array_equal(moved, rows):
+    """For distinct lex-sorted blocks of sorted points rows and a point
+    permutation images, the index in rows of each block's image; None if
+    the images are not the same block set.
+
+    Blocks and images are compared by their keys as point sets
+    (digit_ranks(), one copy of a point per set), so no row is sorted. The
+    blocks' keys ascend, so the images are the same set exactly when the
+    image of rank r has the key of block r, and r is then its index."""
+    images = np.asarray(images)
+    n = len(images)
+    cols = np.ascontiguousarray(rows.T)
+    keys, ranks, _ = digit_ranks(cols, images, n, 1)
+    if not np.array_equal(keys, _digit_keys(cols, np.arange(n), n, 1)[:, ranks]):
         return None
-    perm = np.empty(len(rows), dtype=np.intp)
-    perm[order] = np.arange(len(rows))
-    return perm
+    return ranks
 
 
 def orbit_labels(maps, count: int) -> np.ndarray:

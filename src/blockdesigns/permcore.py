@@ -19,9 +19,10 @@ the one stabilizer routine: point by point, the stabilizer of the next point
 in the stabilizer of the ones before, read off a chain whose base starts at
 that point (the parent's own chain when its base does). A chain a group holds
 is never mutated: adding assigns fresh per-level lists and dicts, so a copy
-can share the levels it does not change, and a group memoizes its pointwise
-stabilizers. Identical inputs (the generator list, plus the point list for a
-stabilizer) give identical chains, orders and element streams.
+can share the levels it does not change, a group computes its order once,
+and it memoizes its pointwise stabilizers. Identical inputs (the generator
+list, plus the point list for a stabilizer) give identical chains, orders
+and element streams.
 transversals() hands the chain's transversals out as tuples of permutations,
 for callers that walk the chain level by level (design.py enumerates block
 orbits that way) without reaching into it; permcore itself needs no numpy.
@@ -218,8 +219,12 @@ class _Chain:
             generators = self.gens[0] if self.gens else ()
         G = object.__new__(PermGroup)
         G._degree, G._chain, G._stabilizers = self.degree, self, {}
+        G._order = self.order()
         G._generators = tuple(generators) or (Permutation.identity(self.degree),)
         return G
+
+    def order(self) -> int:
+        return math.prod(len(t) for t in self.trans)
 
     def sift(self, p: Permutation, start: int = 0) -> tuple[Permutation, int]:
         """Strip p through the levels from start on. Returns the residue and
@@ -305,6 +310,7 @@ class PermGroup:
         for g in gens:
             chain.add(g)
         self._degree, self._generators, self._chain = degree, gens, chain
+        self._order = chain.order()
         self._stabilizers: dict[tuple[int, ...], PermGroup] = {}
 
     @property
@@ -320,7 +326,7 @@ class PermGroup:
         return tuple(self._chain.base)
 
     def order(self) -> int:
-        return math.prod(len(t) for t in self._chain.trans)
+        return self._order
 
     def transversals(self) -> tuple[tuple[Permutation, ...], ...]:
         """Per chain level, base point first, one element carrying the

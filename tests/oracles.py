@@ -259,21 +259,26 @@ def unpruned_certificate(design, max_leaves: int = 20_000):
     return data, tuple(first), automorphisms
 
 
+def _lex_rank_rows(arr: np.ndarray) -> np.ndarray:
+    """Lex rank of each row of a 2-d array among its distinct rows, by
+    np.unique: the sort-based ranking the library's digit-sum keys replace."""
+    return np.unique(arr, axis=0, return_inverse=True)[1].reshape(-1)
+
+
 def fixpoint_refine(refiner, pcol) -> np.ndarray:
     """Color refinement with no early stop: rounds of block then point
     signatures until the point color count stops growing, as
     isomorph._Refiner.refine ran before it stopped at discrete and
-    block-stable partitions."""
-    from blockdesigns.isomorph import _unique_rows_inverse
-
+    block-stable partitions. Both signatures are sorted rows ranked by
+    np.unique, independently of the library's digit-sum keys."""
     ncol = int(pcol.max()) + 1
     while True:
-        bcol = _unique_rows_inverse(np.sort(pcol[refiner.rows_arr], axis=1))
+        bcol = _lex_rank_rows(np.sort(pcol[refiner.rows_arr], axis=1))
         bcol_ext = np.concatenate([bcol, [refiner.b]])
         psig = np.concatenate(
             [pcol.reshape(-1, 1), np.sort(bcol_ext[refiner.pb_arr], axis=1)], axis=1
         )
-        new = _unique_rows_inverse(psig)
+        new = _lex_rank_rows(psig)
         if int(new.max()) + 1 == ncol:
             return pcol
         pcol, ncol = new, int(new.max()) + 1

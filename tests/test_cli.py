@@ -599,6 +599,17 @@ class TestIso:
         assert out == ""
         assert err.startswith("error:") and "is not an integer" in err
 
+    @pytest.mark.parametrize("record", [[36, [[1, 2, 3]]], 36, "design", None])
+    def test_non_object_json_is_usage_error(self, record, tmp_path, capsys):
+        # valid JSON that is no design record: a list, a number, a string, null
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(record))
+        code, out, err = run_cli(["iso", str(bad), str(bad)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert 'must hold a JSON object with "v" and "blocks"' in err
+
     def test_missing_file(self, tmp_path, capsys):
         code, _, _ = run_cli(
             ["iso", str(tmp_path / "absent.json"), str(tmp_path / "absent.json")],

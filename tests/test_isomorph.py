@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import array_shapes, arrays
 
 from blockdesigns import golden, isomorph, kcombs
 from blockdesigns.design import Design, orbit_design
@@ -399,11 +398,15 @@ class TestSearchPruning:
         assert extends[0] <= 3
 
     def test_refinement_stops_early_on_row_37(self, psl_group, monkeypatch):
-        # paper Table 2 row 37 at the paper's labels, no group: 148 calls
-        # when every refinement ran one more round to confirm no cell split
-        calls = counting(monkeypatch, isomorph, "_unique_rows_inverse")
+        # paper Table 2 row 37 at the paper's labels, no group: 108 rank
+        # calls in refinement, one per block side and one per point side of
+        # each round; 148 when every refinement ran one more round to
+        # confirm no cell split. A leaf ranks its blocks once too.
+        blocks = counting(monkeypatch, isomorph, "digit_ranks")
+        points = counting(monkeypatch, isomorph, "dense_ranks")
+        leaves = counting(monkeypatch, isomorph, "_leaf_bytes")
         certificate(table2_design(psl_group, 36))
-        assert calls[0] == 108
+        assert blocks[0] - leaves[0] + points[0] == 108
 
     @pytest.mark.parametrize("row", TABLE2_ROWS[::2])
     def test_each_stabilizer_orbit_computed_once(self, psl_group, row, monkeypatch):
@@ -466,29 +469,6 @@ class TestUnprunedOracle:
 
 
 class TestKernels:
-    @given(
-        arrays(
-            np.int64,
-            array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12),
-            elements=st.integers(0, 4),
-        )
-    )
-    def test_unique_rows_inverse_matches_np_unique(self, arr):
-        expected = np.unique(arr, axis=0, return_inverse=True)[1].reshape(-1)
-        assert np.array_equal(isomorph._unique_rows_inverse(arr), expected)
-
-    @given(
-        arrays(
-            np.int64,
-            array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12),
-            elements=st.sampled_from([0, 1, 2**20, 2**40]),
-        )
-    )
-    def test_unique_rows_inverse_on_wide_keys(self, arr):
-        # entries up to 2**40 give keys past int64 from width 2 on
-        expected = np.unique(arr, axis=0, return_inverse=True)[1].reshape(-1)
-        assert np.array_equal(isomorph._unique_rows_inverse(arr), expected)
-
     @given(small_designs(), st.data())
     def test_refine_matches_fixpoint_oracle(self, d, data):
         # uniform, one point individualized after refinement, and discrete
@@ -498,6 +478,26 @@ class TestKernels:
         individualized = isomorph._individualize(fixpoint_refine(refiner, uniform), point)
         discrete = np.array(data.draw(st.permutations(range(d.v))), dtype=np.int64)
         for pcol in (uniform, individualized, discrete):
+            assert np.array_equal(refiner.refine(pcol), fixpoint_refine(refiner, pcol))
+
+    @given(st.data())
+    def test_refine_matches_fixpoint_oracle_on_unequal_degrees(self, data):
+        # random blocks on 23..40 points avoiding the last one, so point
+        # degrees differ (one is 0); a discrete coloring needs two block key
+        # words for every k >= 3 (a word holds 22 colors at k = 6)
+        v = data.draw(st.integers(23, 40))
+        k = data.draw(st.integers(2, 7))
+        subsets = st.sets(st.integers(0, v - 2), min_size=k, max_size=k).map(
+            lambda s: tuple(sorted(s))
+        )
+        d = Design(v, data.draw(st.sets(subsets, min_size=1, max_size=40)))
+        refiner = isomorph._Refiner(d)
+        uniform = np.zeros(v, dtype=np.int64)
+        cells = data.draw(st.integers(1, v))
+        drawn = data.draw(st.lists(st.integers(0, cells - 1), min_size=v, max_size=v))
+        colored = np.unique(drawn, return_inverse=True)[1].astype(np.int64)
+        discrete = np.array(data.draw(st.permutations(range(v))), dtype=np.int64)
+        for pcol in (uniform, colored, discrete):
             assert np.array_equal(refiner.refine(pcol), fixpoint_refine(refiner, pcol))
 
     @given(random_designs())
@@ -519,5 +519,5 @@ class TestKernels:
             d = Design(v, blocks)
             labeling = list(range(v))
             rng.shuffle(labeling)
-            got = isomorph._leaf_bytes(v, b, k, d.blocks, np.asarray(labeling))
+            got = isomorph._leaf_bytes(v, b, k, d.blocks.T, np.asarray(labeling))
             assert got == leaf_bytes(v, b, k, d.block_rows(), labeling)

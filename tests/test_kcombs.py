@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from blockdesigns.kcombs import (
     BoundError,
     block_permutation,
+    dense_ranks,
+    digit_ranks,
     image_rows,
     lex_combinations,
     orbit_labels,
@@ -188,16 +190,105 @@ class TestLexOrder:
         assert lex_order(rows, np.int64(256)).tolist() == [1, 0]
 
 
+@st.composite
+def label_multisets(draw):
+    """Rows of points and a labeling of the points, for digit_ranks(): with
+    most = 1 the labeling is a permutation of up to 200 points (past the 63
+    labels of one key word), else any coloring of up to 60 points, most the
+    row width (up to 8: a word holds 22 labels at width 6). Rows repeat, so
+    equal multisets occur, and are unsorted."""
+    if draw(st.booleans()):
+        most = 1
+        v = draw(st.integers(1, 200))
+        labels = draw(st.permutations(range(v)))
+        width = draw(st.integers(1, min(v, 8)))
+        row = st.lists(st.integers(0, v - 1), min_size=width, max_size=width, unique=True)
+    else:
+        most = width = draw(st.integers(1, 8))
+        v = draw(st.integers(1, 60))
+        labels = draw(st.lists(st.integers(0, v - 1), min_size=v, max_size=v))
+        row = st.lists(st.integers(0, v - 1), min_size=width, max_size=width)
+    pool = draw(st.lists(row, min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=30))
+    rows = np.array([pool[i] for i in picks], dtype=np.int64).reshape(-1, width)
+    labels = np.array(labels, dtype=np.int64)
+    return rows, labels, int(labels.max()) + 1, most
+
+
+def sorted_row_ranks(rows):
+    """Lex rank of each row among the distinct rows, by sorting them."""
+    return np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
+
+
+class TestDigitRanks:
+    @given(label_multisets())
+    def test_ranks_match_sorted_rows(self, case):
+        rows, labels, count, most = case
+        keys, ranks, distinct = digit_ranks(rows.T, labels, count, most)
+        want = sorted_row_ranks(np.sort(labels[rows], axis=1))
+        assert np.array_equal(ranks, want)
+        assert distinct == want.max() + 1
+        # one word per 63 labels at most = 1, per 22 at most = 6
+        digits = next(d for d in range(63, 0, -1) if (most + 1) ** d <= 2**63)
+        assert keys.shape == (-(-count // digits), len(rows))
+
+    @pytest.mark.parametrize("count, most", [(64, 1), (130, 1), (23, 6), (45, 6)])
+    def test_ranks_across_key_words(self, count, most):
+        rng = np.random.default_rng(count)
+        width = most if most > 1 else 5
+        labels = np.arange(count)
+        if most == 1:
+            rows = np.array([rng.choice(count, width, replace=False) for _ in range(300)])
+        else:
+            rows = rng.integers(0, count, size=(300, width))
+            rows[:, 1:] = np.where(rng.random((300, width - 1)) < 0.5, rows[:, :1], rows[:, 1:])
+        rows[150:] = rows[:150]  # every multiset twice
+        keys, ranks, _ = digit_ranks(rows.T, labels, count, most)
+        assert len(keys) > 1
+        assert np.array_equal(ranks, sorted_row_ranks(np.sort(rows, axis=1)))
+
+    @given(rows_near_int64_edge())
+    def test_dense_ranks_on_wide_keys(self, case):
+        # the first column leads, the rest compared by its row key: an int64
+        # or, past an int64, a byte string
+        rows, bound = case
+        ranks, distinct = dense_ranks([rows[:, 0], row_keys(rows[:, 1:], bound)])
+        want = sorted_row_ranks(rows)
+        assert np.array_equal(ranks, want)
+        assert distinct == want.max() + 1
+
+
+@st.composite
+def wide_blocks_and_map(draw):
+    """Distinct lex-sorted blocks on up to 150 points (three key words of a
+    point set) and a permutation of order dividing 6, made of cycles of at
+    most 3 points; half the time the blocks are closed under it."""
+    n = draw(st.integers(2, 150))
+    points = draw(st.permutations(range(n)))
+    images = list(range(n))
+    i = 0
+    while i < n:
+        cycle = points[i:i + draw(st.integers(1, 3))]
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            images[a] = b
+        i += len(cycle)
+    k = draw(st.integers(1, min(n, 4)))
+    blocks = draw(st.sets(st.sets(st.integers(0, n - 1), min_size=k, max_size=k)
+                          .map(frozenset), min_size=1, max_size=20))
+    if draw(st.booleans()):
+        blocks = set().union(*(block_orbit(PermGroup([Permutation(images)]), b) for b in blocks))
+    rows = np.array(sorted(tuple(sorted(b)) for b in blocks), dtype=np.int64).reshape(-1, k)
+    return rows, np.array(images)
+
+
 class TestBlockImageKernel:
     @given(blocks_and_map())
     def test_image_rows_are_sorted_images(self, case):
         rows, images = case
-        moved, order = image_rows(images, rows)
-        assert sorted(map(tuple, moved.tolist())) == list(map(tuple, moved.tolist()))
-        for got, j in zip(moved.tolist(), order.tolist()):
-            assert got == sorted(images[rows[j]].tolist())
+        moved = image_rows(images, rows).tolist()
+        assert moved == sorted(sorted(images[r].tolist()) for r in rows)
 
-    @given(blocks_and_map())
+    @given(st.one_of(blocks_and_map(), wide_blocks_and_map()))
     def test_block_permutation_matches_lookup(self, case):
         rows, images = case
         index = {tuple(r): j for j, r in enumerate(rows.tolist())}
