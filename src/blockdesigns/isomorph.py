@@ -14,9 +14,9 @@ explored one. The known automorphisms form the pruning group: the group
 passed in (the identity group if none), whose generators are each verified
 on entry, extended by any automorphism discovered when two leaves encode
 equally (PermGroup.extend). Both are checked with
-kcombs.block_permutation. Block signatures, a leaf's block order and that
-check rank blocks as multisets by kcombs.digit_ranks, with no row sorted;
-only point signatures are sorted rows. The skips use the orbits of the
+kcombs.block_permutation, which sorts the image rows. Block signatures and
+a leaf's block order rank blocks as multisets by kcombs.digit_ranks, with no
+row sorted; point signatures are sorted rows. The skips use the orbits of the
 pointwise stabilizer of the individualized prefix, memoized by the group itself
 (PermGroup.pointwise_stabilizer), so every certificate pruned by one group
 shares its chain and its stabilizers; a discovered automorphism outside it

@@ -12,11 +12,12 @@ the ranks and one gathered column, not all t of them.
 Rows are ordered by one of two keys. row_keys() keys a row by its entries
 in place: every lexicographic sort of rows in the package (image_rows(),
 the orbit-design chain pass and closure, Design, point signatures of
-refinement) sorts one scalar key per row from it. digit_ranks() keys a row
-as a multiset, by a digit sum over its entries that orders rows as their
-sorted copies would be, so rows that are compared or ranked but not needed
-sorted (block signatures of refinement, the block order of a leaf,
-block_permutation()) are never sorted; dense_ranks() ranks either key.
+refinement) sorts one scalar key per row from it, and block_permutation()
+ranks sorted image rows by it. digit_ranks() keys a row as a multiset, by a
+digit sum over its entries that orders rows as their sorted copies would
+be, so rows that are compared or ranked but not needed sorted (block
+signatures of refinement, the block order of a leaf) are never sorted;
+dense_ranks() ranks either key.
 
 The block-image kernel maps a block list through one point permutation:
 image_rows() sorts the image blocks, and block_permutation() says where
@@ -280,15 +281,15 @@ def block_permutation(images, rows: np.ndarray) -> np.ndarray | None:
     permutation images, the index in rows of each block's image; None if
     the images are not the same block set.
 
-    Blocks and images are compared by their keys as point sets
-    (digit_ranks(), one copy of a point per set), so no row is sorted. The
-    blocks' keys ascend, so the images are the same set exactly when the
+    The image rows are sorted and keyed in place (row_keys()): a point-set
+    key (digit_ranks()) would take ceil(n/63) words however small the block.
+    The blocks' keys ascend, so the images are the same set exactly when the
     image of rank r has the key of block r, and r is then its index."""
     images = np.asarray(images)
     n = len(images)
-    cols = np.ascontiguousarray(rows.T)
-    keys, ranks, _ = digit_ranks(cols, images, n, 1)
-    if not np.array_equal(keys, _digit_keys(cols, np.arange(n), n, 1)[:, ranks]):
+    keys = row_keys(np.sort(images[rows], axis=1), n)
+    ranks, _ = dense_ranks([keys])
+    if not np.array_equal(keys, row_keys(rows, n)[ranks]):
         return None
     return ranks
 

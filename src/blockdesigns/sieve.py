@@ -23,24 +23,29 @@ arithmetic; no floating point. The run report states the verified range:
 the sieve checks a finite range numerically, it does not prove anything
 beyond it.
 
-A run builds tens of thousands of small records, so the per-case work is
-kept small. CaseSpec and SieveVerdict are typing.NamedTuple classes,
-immutable and hashable, but the catalog builds each case as a plain tuple in
-CaseSpec's field order, and only case_catalog() wraps them as CaseSpec.
-evaluate() takes either form, unpacks it once and returns at the square test
-when v is not a square, as almost every case does. run() does not factorize
-each q: it walks the ascending list of prime powers up to q_max, in which
-every power p^(f+1) comes after p^f, and carries (p, f+1) forward from
-q = p^f to q*p; a q that nothing carried to is a prime, (q, 1). It refuses
-q_max above MAX_QMAX before building that list.
+A run builds tens of thousands of small records, and almost every case
+fails the square test, so a case costs only what its verdict needs. Each case
+is written once, in two stages. _point_counts() gives stage one: case id, v,
+notes, and the parameter stage two needs beyond q (the subfield order q0, or
+the |G| and |M| a table-1 line quotes). _constraints() gives stage two:
+ambient, stabilizer and out orders, subdegrees and the trivial flag. run()
+tests isqrt(v)**2 == v first. A square failure becomes its SieveVerdict at
+once, and only a square v gets stage two and evaluate(). case_catalog() joins
+both stages into CaseSpec records; evaluate() takes a CaseSpec or a plain
+tuple of its fields. CaseSpec and SieveVerdict are typing.NamedTuple classes,
+immutable and hashable. run() does not factorize each q: it walks the
+ascending list of prime powers up to q_max, in which every power p^(f+1)
+comes after p^f, and carries (p, f+1) forward from q = p^f to q*p; a q that
+nothing carried to is a prime, (q, 1). Each exponent f is factorized once.
+run() refuses q_max above MAX_QMAX before building that list.
 
 The JSON line format is fixed: one object per verdict with its keys sorted
 and json.dumps' default separators, the bytes of json.dumps(record,
-sort_keys=True), written by one f-string in SieveVerdict.to_json. The case
-id, failure name and notes go through a bounded memo of json.dumps, since a
-run holds only a few dozen distinct ones. SieveReport.json_chunks() yields
-the lines JSON_CHUNK verdicts at a time; the CLI writes the chunks as they
-come, and json_lines() joins the same chunks.
+sort_keys=True), written by SieveVerdict.to_json alone. A run holds a few dozen
+distinct combinations of the fields other than q and v, so to_json()
+memoizes, per combination, the line's text before q and between q and v. SieveReport.json_chunks() yields the lines
+JSON_CHUNK verdicts at a time; the CLI writes the chunks as they come, and
+json_lines() joins the same chunks.
 """
 
 from __future__ import annotations
@@ -58,8 +63,9 @@ CONSTRAINT_ORDER = ("square", "k_guard", "subdegree", "block_count", "stabilizer
 
 # run() refuses a larger q_max before allocating anything: the prime-power
 # table and the verdicts take memory linear in q_max. run(10**6) peaks at
-# 78 MB in 1.2 s, and 191 MB in 1.9 s with json_lines() (2-vCPU x86 VM);
-# `sieve --qmax 1000000 --format json` streams its chunks at an 80 MB peak
+# 77 MB in 0.65-0.9 s, and 191 MB in 1.4-1.5 s with json_lines() (2-vCPU x86
+# VM); `sieve --qmax 1000000 --format json` streams its chunks at a 79 MB
+# peak in 1.1-1.3 s
 MAX_QMAX = 10**6
 
 
@@ -95,20 +101,32 @@ class SieveVerdict(NamedTuple):
     def to_json(self) -> str:
         """One JSON object with sorted keys and the default separators: the
         bytes json.dumps(..., sort_keys=True) gives for the same record."""
-        k = "null" if self.k is None else self.k
-        square = "true" if self.square else "false"
-        survivor = "true" if self.survivor else "false"
-        trivial = "true" if self.trivial else "false"
-        return (
-            f'{{"case": {_dumps(self.case_id)}, "failed": {_dumps(self.failed)}, "k": {k}, '
-            f'"notes": {_dumps(self.notes)}, "q": {self.q}, "square": {square}, '
-            f'"survivor": {survivor}, "trivial": {trivial}, "v": {self.v}}}'
-        )
+        case_id, q, v, square, k, failed, survivor, trivial, notes = self
+        head, tail = _json_parts(case_id, failed, k, notes, square, survivor, trivial)
+        return f"{head}{q}{tail}{v}}}"
 
 
-# json.dumps of a case id, a failure name (or None) and a notes tuple (a JSON
-# list): a run holds a few dozen distinct ones, so each is encoded once
-_dumps = lru_cache(maxsize=256)(json.dumps)
+@lru_cache(maxsize=256)
+def _json_parts(case_id: str, failed: str | None, k: int | None, notes: tuple[str, ...],
+                square: bool, survivor: bool, trivial: bool) -> tuple[str, str]:
+    """A verdict's JSON line up to its q, and from its q to its v: a run
+    holds a few dozen distinct pairs, so each is written once."""
+    k = "null" if k is None else k
+    square, survivor, trivial = ("true" if x else "false" for x in (square, survivor, trivial))
+    return (f'{{"case": {json.dumps(case_id)}, "failed": {json.dumps(failed)}, "k": {k}, '
+            f'"notes": {json.dumps(notes)}, "q": ',
+            f', "square": {square}, "survivor": {survivor}, "trivial": {trivial}, "v": ')
+
+
+# a SieveVerdict from one tuple of its nine fields, without the keyword-aware
+# constructor NamedTuple generates (half the cost per verdict)
+_new = tuple.__new__
+
+
+def _square_failure(case_id: str, q: int, v: int, notes: tuple[str, ...]) -> SieveVerdict:
+    """The verdict of a case whose v is not a square."""
+    return _new(SieveVerdict, (case_id, q, v, False, None, "square", False, False, notes))
+
 
 # the verdict lines per chunk that SieveReport.json_chunks joins
 JSON_CHUNK = 4096
@@ -171,47 +189,89 @@ _TABLE1_ROWS = {
 _PRIME_Q_NOTE = ("subdegree pattern stated for prime q; applied here with q = p^f, f > 1",)
 
 
-def _odd_cases(q: int, p: int, f: int, ambient: int, out: int) -> list[tuple]:
-    cases = [("odd-1", q, q + 1, ambient, q * (q - 1) // 2, out, (), False, ())]
-    if q >= 13:
-        cases.append(("odd-2", q, q * (q + 1) // 2, ambient, q - 1, out,
-                      ((q - 1) // 2, 2 * (q - 1), q - 1), False, ()))
-    if q not in (7, 9):
-        cases.append(("odd-3", q, q * (q - 1) // 2, ambient, q + 1, out,
-                      ((q + 1) // 2, q + 1), False, _PRIME_Q_NOTE if f > 1 else ()))
-    if f % 2 == 0:
-        q0 = p ** (f // 2)
-        cases.append(("odd-4", q, q0 * (q0 * q0 + 1) // 2, ambient, q0 * (q0 * q0 - 1), out,
-                      (), False, ()))
-    for r in sorted(r for r in factorize(f) if r % 2 == 1):
-        q0 = p ** (f // r)
-        v = q0 ** (r - 1) * (q0 ** (2 * r) - 1) // (q0 * q0 - 1)
-        cases.append(("odd-5", q, v, ambient, q0 * (q0 * q0 - 1) // 2, out, (), False, ()))
-    if q % 10 in (1, 9) and (f == 1 or (f == 2 and p % 10 in (3, 7))):
-        cases.append(("odd-6", q, q * (q * q - 1) // 120, ambient, 60, out, (), False, ()))
-    if f == 1 and q % 8 in (3, 5) and q % 10 not in (1, 9):
-        cases.append(("odd-7", q, q * (q * q - 1) // 24, ambient, 12, out, (), False, ()))
-    if f == 1 and q % 8 in (1, 7):
-        cases.append(("odd-8", q, q * (q * q - 1) // 48, ambient, 24, out, (), False, ()))
-    return cases
+@lru_cache(maxsize=64)
+def _prime_factors(f: int) -> tuple[int, ...]:
+    """The primes dividing f, ascending: factorized once per f (f <= 19 for
+    q <= MAX_QMAX), not once per q."""
+    return tuple(sorted(factorize(f)))
 
 
-def _even_cases(q: int, f: int, ambient: int, out: int) -> list[tuple]:
+def _subfield_v(q0: int, r: int) -> int:
+    """The point count of the subfield case PSL(2, q0) in PSL(2, q0**r)."""
+    return q0 ** (r - 1) * (q0 ** (2 * r) - 1) // (q0 * q0 - 1)
+
+
+def _point_counts(q: int, p: int, f: int) -> list[tuple]:
+    """Stage one of the cases at q = p**f >= 4, in case_catalog's order:
+    (case id, v, notes, parameter). The parameter is what _constraints needs
+    beyond q: the subfield order q0 of a subfield case, (|G|, |M|) of a
+    table-1 line, else None."""
+    if p == 2:
+        counts = [("even-1", q + 1, (), None), ("even-2", q * (q - 1) // 2, (), None),
+                  ("even-3", q * (q + 1) // 2, (), None)]
+        for r in _prime_factors(f):
+            if f // r >= 2:  # q0 = 2 is excluded
+                q0 = 2 ** (f // r)
+                counts.append(("even-4", _subfield_v(q0, r), (), q0))
+    else:
+        counts = [("odd-1", q + 1, (), None)]
+        if q >= 13:
+            counts.append(("odd-2", q * (q + 1) // 2, (), None))
+        if q not in (7, 9):
+            counts.append(("odd-3", q * (q - 1) // 2, _PRIME_Q_NOTE if f > 1 else (), None))
+        if f > 1:
+            if f % 2 == 0:
+                q0 = p ** (f // 2)
+                counts.append(("odd-4", q0 * (q0 * q0 + 1) // 2, (), q0))
+            for r in _prime_factors(f):
+                if r % 2:
+                    q0 = p ** (f // r)
+                    counts.append(("odd-5", _subfield_v(q0, r), (), q0))
+        if q % 10 in (1, 9) and (f == 1 or (f == 2 and p % 10 in (3, 7))):
+            counts.append(("odd-6", q * (q * q - 1) // 120, (), None))
+        if f == 1:
+            if q % 8 in (3, 5) and q % 10 not in (1, 9):
+                counts.append(("odd-7", q * (q * q - 1) // 24, (), None))
+            if q % 8 in (1, 7):
+                counts.append(("odd-8", q * (q * q - 1) // 48, (), None))
+    if q in _TABLE1_ROWS:
+        counts += [(f"table1-line-{line}", v, (), (g, m)) for line, g, m, v in _TABLE1_ROWS[q]]
+    if f == 1 and q % 40 in (11, 19, 21, 29):
+        g = q * (q * q - 1)
+        counts.append(("table1-line-10", g // 24, (), (g, 24)))
+    return counts
+
+
+# stage two of a socle-maximal case: its stabilizer order and its known
+# nontrivial subdegrees, from q and the case's parameter
+_STABILIZERS = {
+    "odd-1": lambda q, q0: (q * (q - 1) // 2, ()),
+    "odd-2": lambda q, q0: (q - 1, ((q - 1) // 2, 2 * (q - 1), q - 1)),
+    "odd-3": lambda q, q0: (q + 1, ((q + 1) // 2, q + 1)),
+    "odd-4": lambda q, q0: (q0 * (q0 * q0 - 1), ()),
+    "odd-5": lambda q, q0: (q0 * (q0 * q0 - 1) // 2, ()),
+    "odd-6": lambda q, q0: (60, ()),
+    "odd-7": lambda q, q0: (12, ()),
+    "odd-8": lambda q, q0: (24, ()),
+    "even-1": lambda q, q0: (q * (q - 1), ()),
+    "even-2": lambda q, q0: (2 * (q + 1), (q + 1,)),
+    "even-3": lambda q, q0: (2 * (q - 1), (2 * (q - 1), q - 1)),
+    "even-4": lambda q, q0: (q0 * (q0 * q0 - 1), ()),
+}
+
+
+def _constraints(case_id: str, q: int, p: int, f: int, param) -> tuple:
+    """Stage two of a case from stage one: CaseSpec's fields from
+    ambient_order to trivial_if_survivor."""
+    if case_id.startswith("table1-"):
+        g, m = param  # the line quotes G and its point stabilizer M
+        return g, m, 1, (), False
+    out = f if p == 2 else 2 * f
+    stabilizer, subdegrees = _STABILIZERS[case_id](q, param)
     # the Borel survivor at q = 8 sits inside a 3-transitive degree-9 action,
     # which forces the complete 3-subset design: flag it trivial
-    cases = [
-        ("even-1", q, q + 1, ambient, q * (q - 1), out, (), q == 8, ()),
-        ("even-2", q, q * (q - 1) // 2, ambient, 2 * (q + 1), out, (q + 1,), False, ()),
-        ("even-3", q, q * (q + 1) // 2, ambient, 2 * (q - 1), out,
-         (2 * (q - 1), q - 1), False, ()),
-    ]
-    for r in sorted(factorize(f)):
-        if f // r < 2:
-            continue  # q0 = 2 is excluded
-        q0 = 2 ** (f // r)
-        v = q0 ** (r - 1) * (q0 ** (2 * r) - 1) // (q0 * q0 - 1)
-        cases.append(("even-4", q, v, ambient, q0 * (q0 * q0 - 1), out, (), False, ()))
-    return cases
+    return (q * (q * q - 1) // gcd(2, q - 1) * out, stabilizer, out, subdegrees,
+            case_id == "even-1" and q == 8)
 
 
 def case_catalog(q: int) -> list[CaseSpec]:
@@ -219,27 +279,8 @@ def case_catalog(q: int) -> list[CaseSpec]:
     pf = prime_power(q)
     if pf is None or q < 4:
         raise ValueError(f"{q} is not a prime power >= 4")
-    return [CaseSpec._make(c) for c in _catalog(q, *pf)]
-
-
-def _catalog(q: int, p: int, f: int) -> list[tuple]:
-    """The cases of case_catalog(q) as plain tuples in CaseSpec's field
-    order, for q = p**f >= 4 with p and f already known."""
-    out = f if p == 2 else 2 * f
-    # the per-q fields of a socle-maximal case; a table-1 line overrides both
-    ambient = q * (q * q - 1) // gcd(2, q - 1) * out
-    cases = _even_cases(q, f, ambient, out) if p == 2 else _odd_cases(q, p, f, ambient, out)
-    rows = _TABLE1_ROWS.get(q, ())
-    if f == 1 and q % 40 in (11, 19, 21, 29):
-        g = q * (q * q - 1)
-        rows = [*rows, (10, g, 24, g // 24)]
-    cases += [(f"table1-line-{line}", q, v, g, m, 1, (), False, ()) for line, g, m, v in rows]
-    return cases
-
-
-# a SieveVerdict from one tuple of its nine fields, without the keyword-aware
-# constructor NamedTuple generates (half the cost per verdict)
-_new = tuple.__new__
+    return [CaseSpec(case_id, q, v, *_constraints(case_id, q, *pf, param), notes)
+            for case_id, v, notes, param in _point_counts(q, *pf)]
 
 
 def evaluate(case: CaseSpec | tuple) -> SieveVerdict:
@@ -248,7 +289,7 @@ def evaluate(case: CaseSpec | tuple) -> SieveVerdict:
     case_id, q, v, ambient, stabilizer, out, subdegrees, trivial, notes = case
     k = isqrt(v)
     if k * k != v:
-        return _new(SieveVerdict, (case_id, q, v, False, None, "square", False, False, notes))
+        return _square_failure(case_id, q, v, notes)
     if k < 3:
         failed = "k_guard"
     elif any(s % (k + 1) for s in subdegrees):
@@ -279,6 +320,11 @@ def run(q_max: int) -> SieveReport:
     """Evaluate every case for every prime power 4 <= q <= q_max."""
     if not 4 <= q_max <= MAX_QMAX:
         raise ValueError(f"q_max must be in 4..{MAX_QMAX}")
-    verdicts = [evaluate(case) for q, p, f in _prime_powers_with_pf(q_max)
-                for case in _catalog(q, p, f)]
+    verdicts = [
+        evaluate((case_id, q, v, *_constraints(case_id, q, p, f, param), notes))
+        if isqrt(v) ** 2 == v
+        else _square_failure(case_id, q, v, notes)
+        for q, p, f in _prime_powers_with_pf(q_max)
+        for case_id, v, notes, param in _point_counts(q, p, f)
+    ]
     return SieveReport(q_min=4, q_max=q_max, verdicts=tuple(verdicts))

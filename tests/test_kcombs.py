@@ -1,6 +1,7 @@
 """Subset ranking and the vectorized k-subset orbit scan."""
 
 import tracemalloc
+from functools import partial
 from itertools import combinations
 from math import comb
 
@@ -259,26 +260,45 @@ class TestDigitRanks:
 
 
 @st.composite
-def wide_blocks_and_map(draw):
-    """Distinct lex-sorted blocks on up to 150 points (three key words of a
-    point set) and a permutation of order dividing 6, made of cycles of at
-    most 3 points; half the time the blocks are closed under it."""
-    n = draw(st.integers(2, 150))
-    points = draw(st.permutations(range(n)))
+def wide_blocks_and_map(draw, sizes=st.integers(2, 150), max_k=4):
+    """Distinct lex-sorted blocks of at most max_k points on n points, n
+    drawn from sizes, and a permutation of order dividing 6, made of cycles
+    of at most 3 points; half the time the blocks are closed under it. Over
+    150 points the cycles come from a Random seeded by one draw, since a
+    draw per point is slow there (about 5 s a test at n = 998)."""
+    n = draw(sizes)
+    if n <= 150:
+        points = draw(st.permutations(range(n)))
+        length = partial(draw, st.integers(1, 3))
+    else:
+        rnd = draw(st.randoms(use_true_random=True))
+        points = rnd.sample(range(n), n)
+        length = partial(rnd.randint, 1, 3)
     images = list(range(n))
     i = 0
     while i < n:
-        cycle = points[i:i + draw(st.integers(1, 3))]
+        cycle = points[i:i + length()]
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             images[a] = b
         i += len(cycle)
-    k = draw(st.integers(1, min(n, 4)))
+    k = draw(st.integers(1, min(n, max_k)))
     blocks = draw(st.sets(st.sets(st.integers(0, n - 1), min_size=k, max_size=k)
                           .map(frozenset), min_size=1, max_size=20))
     if draw(st.booleans()):
         blocks = set().union(*(block_orbit(PermGroup([Permutation(images)]), b) for b in blocks))
     rows = np.array(sorted(tuple(sorted(b)) for b in blocks), dtype=np.int64).reshape(-1, k)
     return rows, np.array(images)
+
+
+def _check_block_permutation(rows, images):
+    # against a lookup of each sorted image row among the blocks
+    index = {tuple(r): j for j, r in enumerate(rows.tolist())}
+    want = [index.get(tuple(sorted(images[r].tolist()))) for r in rows]
+    perm = block_permutation(images, rows)
+    if None in want:
+        assert perm is None
+    else:
+        assert perm.tolist() == want
 
 
 class TestBlockImageKernel:
@@ -290,14 +310,27 @@ class TestBlockImageKernel:
 
     @given(st.one_of(blocks_and_map(), wide_blocks_and_map()))
     def test_block_permutation_matches_lookup(self, case):
-        rows, images = case
-        index = {tuple(r): j for j, r in enumerate(rows.tolist())}
-        want = [index.get(tuple(sorted(images[r].tolist()))) for r in rows]
-        perm = block_permutation(images, rows)
-        if None in want:
-            assert perm is None
-        else:
-            assert perm.tolist() == want
+        _check_block_permutation(*case)
+
+    # row keys of the images: one int64 word while n**k < 2**63, bytes from
+    # k = 11, 10 and 7 at these n
+    @given(wide_blocks_and_map(st.sampled_from([64, 100, 998]), max_k=12))
+    def test_block_permutation_matches_lookup_over_many_points(self, case):
+        _check_block_permutation(*case)
+
+    @pytest.mark.parametrize("n,k", [(64, 2), (100, 10), (998, 2), (998, 7)])
+    def test_block_permutation_over_many_points_on_a_cycle(self, n, k):
+        # the blocks {i, ..., i+k-1} mod n: a rotation preserves them, the
+        # transposition (0 1) moves {1, ..., k} onto a non-block
+        rows = np.sort([[(i + j) % n for j in range(k)] for i in range(n)], axis=1)
+        rows = rows[np.lexsort(rows.T[::-1])]
+        rotation = np.roll(np.arange(n), -1)
+        blocks = [tuple(r) for r in rows.tolist()]
+        assert block_permutation(rotation, rows).tolist() == [
+            blocks.index(tuple(sorted(rotation[r].tolist()))) for r in rows]
+        swap = np.arange(n)
+        swap[[0, 1]] = [1, 0]
+        assert block_permutation(swap, rows) is None
 
     @given(st.integers(1, 30).flatmap(
         lambda n: st.lists(st.permutations(range(n)), min_size=0, max_size=3)

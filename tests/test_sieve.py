@@ -3,6 +3,7 @@
 import hashlib
 import json
 from itertools import product
+from math import isqrt
 
 import pytest
 from hypothesis import example, given
@@ -15,6 +16,7 @@ from blockdesigns.sieve import (
     CONSTRAINT_ORDER,
     MAX_QMAX,
     CaseSpec,
+    SieveReport,
     SieveVerdict,
     case_catalog,
     evaluate,
@@ -197,6 +199,20 @@ class TestRun:
             "q > 1024 is not checked by this run\n"
         )
 
+    def test_evaluate_runs_for_square_v_only(self, monkeypatch):
+        # a case whose v is not a square gets its verdict without evaluate()
+        cases = []
+        evaluate_all = sieve.evaluate
+
+        def counted(case):
+            cases.append(case)
+            return evaluate_all(case)
+
+        monkeypatch.setattr(sieve, "evaluate", counted)
+        report = run(100000)
+        assert len(cases) == sum(x.square for x in report.verdicts) >= 8
+        assert all(isqrt(c[2]) ** 2 == c[2] for c in cases)
+
     def test_q_max_above_bound_refused_before_any_table(self, monkeypatch):
         def unbuilt(*args):
             raise AssertionError("prime_powers_upto called")
@@ -293,21 +309,49 @@ def _encoded(x: SieveVerdict) -> str:
     )
 
 
+_HAND_BUILT = [
+    SieveVerdict("odd-3", 289, 41616, True, 204, "subdegree", False,
+                 notes=("first note", 'quote " and backslash \\', "q = p\u00b2, \u2265 3")),
+    SieveVerdict('line "1" \u00e9', 7, 28, False, None, "square", False),
+    SieveVerdict("even-3", 8, 36, True, 6, None, True),
+    SieveVerdict("even-1", 8, 9, True, 3, None, True, trivial=True),
+]
+
+
 class TestJsonLine:
     def test_every_line_to_10000_matches_json_dumps(self):
         report = run(10000)
         assert report.json_lines().splitlines() == [_encoded(x) for x in report.verdicts]
 
-    @pytest.mark.parametrize(
-        "verdict",
-        [
-            SieveVerdict("odd-3", 289, 41616, True, 204, "subdegree", False,
-                         notes=("first note", 'quote " and backslash \\', "q = p\u00b2, \u2265 3")),
-            SieveVerdict('line "1" \u00e9', 7, 28, False, None, "square", False),
-            SieveVerdict("even-3", 8, 36, True, 6, None, True),
-            SieveVerdict("even-1", 8, 9, True, 3, None, True, trivial=True),
-        ],
-        ids=["notes", "k-none", "failed-none", "trivial"],
-    )
+    @pytest.mark.parametrize("verdict", _HAND_BUILT,
+                             ids=["notes", "k-none", "failed-none", "trivial"])
     def test_hand_built_verdict_matches_json_dumps(self, verdict):
         assert verdict.to_json() == _encoded(verdict)
+
+    @given(st.integers(4, 3000), st.integers(1, 3000))
+    @example(289, 7)  # odd-3 at 289 = 17^2: a square v with notes
+    @example(289, 1)
+    @example(49, 2)  # odd-3 at 49: a square failure with notes
+    @example(3000, 4095)
+    def test_memoized_lines_match_json_dumps(self, q_max, chunk):
+        # to_json() memoizes all of a line but q and v, across runs and
+        # examples; chunks of a drawn size put boundaries anywhere
+        report = run(q_max)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sieve, "JSON_CHUNK", chunk)
+            chunks = list(report.json_chunks())
+            lines = report.json_lines()
+        assert len(chunks) == -(-len(report.verdicts) // chunk)
+        assert lines == "".join(chunks)
+        assert lines.splitlines() == [_encoded(x) for x in report.verdicts]
+
+    def test_verdicts_one_field_apart_get_their_own_lines(self):
+        # each of the seven memoized fields changed alone, so a memo key that
+        # missed one would give two of these the same text around q and v
+        base = SieveVerdict("odd-1", 13, 14, False, None, "square", False)
+        changed = [base._replace(**{field: value}) for field, value in [
+            ("case_id", "odd-2"), ("failed", "subdegree"), ("k", 3), ("notes", ("n",)),
+            ("square", True), ("survivor", True), ("trivial", True)]]
+        verdicts = (base, *changed, *_HAND_BUILT, base)
+        lines = SieveReport(4, 289, verdicts).json_lines()
+        assert lines.splitlines() == [_encoded(x) for x in verdicts]
