@@ -11,9 +11,9 @@ no level gathers more than |G| blocks. A larger group is closed under its
 generators, whose rounds hold only the orbit found so far.
 is_flag_transitive() counts one block's orbit under a point stabilizer
 the same way. classify() enumerates every orbit of k-subsets, keeps the
-orbits whose designs are t-designs, and merges them into isomorphism
-classes by canonical certificate. It enumerates nothing when divisibility
-alone rules out every orbit (block_count_step()).
+orbits whose base block passes the Kramer-Mesner test for a t-design, and
+merges them into isomorphism classes by canonical certificate. It
+enumerates nothing when divisibility or t >= v - k rules out every orbit.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from math import comb, gcd, lcm
 import numpy as np
 
 from . import isomorph, kcombs
-from .kcombs import block_permutation, image_rows, row_keys, subset_orbits, subset_ranks
+from .kcombs import block_permutation, image_rows, row_keys, subset_orbits, subset_rank_chunks
 from .permcore import PermGroup, Permutation
 
 log = logging.getLogger(__name__)
@@ -174,31 +174,23 @@ def orbit_design(G: PermGroup, base) -> Design:
     return design
 
 
-def _uniform_lambda(rows: np.ndarray, v: int, t: int) -> int | None:
-    """lambda_t of the blocks in rows (one sorted block per row) if every
-    t-subset of 0..v-1 lies in equally many of them, else None. Uniform
-    coverage needs lambda_t * C(v,t) = b * C(k,t), so nothing is ranked
-    unless C(v,t) divides b * C(k,t); then the coverage of all C(v,t)
-    subsets is counted exactly, in a counter of at most b * C(k,t) entries,
-    ranking the t-subsets of as many blocks at a time as keep them within
-    kcombs.MAX_SUBSETS (one block at least)."""
-    b, k = rows.shape
-    if b * comb(k, t) % comb(v, t):
-        return None
-    per_chunk = max(1, kcombs.MAX_SUBSETS // comb(k, t))
-    counts = np.zeros(comb(v, t), dtype=np.int64)
-    for i in range(0, b, per_chunk):
-        counts += np.bincount(subset_ranks(rows[i:i + per_chunk], v, t).ravel(),
-                              minlength=comb(v, t))
-    return int(counts[0]) if counts.min() == counts.max() else None
-
-
 def lambda_of(design: Design, t: int) -> int | None:
     """lambda_t if every t-subset of points lies in equally many blocks, else
-    None."""
+    None. Uniform coverage needs lambda_t * C(v,t) = b * C(k,t), so nothing
+    is ranked unless C(v,t) divides b * C(k,t); then the coverage of all
+    C(v,t) subsets is counted exactly, ranking at most kcombs.MAX_SUBSETS
+    t-subsets at a time (subset_rank_chunks(), which refuses a block with
+    more before the counter is allocated)."""
     if not 1 <= t <= design.k:
         raise ValueError("t must be in 1..k")
-    return _uniform_lambda(design.blocks, design.v, t)
+    (b, k), v = design.blocks.shape, design.v
+    if b * comb(k, t) % comb(v, t):
+        return None
+    chunks = subset_rank_chunks(design.blocks, v, t)
+    counts = np.zeros(comb(v, t), dtype=np.int64)
+    for ranks in chunks:
+        counts += np.bincount(ranks.ravel(), minlength=comb(v, t))
+    return int(counts[0]) if counts.min() == counts.max() else None
 
 
 def is_flag_transitive(G: PermGroup, design: Design) -> bool:
@@ -271,13 +263,15 @@ def classify(G: PermGroup, k: int, t: int = 2, workers: int = 1) -> list[DesignC
     isomorphism classes, sorted by (lambda, base block).
 
     An orbit's size divides |G| and must be a multiple of
-    block_count_step(v, k, t) to carry a t-design. When |G| is not a
-    multiple of it, no orbit qualifies and the result is [] without any
-    k-subset being enumerated; otherwise orbits of other sizes are skipped
-    before their lambda_t is counted. Both are necessary conditions only:
-    every kept orbit is still checked by an exact count. Past that test,
-    kcombs.BoundError refuses a scan of over kcombs.MAX_SUBSETS k-subsets
-    and, before any search, an orbit design over isomorph.MAX_VERTICES.
+    block_count_step(v, k, t) to carry a t-design; when |G| is not, the
+    result is [] before any scan. So it is when t >= v - k, where only the
+    complete design is a t-design (Gottlieb-Kantor, on block complements).
+    Otherwise orbit O of k-subsets is kept exactly when its lex-least block
+    holds C(k,t) |T_j| / C(v,t) t-subsets of every G-orbit T_j of t-subsets
+    (Kramer-Mesner), and lambda_t = |O| C(k,t) / C(v,t). kcombs.BoundError
+    refuses a scan of over kcombs.MAX_SUBSETS k-subsets (never the t-scan:
+    C(v,t) < C(v,k) when t < v - k) and, before any search, an orbit design
+    over isomorph.MAX_VERTICES.
 
     The group itself acts by automorphisms on every orbit design and is the
     pruning group of every certificate search; worker processes receive it
@@ -289,7 +283,7 @@ def classify(G: PermGroup, k: int, t: int = 2, workers: int = 1) -> list[DesignC
     if t < 1:
         raise ValueError("t must be >= 1")
     v = G.degree
-    if not t < k < v:
+    if not t < k < v or t >= v - k:
         return []
     step = block_count_step(v, k, t)
     if G.order() % step:
@@ -302,15 +296,18 @@ def classify(G: PermGroup, k: int, t: int = 2, workers: int = 1) -> list[DesignC
              so.orbit_count, k, time.perf_counter() - start)
     start = time.perf_counter()
 
-    found: list[tuple[int, Design]] = []  # (lambda_t, orbit design)
-    for i in range(so.orbit_count):
-        size = int(so.sizes[i])
-        if size == comb(v, k) or size % step:
-            continue  # the complete design is trivial; the rest fail divisibility
-        rows = so.orbit_rows(i)
-        lam = _uniform_lambda(rows, v, t)
-        if lam is not None:
-            found.append((lam, Design(v, rows)))
+    t_orbits = subset_orbits(G, t)
+    # C(k,t) <= C(v,t) < C(v,k), all within MAX_SUBSETS once the k-scan ran
+    shares, rests = np.divmod(comb(k, t) * t_orbits.sizes, comb(v, t))
+    kept = []
+    if not rests.any():
+        # a base block's t-subset labels, sorted, against the target's
+        target = np.repeat(t_orbits.rep_ranks, shares)
+        fits = np.concatenate([(np.sort(t_orbits.labels[ranks], axis=1) == target).all(axis=1)
+                               for ranks in subset_rank_chunks(so.rows[so.rep_ranks], v, t)])
+        kept = np.flatnonzero(fits & (so.sizes < comb(v, k)))  # the complete design is trivial
+    found = [(int(so.sizes[i]) * comb(k, t) // comb(v, t), Design(v, so.orbit_rows(i)))
+             for i in kept]  # (lambda_t, orbit design)
     log.info("filter: %d of %d orbits give %d-designs in %.2f s",
              len(found), so.orbit_count, t, time.perf_counter() - start)
 

@@ -4,10 +4,11 @@ Subsets are kept as rows of a lexicographically ordered (C(n,k), k) array.
 The lex rank is the row index in that array and the order every public
 iterator follows. _sorted_ranks() is the one subset rank: the orbit scan
 ranks generator images with it after sorting each row (_lex_ranks()), and
-subset_ranks() ranks the t-subsets of sorted blocks with it directly, for
-design.py to count their coverage and isomorph.py their coverage spectrum.
-It subtracts one column's weights at a time, so a (b, C(k,t)) ranking holds
-the ranks and one gathered column, not all t of them.
+subset_ranks() ranks the t-subsets of sorted blocks with it directly (a
+chunk of blocks at a time in subset_rank_chunks()), for design.py to count
+their coverage or test an orbit's base block and isomorph.py to count
+their spectrum. It subtracts one column's weights at a time, so a (b,
+C(k,t)) ranking holds the ranks and one gathered column, not all t.
 
 Rows are ordered by one of two keys. row_keys() keys a row by its entries
 in place: every lexicographic sort of rows in the package (image_rows(),
@@ -50,8 +51,8 @@ from .permcore import PermGroup
 MAX_POINTS = 255
 # lex_combinations builds at most this many k-subsets (classify over the
 # C(102, 4) = 4,249,575 of them peaked at 486 MB). It also bounds the
-# t-subsets of one block (_subset_positions), those a lambda_t count ranks at
-# a time, the 3-subsets of an iso spectrum, |G| * k for an orbit pass down the
+# t-subsets of one block (_subset_positions), those subset_rank_chunks ranks
+# at a time, the 3-subsets of an iso spectrum, |G| * k for an orbit pass down the
 # stabilizer chain, and degree^2 for a group the CLI builds from --q
 MAX_SUBSETS = 5_000_000
 
@@ -127,11 +128,12 @@ class SubsetOrbits:
 
 @lru_cache(maxsize=None)
 def _lex_weights(n: int, k: int) -> np.ndarray:
-    """weights[i, x] = C(n-1-x, k-i), read-only and shared by every caller."""
+    """weights[i, x] = C(n-1-x, k-i) for i <= x <= n-k+i, the points a sorted
+    k-subset can hold at i, else 0 (C(67, 33) > 2**63 at n = 68). Read-only."""
     # int64: the weights outgrow int32 well before C(n, k) does, e.g. C(35, 17)
     # in the table for n = 36, k = 34
-    weights = np.array([[comb(n - 1 - x, k - i) for x in range(n)] for i in range(k)],
-                       dtype=np.int64)
+    weights = np.array([[comb(n - 1 - x, k - i) if i <= x <= n - k + i else 0
+                         for x in range(n)] for i in range(k)], dtype=np.int64)
     weights.flags.writeable = False
     return weights
 
@@ -185,6 +187,13 @@ def subset_ranks(rows: np.ndarray, n: int, t: int) -> np.ndarray:
     positions = _subset_positions(rows.shape[1], t)
     return _sorted_ranks(lambda i, table: table[rows][:, positions[:, i]],
                          n, t, (len(rows), len(positions)))
+
+
+def subset_rank_chunks(rows: np.ndarray, n: int, t: int):
+    """subset_ranks() of rows, at most MAX_SUBSETS ranks (one row's at least) a
+    chunk. A row with more t-subsets is refused here, before any chunk."""
+    per_chunk = max(1, MAX_SUBSETS // len(_subset_positions(rows.shape[1], t)))
+    return (subset_ranks(rows[i:i + per_chunk], n, t) for i in range(0, len(rows), per_chunk))
 
 
 def row_keys(rows: np.ndarray, bound: int) -> np.ndarray:

@@ -286,6 +286,18 @@ class TestMoreThan64Points:
 
 
 class TestClassify:
+    @pytest.mark.parametrize("args", [
+        # PSL(2,67) is 2-homogeneous, so its one orbit of 66-subsets is the
+        # complete design; the rank weights of C(68, 66) passed int64
+        ["--q", "67", "--k", "66", "--t", "1"],
+        # t >= v - k leaves only the complete design, before any scan
+        ["--q", "25", "--k", "23", "--t", "10"],
+    ])
+    def test_no_classes_near_the_complete_design(self, args, capsys):
+        code, out, err = run_cli(["classify", *args], capsys)
+        assert (code, err) == (0, "")
+        assert out.endswith("\n0 classes\n")
+
     def test_json_format(self, capsys, memo_classify):
         code, out, _ = run_cli(
             ["classify", "--group", "psl28_paper36", "--format", "json"], capsys

@@ -2,6 +2,7 @@
 
 import pickle
 import random
+import tracemalloc
 from collections import Counter
 from hashlib import sha256
 from itertools import combinations, count
@@ -281,7 +282,7 @@ class TestLambdaOf:
         def no_ranks(rows, n, t):
             raise AssertionError("t-subsets ranked though lambda cannot be uniform")
 
-        monkeypatch.setattr(design, "subset_ranks", no_ranks)
+        monkeypatch.setattr(kcombs, "subset_ranks", no_ranks)
         assert lambda_of(Design(3000, [(0, 1, 2)]), 3) is None
         assert lambda_of(Design(10**6, [(0, 1)]), 2) is None
         assert lambda_of(orbit_design(cyclic(7), (0, 1, 2, 4)), 3) is None  # 7*4 % 35
@@ -299,7 +300,7 @@ class TestLambdaOf:
             ranked.append(len(rows))
             return subset_ranks(rows, n, t)
 
-        monkeypatch.setattr(design, "subset_ranks", spy)
+        monkeypatch.setattr(kcombs, "subset_ranks", spy)
         for d in designs:
             for t in (1, 2, 3):
                 monkeypatch.setattr(kcombs, "MAX_SUBSETS", comb(d.k, t) * blocks_per_chunk)
@@ -320,6 +321,19 @@ class TestLambdaOf:
         # the complete 2-(257, 256, 255) design: every 256-subset of 257 points
         complete = Design(257, [tuple(p for p in range(257) if p != x) for x in range(257)])
         assert lambda_of(complete, 2) == 255
+
+    def test_one_block_bound_is_checked_before_the_counter(self):
+        # each of the 314 blocks of 313 points holds C(313, 3) > MAX_SUBSETS
+        # triples; a counter over all C(314, 3) triples would take 39 MB
+        complete = Design(314, [tuple(p for p in range(314) if p != x) for x in range(314)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(BoundError, match="block of 313 points"):
+                lambda_of(complete, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
     def test_block_with_too_many_t_subsets_is_refused(self):
         with pytest.raises(BoundError, match=r"block of 256 points has 174792640 4-subsets"):
@@ -548,11 +562,38 @@ class TestClassify:
     def test_gate_against_ungated_oracle(self, q, k):
         # the gate fires at (q, k, t) = (11, 5, 4): a 4-(12,5,lambda) design
         # has a multiple of 396 blocks and |PSL(2,11)| = 660; at (13, 5, 2)
-        # it does not (182 divides 1092) and three classes are found
+        # it does not (182 divides 1092) and three classes are found. Beside
+        # the transitive group, two intransitive ones: one fixed point added,
+        # so no t-subset orbit gets a whole share of a block, and for q <= 7
+        # the group on two copies of the line, whose 1-designs take k/2
+        # points from each copy
         G, _ = projective_group(q)
-        for t in range(1, k):
-            got = sorted(rep for c in classify(G, k, t) for rep in c.orbit_reps)
-            assert got == oracles.ungated_classify(G, k, t), t
+        n = G.degree
+        groups = [G, PermGroup([Permutation(g.images + (n,)) for g in G.generators])]
+        if q <= 7:
+            groups.append(PermGroup([Permutation(g.images + tuple(n + x for x in g.images))
+                                     for g in G.generators]))
+        for H in groups:
+            for t in range(1, k):
+                got = sorted(rep for c in classify(H, k, t) for rep in c.orbit_reps)
+                assert got == oracles.ungated_classify(H, k, t), (H.degree, t)
+
+    def test_no_scan_when_t_is_at_least_v_minus_k(self, monkeypatch):
+        # then only the complete design is a t-design, whatever the group.
+        # Divisibility rules out none of these; at v = 26, t = 10 a scan of
+        # the C(26, 10) 10-subsets would pass kcombs.MAX_SUBSETS
+        scanned = []
+
+        def counted(G, k):
+            scanned.append(k)
+            return subset_orbits(G, k)
+
+        monkeypatch.setattr(design, "subset_orbits", counted)
+        for q, k, t in ((7, 5, 3), (7, 6, 2), (8, 6, 3), (8, 7, 2), (25, 23, 10)):
+            G, _ = projective_group(q)
+            assert G.order() % block_count_step(q + 1, k, t) == 0
+            assert classify(G, k, t) == []
+        assert scanned == []
 
     def test_builds_no_group(self, monkeypatch):
         # the group classified is the pruning group of every certificate

@@ -72,6 +72,17 @@ class TestRanking:
         assert ranks.tolist() == [[rank_lex(n, t, sub) for sub in combinations(row, t)]
                                   for row in rows.tolist()]
 
+    @pytest.mark.parametrize("n, k", [(68, 66), (70, 67)])
+    def test_ranks_where_unread_weights_would_pass_int64(self, n, k):
+        # C(n-1-x, k-i) for a point x that no sorted subset has at position i
+        # can pass 2**63 (C(67, 33) at n = 68); the rank never reads it
+        rows = lex_combinations(n, k)
+        sample = np.arange(0, len(rows), 37)  # all 54,740 rows at n = 70 take about 1 s
+        assert (subset_ranks(rows[sample], n, k)[:, 0] == sample).all()
+        # the orbit scan's ranks, under the trivial group: every subset alone
+        so = subset_orbits(PermGroup([Permutation(tuple(range(n)))]), k)
+        assert (so.labels == np.arange(len(rows))).all()
+
     @pytest.mark.parametrize("t", [2, 3])
     def test_subset_ranks_hold_one_column(self, t):
         # the rank array plus one gathered weight column; gathering all t
