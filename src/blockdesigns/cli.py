@@ -135,6 +135,7 @@ def _projective_size(args) -> tuple[int, int]:
 
 def cmd_construct(args) -> int:
     from .design import is_flag_transitive, lambda_of, orbit_design
+    from .kcombs import subset_positions
 
     sized = args.group is None and args.q is not None
     if sized:
@@ -145,6 +146,8 @@ def cmd_construct(args) -> int:
     base = _parse_base(args.base, degree)
     if not 1 <= args.t <= len(base):
         raise UsageError(f"--t must be in 1..{len(base)}, the base block size")
+    # lambda_of's bound on one block's t-subsets, checked before any group is built
+    subset_positions(len(base), args.t)
     # the orbit of the base block has at most |G| blocks, and at most C(v, k)
     bound = min(order, comb(degree, len(base)))
     if bound > MAX_CONSTRUCT_BLOCKS:

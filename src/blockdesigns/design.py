@@ -29,7 +29,7 @@ from math import comb, gcd, lcm
 import numpy as np
 
 from . import isomorph, kcombs
-from .kcombs import block_permutation, image_rows, row_keys, subset_orbits, subset_rank_chunks
+from .kcombs import block_permutation, subset_orbits, subset_rank_chunks, unique_rows
 from .permcore import PermGroup, Permutation
 
 log = logging.getLogger(__name__)
@@ -79,12 +79,10 @@ class Design:
         if repeated.any():
             blk = rows[repeated.any(axis=1)][0]
             raise ValueError(f"point repeated in block {tuple(blk.tolist())}")
-        keys = row_keys(rows, v)
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        if (keys[1:] == keys[:-1]).any():
+        blocks, _ = unique_rows(rows, v)
+        if len(blocks) < len(rows):
             raise ValueError("duplicate blocks")
-        blocks = rows[order].astype(np.int64, copy=False)  # indexing copied rows
+        blocks = blocks.astype(np.int64, copy=False)  # indexing copied rows
         blocks.flags.writeable = False
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "blocks", blocks)
@@ -118,12 +116,13 @@ class Design:
     def relabel(self, sigma: Permutation) -> "Design":
         if sigma.degree != self.v:
             raise ValueError("degree mismatch")
-        return Design(self.v, image_rows(sigma.images, self.blocks))
+        return Design(self.v, np.asarray(sigma.images)[self.blocks])
 
 
 def _orbit_rows(G: PermGroup, block: np.ndarray) -> tuple[np.ndarray, str]:
     """The G-orbit of block, one sorted row in a (1, k) array, as unique
-    lex-sorted rows, and how it was enumerated.
+    lex-sorted rows, and how it was enumerated. Both ways make rows unique
+    with kcombs.unique_rows().
 
     Down the stabilizer chain when |G| * k <= kcombs.MAX_SUBSETS: G^(i),
     the group of level i, is U_i G^(i+1) for the level's transversal U_i,
@@ -134,28 +133,25 @@ def _orbit_rows(G: PermGroup, block: np.ndarray) -> tuple[np.ndarray, str]:
     small, is closed under its generators instead, one round per step of
     breadth-first search: the orbit of a 256-subset under PSL(2,256) has
     257 blocks, but a chain pass would gather 256 * 255 rows of 256 points
-    at the middle level."""
+    at the middle level. A round lists the blocks seen first, then each
+    generator's row-sorted images of the last round's new blocks; the
+    distinct rows whose first copy is an image are the next new blocks."""
     v, k = G.degree, block.shape[1]
     if G.order() * k <= kcombs.MAX_SUBSETS:
         levels = G.transversals()
         orbit = block
         for level in reversed(levels):
             images = np.array([u.images for u in level])
-            moved = np.sort(images[:, orbit].reshape(-1, k), axis=1)
-            _, first = np.unique(row_keys(moved, v), return_index=True)
-            orbit = moved[first]
+            orbit, _ = unique_rows(np.sort(images[:, orbit].reshape(-1, k), axis=1), v)
         return orbit, f"chain levels with transversals {[len(level) for level in levels]}"
     seen = frontier = block
     gens = [np.asarray(g.images) for g in G.generators]
     rounds = 0
     while len(frontier):
-        rows = np.concatenate([seen] + [image_rows(im, frontier) for im in gens])
-        keys = row_keys(rows, v)
-        order = np.argsort(keys, kind="stable")  # a seen block sorts first among equals
-        keys, srt = keys[order], rows[order]
-        first = np.concatenate(([True], keys[1:] != keys[:-1]))
-        frontier = srt[first & (order >= len(seen))]
-        seen = srt[first]
+        old = len(seen)
+        rows = np.concatenate([seen] + [np.sort(im[frontier], axis=1) for im in gens])
+        seen, first = unique_rows(rows, v)
+        frontier = seen[first >= old]
         rounds += 1
     return seen, f"generator closure in {rounds} rounds"
 
@@ -330,29 +326,19 @@ def classify(G: PermGroup, k: int, t: int = 2, workers: int = 1) -> list[DesignC
     log.info("certificates: %d in %.2f s", len(certs), time.perf_counter() - start)
 
     # orbit rows are lex sorted, so an orbit design's first block is the
-    # orbit's lex-least member
-    by_cert: dict[bytes, list[tuple[tuple[int, ...], int, int]]] = {}
-    cert_obj: dict[bytes, isomorph.Certificate] = {}
+    # orbit's lex-least member; (base, lambda, b, certificate) per member
+    by_cert: dict[bytes, list[tuple[tuple[int, ...], int, int, isomorph.Certificate]]] = {}
     for (lam, d), cert in zip(found, certs):
-        by_cert.setdefault(cert.data, []).append((tuple(d.blocks[0].tolist()), lam, d.b))
-        cert_obj.setdefault(cert.data, cert)
+        by_cert.setdefault(cert.data, []).append((tuple(d.blocks[0].tolist()), lam, d.b, cert))
 
     classes = []
-    for data, members in by_cert.items():
-        bases = sorted(m[0] for m in members)
-        lams = {m[1] for m in members}
-        bs = {m[2] for m in members}
-        if len(lams) != 1 or len(bs) != 1:
+    for members in by_cert.values():
+        if len({(m[1], m[2]) for m in members}) != 1:
             raise AssertionError("isomorphic orbit designs disagree on lambda or block count")
-        classes.append(
-            DesignClass(
-                base=bases[0],
-                lam=members[0][1],
-                b=members[0][2],
-                certificate=cert_obj[data],
-                orbit_reps=tuple(bases),
-            )
-        )
+        bases = sorted(m[0] for m in members)
+        _, lam, b, cert = members[0]
+        classes.append(DesignClass(base=bases[0], lam=lam, b=b, certificate=cert,
+                                   orbit_reps=tuple(bases)))
     classes.sort(key=lambda c: (c.lam, c.base))
     log.info("merging: %d classes", len(classes))
     return classes

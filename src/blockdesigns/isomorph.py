@@ -77,8 +77,7 @@ from math import comb
 import numpy as np
 
 from . import kcombs
-from .kcombs import (BoundError, block_permutation, dense_ranks, digit_ranks, image_rows,
-                     row_keys, subset_ranks)
+from .kcombs import BoundError, block_permutation, dense_ranks, digit_ranks, row_keys, subset_ranks
 from .permcore import PermGroup, Permutation
 
 log = logging.getLogger(__name__)
@@ -311,8 +310,7 @@ def isomorphism_witness(d1, d2):
     for i, c in enumerate(c2.labeling):
         inv2[c] = i
     sigma = Permutation([inv2[c1.labeling[i]] for i in range(d1.v)])
-    moved = image_rows(sigma.images, d1.blocks)
-    if not np.array_equal(moved, d2.blocks):
+    if d1.relabel(sigma) != d2:
         raise AssertionError("certificates matched but the recovered map is not an isomorphism")
     return sigma
 

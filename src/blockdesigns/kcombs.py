@@ -11,20 +11,20 @@ their spectrum. It subtracts one column's weights at a time, so a (b,
 C(k,t)) ranking holds the ranks and one gathered column, not all t.
 
 Rows are ordered by one of two keys. row_keys() keys a row by its entries
-in place: every lexicographic sort of rows in the package (image_rows(),
-the orbit-design chain pass and closure, Design, point signatures of
-refinement) sorts one scalar key per row from it, and block_permutation()
-ranks sorted image rows by it. digit_ranks() keys a row as a multiset, by a
-digit sum over its entries that orders rows as their sorted copies would
-be, so rows that are compared or ranked but not needed sorted (block
-signatures of refinement, the block order of a leaf) are never sorted;
-dense_ranks() ranks either key.
+in place. unique_rows() is the one place a block list is lex-ordered and
+made unique: one np.unique of those keys gives the distinct rows in lex
+order and each one's first index. Design, relabeling, both orbit-design
+passes and the isomorphism check go through it. block_permutation() and
+refinement's point signatures rank rows by the same keys. digit_ranks()
+keys a row as a multiset, by a digit sum over its entries that orders rows
+as their sorted copies would be, so rows that are compared or ranked but
+not needed sorted (block signatures of refinement, the block order of a
+leaf) are never sorted; dense_ranks() ranks either key.
 
-The block-image kernel maps a block list through one point permutation:
-image_rows() sorts the image blocks, and block_permutation() says where
-each block of a lex-sorted list goes, or that the list is not preserved.
-The orbit-design closure, the invariance check of flag transitivity,
-automorphism checks and the pair action all use them. orbit_labels() labels
+The block-image kernel, block_permutation(), maps a lex-sorted block list
+through one point permutation and says where each block goes, or that the
+list is not preserved. The invariance check of flag transitivity,
+automorphism checks and the pair action use it. orbit_labels() labels
 every index by the least index in its orbit under a list of index
 permutations, propagating minima along the maps and their inverses with
 pointer jumping.
@@ -51,7 +51,7 @@ from .permcore import PermGroup
 MAX_POINTS = 255
 # lex_combinations builds at most this many k-subsets (classify over the
 # C(102, 4) = 4,249,575 of them peaked at 486 MB). It also bounds the
-# t-subsets of one block (_subset_positions), those subset_rank_chunks ranks
+# t-subsets of one block (subset_positions), those subset_rank_chunks ranks
 # at a time, the 3-subsets of an iso spectrum, |G| * k for an orbit pass down the
 # stabilizer chain, and degree^2 for a group the CLI builds from --q
 MAX_SUBSETS = 5_000_000
@@ -166,9 +166,9 @@ def _sorted_ranks(lookup, n: int, k: int, shape: tuple[int, ...]) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _subset_positions(k: int, t: int) -> np.ndarray:
-    """The positions of the t-subsets of one k-block, in lex order.
-    Read-only: every caller shares it."""
+def subset_positions(k: int, t: int) -> np.ndarray:
+    """The positions of the t-subsets of one k-block, in lex order; a
+    BoundError past MAX_SUBSETS of them. Read-only: every caller shares it."""
     if comb(k, t) > MAX_SUBSETS:
         raise BoundError(f"a block of {k} points has {comb(k, t)} {t}-subsets, more "
                          f"than the {MAX_SUBSETS}-subset bound")
@@ -184,7 +184,7 @@ def subset_ranks(rows: np.ndarray, n: int, t: int) -> np.ndarray:
     a sorted row are sorted, so they are ranked without a sorting network.
     Each weight is looked up on the (b, k) rows and then gathered to the
     t-subset positions, so no (b, C(k,t)) array of points is built."""
-    positions = _subset_positions(rows.shape[1], t)
+    positions = subset_positions(rows.shape[1], t)
     return _sorted_ranks(lambda i, table: table[rows][:, positions[:, i]],
                          n, t, (len(rows), len(positions)))
 
@@ -192,7 +192,7 @@ def subset_ranks(rows: np.ndarray, n: int, t: int) -> np.ndarray:
 def subset_rank_chunks(rows: np.ndarray, n: int, t: int):
     """subset_ranks() of rows, at most MAX_SUBSETS ranks (one row's at least) a
     chunk. A row with more t-subsets is refused here, before any chunk."""
-    per_chunk = max(1, MAX_SUBSETS // len(_subset_positions(rows.shape[1], t)))
+    per_chunk = max(1, MAX_SUBSETS // len(subset_positions(rows.shape[1], t)))
     return (subset_ranks(rows[i:i + per_chunk], n, t) for i in range(0, len(rows), per_chunk))
 
 
@@ -211,12 +211,12 @@ def row_keys(rows: np.ndarray, bound: int) -> np.ndarray:
     return raw.view(f"V{size * width}").ravel()
 
 
-def image_rows(images, rows: np.ndarray) -> np.ndarray:
-    """The blocks rows (one per row) under the point map images, as
-    lex-sorted rows of sorted points."""
-    images = np.asarray(images)
-    blocks = np.sort(images[rows], axis=1)
-    return blocks[np.argsort(row_keys(blocks, len(images)), kind="stable")]
+def unique_rows(rows: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-d array with entries in 0..bound-1, in lex
+    order, and the index in rows of each one's first copy (np.unique sorts
+    the row keys stably when asked for indices)."""
+    _, first = np.unique(row_keys(rows, bound), return_index=True)
+    return rows[first], first
 
 
 @lru_cache(maxsize=None)

@@ -13,8 +13,10 @@ in listed order; only Schreier generators not checked before are sifted.
 Each level keeps the inverse of every transversal element beside it, so
 sifting and Schreier generators compose without inverting, and compose and
 is_identity run as single C-level tuple operations.
-PermGroup(gens) adds the generators one by one to an empty chain, and
-extend(g) adds g to a copy of the group's chain. pointwise_stabilizer(pts) is
+PermGroup.__init__ makes every group. From generators alone it builds the
+chain with _Chain(degree, base, gens), the one builder, which adds them one
+by one; a group read off a chain (a stabilizer, extend(g) on a copy of the
+group's chain, derived_subgroup()) is handed it. pointwise_stabilizer(pts) is
 the one stabilizer routine: point by point, the stabilizer of the next point
 in the stabilizer of the ones before, read off a chain whose base starts at
 that point (the parent's own chain when its base does). A chain a group holds
@@ -184,12 +186,13 @@ class _Chain:
     base[i] under gens[i] to a product of gens[i] carrying base[i] to a.
     inv[i] maps each such a to the inverse of trans[i][a], computed once when
     a joins the orbit, so sifting and Schreier generators never invert.
-    The product of the transversal sizes is the group order.
+    The product of the transversal sizes is the group order. A new chain
+    has one level per listed base point and then adds gens one by one.
     """
 
     __slots__ = ("degree", "base", "gens", "trans", "inv")
 
-    def __init__(self, degree: int, base=()):
+    def __init__(self, degree: int, base=(), gens=()):
         self.degree = degree
         self.base: list[int] = []
         self.gens: list[list[Permutation]] = []
@@ -197,6 +200,8 @@ class _Chain:
         self.inv: list[dict[int, Permutation]] = []
         for b in base:
             self._new_level(b)
+        for g in gens:
+            self.add(g)
 
     def _new_level(self, point: int) -> None:
         identity = Permutation.identity(self.degree)
@@ -217,11 +222,7 @@ class _Chain:
         generators), without rebuilding it."""
         if generators is None:
             generators = self.gens[0] if self.gens else ()
-        G = object.__new__(PermGroup)
-        G._degree, G._chain, G._stabilizers = self.degree, self, {}
-        G._order = self.order()
-        G._generators = tuple(generators) or (Permutation.identity(self.degree),)
-        return G
+        return PermGroup(tuple(generators) or (Permutation.identity(self.degree),), _chain=self)
 
     def order(self) -> int:
         return math.prod(len(t) for t in self.trans)
@@ -296,7 +297,9 @@ class _Chain:
 class PermGroup:
     """Permutation group with an eagerly built, immutable stabilizer chain."""
 
-    def __init__(self, generators):
+    def __init__(self, generators, *, _chain: _Chain | None = None):
+        """The group generated by generators; _chain, private, is its chain
+        when one is already built, else it is built here."""
         gens = tuple(generators)
         if not gens:
             raise ValueError("a group needs at least one generator (identity is fine)")
@@ -306,11 +309,10 @@ class PermGroup:
                 raise ValueError("generators must be Permutation instances")
             if g.degree != degree:
                 raise ValueError("all generators must share one degree")
-        chain = _Chain(degree)
-        for g in gens:
-            chain.add(g)
-        self._degree, self._generators, self._chain = degree, gens, chain
-        self._order = chain.order()
+        if _chain is None:
+            _chain = _Chain(degree, gens=gens)
+        self._degree, self._generators, self._chain = degree, gens, _chain
+        self._order = _chain.order()
         self._stabilizers: dict[tuple[int, ...], PermGroup] = {}
 
     @property
@@ -419,9 +421,7 @@ class PermGroup:
         for i in range(i, len(pts)):
             chain = stab._chain
             if chain.base[:1] != [pts[i]]:
-                chain = _Chain(self._degree, pts[i : i + 1])
-                for g in stab._generators:
-                    chain.add(g)
+                chain = _Chain(self._degree, pts[i : i + 1], stab._generators)
             stab = memo[pts[: i + 1]] = chain.tail(1).group()
         if key:  # the group is not its own memo entry: no reference cycle
             memo[key] = stab

@@ -142,6 +142,15 @@ class TestConstruct:
         assert err == ("error: a block of 256 points has 174792640 4-subsets, more than the "
                        "5000000-subset bound\n")
 
+    def test_block_t_subset_bound_refused_before_group_is_built(self, capsys, monkeypatch):
+        # the refusal needs only |base| and --t; building PSL(2,2048) took seconds
+        monkeypatch.setattr("blockdesigns.grouplib.projective_group", unbuilt)
+        base = ",".join(map(str, range(1, 2049)))
+        code, out, err = run_cli(["construct", "--q", "2048", "--base", base, "--t", "3"], capsys)
+        assert code == 2 and out == ""
+        assert err == ("error: a block of 2048 points has 1429559296 3-subsets, more than the "
+                       "5000000-subset bound\n")
+
     def test_orbit_bound_refused_before_group_is_built(self, capsys, monkeypatch):
         # |PSL(2,2048)| comes from its closed form; building its chain takes seconds
         monkeypatch.setattr("blockdesigns.grouplib.projective_group", unbuilt)

@@ -160,7 +160,7 @@ class TestDesignFromArray:
         def no_key(rows, bound):
             raise AssertionError("sort key built for an out-of-range point")
 
-        monkeypatch.setattr(design, "row_keys", no_key)
+        monkeypatch.setattr(design, "unique_rows", no_key)
         for rows in ([[0, 2**40]], [[-1, 0]], [[0, 4]]):
             with pytest.raises(ValueError, match="outside"):
                 Design(4, np.array(rows))
@@ -596,14 +596,17 @@ class TestClassify:
         assert scanned == []
 
     def test_builds_no_group(self, monkeypatch):
-        # the group classified is the pruning group of every certificate
+        # the group classified is the pruning group of every certificate;
+        # stabilizers read off its chain are groups, but no chain is built
+        # from generators
         G = builtin("psl28_paper36")
         built = []
         init = PermGroup.__init__
 
-        def counted(self, generators):
-            built.append(generators)
-            init(self, generators)
+        def counted(self, generators, *, _chain=None):
+            if _chain is None:
+                built.append(generators)
+            init(self, generators, _chain=_chain)
 
         monkeypatch.setattr(PermGroup, "__init__", counted)
         assert len(classify(G, 6, 2, workers=1)) == 46

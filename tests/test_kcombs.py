@@ -15,12 +15,12 @@ from blockdesigns.kcombs import (
     block_permutation,
     dense_ranks,
     digit_ranks,
-    image_rows,
     lex_combinations,
     orbit_labels,
     row_keys,
     subset_orbits,
     subset_ranks,
+    unique_rows,
 )
 from blockdesigns.permcore import PermGroup, Permutation, parse_cycles
 from oracles import block_orbit, rank_colex, rank_lex, unrank_lex
@@ -312,13 +312,38 @@ def _check_block_permutation(rows, images):
         assert perm.tolist() == want
 
 
-class TestBlockImageKernel:
-    @given(blocks_and_map())
-    def test_image_rows_are_sorted_images(self, case):
-        rows, images = case
-        moved = image_rows(images, rows).tolist()
-        assert moved == sorted(sorted(images[r].tolist()) for r in rows)
+def _check_unique_rows(rows, bound):
+    # against the sorted set of rows and a scan for each one's first copy
+    distinct, first = unique_rows(rows, bound)
+    listed = [tuple(r) for r in rows.tolist()]
+    want = sorted(set(listed))
+    assert [tuple(r) for r in distinct.tolist()] == want
+    assert first.tolist() == [listed.index(r) for r in want]
 
+
+def _images_then_blocks(rows, images):
+    """The row-sorted images of the blocks, then the blocks: a block whose
+    preimage is a block occurs twice, its first copy an image."""
+    return np.concatenate([np.sort(images[rows], axis=1), rows]), len(images)
+
+
+class TestUniqueRows:
+    @given(blocks_and_map())
+    def test_int_keys(self, case):
+        _check_unique_rows(*_images_then_blocks(*case))
+
+    # one int64 key while n**k < 2**63, else np.void keys: from k = 11, 10
+    # and 7 at these n
+    @given(wide_blocks_and_map(st.sampled_from([64, 100, 998]), max_k=12))
+    def test_void_keys(self, case):
+        _check_unique_rows(*_images_then_blocks(*case))
+
+    @given(rows_near_int64_edge())
+    def test_repeated_rows_at_the_key_edge(self, case):
+        _check_unique_rows(*case)
+
+
+class TestBlockImageKernel:
     @given(st.one_of(blocks_and_map(), wide_blocks_and_map()))
     def test_block_permutation_matches_lookup(self, case):
         _check_block_permutation(*case)

@@ -279,6 +279,52 @@ class TestChainPaths:
             }
 
 
+class TestOneConstructor:
+    """Every group the chain routines make, read off a chain or not, goes
+    through PermGroup.__init__ once, handed the chain already built."""
+
+    @pytest.fixture
+    def inits(self, monkeypatch):
+        chains = []  # per __init__ call, whether it was handed a chain
+        init = PermGroup.__init__
+
+        def counted(self, generators, **kwargs):
+            chains.append(kwargs.get("_chain") is not None)
+            init(self, generators, **kwargs)
+
+        monkeypatch.setattr(PermGroup, "__init__", counted)
+        return chains
+
+    def test_stabilizer_read_off_the_chain(self, inits):
+        G = symmetric(5)
+        inits.clear()
+        S = G.pointwise_stabilizer(G.base[:1])
+        assert inits == [True]
+        assert S.order() == factorial(4)
+
+    def test_stabilizer_on_a_rebuilt_chain(self, inits):
+        G = symmetric(5)
+        point = (G.base[0] + 1) % 5
+        inits.clear()
+        S = G.pointwise_stabilizer((point,))
+        assert inits == [True]
+        assert S.order() == factorial(4) and S.base[0] != point
+
+    def test_extend(self, inits):
+        G = PermGroup([parse_cycles("(1,2,3)", 4)])
+        inits.clear()
+        E = G.extend(parse_cycles("(1,2)", 4))
+        assert inits == [True]
+        assert E.order() == 6
+
+    def test_derived_subgroup(self, inits):
+        G = symmetric(4)
+        inits.clear()
+        D = G.derived_subgroup()
+        assert inits == [True]
+        assert D.order() == 12
+
+
 def random_groups(seed: int, count: int, max_degree: int = 9):
     rng = random.Random(seed)
     for _ in range(count):
