@@ -4,6 +4,12 @@ Subcommands: construct, classify, sieve, verify, iso. All point input and
 output is 1-based; conversion to the 0-based internal labels happens here
 and nowhere else. Exit codes: 0 success (or "true" for iso/verify), 3 false
 (non-isomorphic, verification mismatch), 2 usage error, 1 internal error.
+A usage error is a UsageError raised here or a permcore.BoundError raised
+by a size bound anywhere in the package.
+
+construct and classify get their group one way, from _group(): its order,
+degree and name, and a build() that makes it. A --q group is sized by
+closed forms, so every size refusal comes before its chain is built.
 
 Output files are written with "\n" newlines and deterministic content, so
 repeated runs with any worker count are byte-identical.
@@ -21,12 +27,14 @@ import json
 import logging
 import os
 import sys
+from collections import Counter
+from collections.abc import Callable
 from math import comb
 from typing import TYPE_CHECKING
 
 from . import golden
 from .golden import BUILTIN_NAMES
-from .permcore import PermGroup
+from .permcore import BoundError, PermGroup
 from .sieve import MAX_QMAX
 from .sieve import run as sieve_run
 
@@ -45,29 +53,11 @@ class UsageError(Exception):
     pass
 
 
-def _usage_errors() -> tuple[type[Exception], ...]:
-    """The exceptions main() reports as usage errors: kcombs.BoundError is
-    one once a subcommand has imported kcombs, and none can raise it before."""
-    kcombs = sys.modules.get(f"{__package__}.kcombs")
-    return (UsageError,) if kcombs is None else (UsageError, kcombs.BoundError)
-
-
-def _default_workers() -> int:
-    raw = os.environ.get("BLOCKDESIGNS_WORKERS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError(f"BLOCKDESIGNS_WORKERS={raw!r} is not an integer")
-    if n < 1:
-        raise UsageError("worker count must be >= 1")
-    return n
-
-
-def _resolve_group(args) -> tuple[PermGroup, str]:
-    """Group selector: --group BUILTIN, or --q with --variant/--action."""
-    from .grouplib import builtin, pair_action, projective_group
-    from .kcombs import MAX_SUBSETS
-
+def _group(args) -> tuple[int, int, str, Callable[[], PermGroup]]:
+    """The group selector, --group BUILTIN or --q with --variant/--action:
+    the group's order, degree and name, and build() to make it. A builtin is
+    built here; a --q group is sized by closed forms, so a caller can refuse
+    an input before build() spends seconds on a large group's chain."""
     if args.group is not None:
         if args.q is not None:
             raise UsageError("give either --group or --q, not both")
@@ -75,20 +65,32 @@ def _resolve_group(args) -> tuple[PermGroup, str]:
             raise UsageError(
                 f"unknown builtin {args.group!r}; choices: {', '.join(BUILTIN_NAMES)}"
             )
-        return builtin(args.group), args.group
+        from .grouplib import builtin
+
+        G = builtin(args.group)
+        return G.order(), G.degree, args.group, lambda: G
     if args.q is None:
         raise UsageError("a group is required: --group NAME or --q Q [--variant V] [--action A]")
-    # a bad --q is a usage error before any group is built
-    _, degree = _projective_size(args)
-    if degree * degree > MAX_SUBSETS:
-        # the first chain level of a transitive group: degree images of degree points
-        raise UsageError(f"--q {args.q} gives degree {degree}; the first level of its "
-                         f"stabilizer chain would hold {degree}^2 = {degree * degree} "
-                         f"points, more than the {MAX_SUBSETS} bound")
-    G, _ = projective_group(args.q, args.variant)
-    if args.action == "pairs":
-        G, _ = pair_action(G)
-    return G, f"projective(q={args.q},variant={args.variant},action={args.action})"
+    from .grouplib import pair_action, projective_group, projective_order
+    from .kcombs import MAX_SUBSETS
+
+    try:
+        order = projective_order(args.q, args.variant)
+    except ValueError as exc:
+        raise UsageError(f"--q {args.q}: {exc}")
+    degree = args.q + 1 if args.action == "line" else comb(args.q + 1, 2)
+
+    def build() -> PermGroup:
+        if degree * degree > MAX_SUBSETS:
+            # the first chain level of a transitive group: degree images of degree points
+            raise UsageError(f"--q {args.q} gives degree {degree}; the first level of its "
+                             f"stabilizer chain would hold {degree}^2 = {degree * degree} "
+                             f"points, more than the {MAX_SUBSETS} bound")
+        G, _ = projective_group(args.q, args.variant)
+        return pair_action(G)[0] if args.action == "pairs" else G
+
+    name = f"projective(q={args.q},variant={args.variant},action={args.action})"
+    return order, degree, name, build
 
 
 def _parse_base(text: str, degree: int) -> tuple[int, ...]:
@@ -106,11 +108,7 @@ def _parse_base(text: str, degree: int) -> tuple[int, ...]:
     return tuple(sorted(p - 1 for p in pts))
 
 
-def _emit(text: str, path: str | None) -> None:
-    _emit_chunks((text,), path)
-
-
-def _emit_chunks(chunks, path: str | None) -> None:
+def _emit(chunks, path: str | None) -> None:
     if path is None:
         sys.stdout.writelines(chunks)
     else:
@@ -122,27 +120,11 @@ def _one_based(block: tuple[int, ...]) -> list[int]:
     return [p + 1 for p in block]
 
 
-def _projective_size(args) -> tuple[int, int]:
-    """|G| and the degree of the --q group, without building its slow chain."""
-    from .grouplib import projective_order
-
-    try:
-        order = projective_order(args.q, args.variant)
-    except ValueError as exc:
-        raise UsageError(f"--q {args.q}: {exc}")
-    return order, args.q + 1 if args.action == "line" else comb(args.q + 1, 2)
-
-
 def cmd_construct(args) -> int:
     from .design import is_flag_transitive, lambda_of, orbit_design
     from .kcombs import subset_positions
 
-    sized = args.group is None and args.q is not None
-    if sized:
-        order, degree = _projective_size(args)
-    else:
-        G, name = _resolve_group(args)
-        order, degree = G.order(), G.degree
+    order, degree, name, build = _group(args)
     base = _parse_base(args.base, degree)
     if not 1 <= args.t <= len(base):
         raise UsageError(f"--t must be in 1..{len(base)}, the base block size")
@@ -155,8 +137,7 @@ def cmd_construct(args) -> int:
             f"the orbit of a {len(base)}-subset of {degree} points under a group of order "
             f"{order} may have {bound} blocks; construct builds at most {MAX_CONSTRUCT_BLOCKS}"
         )
-    if sized:
-        G, name = _resolve_group(args)
+    G = build()
     design = orbit_design(G, base)
     lam = lambda_of(design, args.t)
     record = {
@@ -172,32 +153,24 @@ def cmd_construct(args) -> int:
         "flag_transitive": is_flag_transitive(G, design),
         "status": "ok" if lam is not None else f"not a {args.t}-design",
     }
-    _emit(json.dumps(record, indent=1) + "\n", args.output)
+    _emit((json.dumps(record, indent=1) + "\n",), args.output)
     if lam is None:
         log.info("orbit of size %d is not a %d-design", design.b, args.t)
     return 0
 
 
-def _classification(args) -> tuple[list, str]:
-    from .design import classify
-    from .kcombs import MAX_POINTS
-
-    if args.group is None and args.q is not None:
-        _, degree = _projective_size(args)
-        if degree > MAX_POINTS:
-            raise UsageError(
-                f"--q {args.q} gives degree {degree}; classify takes at most {MAX_POINTS}"
-            )
-    G, name = _resolve_group(args)
-    if not 1 <= args.t < args.k < G.degree:
-        raise UsageError(f"need 1 <= t < k < {G.degree} (the degree); got t={args.t}, k={args.k}")
-    return classify(G, args.k, args.t, workers=args.workers), name
-
-
 def cmd_classify(args) -> int:
     if args.lam is not None and args.lam < 1:
         raise UsageError(f"--lambda must be at least 1, as for every t-design; got {args.lam}")
-    classes, name = _classification(args)
+    from .design import classify
+    from .kcombs import MAX_POINTS
+
+    _, degree, name, build = _group(args)
+    if degree > MAX_POINTS:
+        raise UsageError(f"--q {args.q} gives degree {degree}; classify takes at most {MAX_POINTS}")
+    if not 1 <= args.t < args.k < degree:
+        raise UsageError(f"need 1 <= t < k < {degree} (the degree); got t={args.t}, k={args.k}")
+    classes = classify(build(), args.k, args.t, workers=args.workers)
     rows = [
         (i + 1, _one_based(c.base), c.lam, c.b, c.certificate.hexdigest)
         for i, c in enumerate(classes)
@@ -229,7 +202,7 @@ def cmd_classify(args) -> int:
             lines.append(f"{i:>4}  {base_s:<24} {lam:>6}  {b:>5}  {cert[:16]}")
         lines.append(f"{len(rows)} classes")
         text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
+    _emit((text,), args.output)
     return 0
 
 
@@ -239,9 +212,9 @@ def cmd_sieve(args) -> int:
     report = sieve_run(args.qmax)
     if args.format == "json":
         # written a chunk at a time: at --qmax 10**6 the whole text is 52 MB
-        _emit_chunks(report.json_chunks(), args.output)
+        _emit(report.json_chunks(), args.output)
     else:
-        _emit(report.summary_text(), args.output)
+        _emit((report.summary_text(),), args.output)
     return 0
 
 
@@ -252,13 +225,10 @@ def cmd_verify(args) -> int:
     from .grouplib import builtin
 
     classes = classify(builtin("psl28_paper36"), 6, 2, workers=args.workers)
-    got: dict[tuple[tuple[int, ...], int], int] = {}
-    for c in classes:
-        key = (tuple(_one_based(c.base)), c.lam)
-        got[key] = got.get(key, 0) + 1
+    got = Counter((tuple(_one_based(c.base)), c.lam) for c in classes)
     want = golden.table2_multiset()
     if got == want:
-        _emit(f"table2 verification: PASS ({len(classes)} classes match)\n", args.output)
+        _emit((f"table2 verification: PASS ({len(classes)} classes match)\n",), args.output)
         return 0
     missing = sorted(set(want) - set(got))
     extra = sorted(set(got) - set(want))
@@ -267,7 +237,7 @@ def cmd_verify(args) -> int:
         lines.append(f"  missing: base={','.join(map(str, base))} lambda={lam}")
     for base, lam in extra:
         lines.append(f"  unexpected: base={','.join(map(str, base))} lambda={lam}")
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit(("\n".join(lines) + "\n",), args.output)
     return 3
 
 
@@ -386,12 +356,17 @@ def main(argv=None) -> int:
         level = logging.DEBUG
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     try:
-        if getattr(args, "workers", None) is None and hasattr(args, "workers"):
-            args.workers = _default_workers()
-        if getattr(args, "workers", 1) < 1:
-            raise UsageError("worker count must be >= 1")
+        if hasattr(args, "workers"):  # iso takes no --workers
+            if args.workers is None:
+                raw = os.environ.get("BLOCKDESIGNS_WORKERS", "1")
+                try:
+                    args.workers = int(raw)
+                except ValueError:
+                    raise UsageError(f"BLOCKDESIGNS_WORKERS={raw!r} is not an integer")
+            if args.workers < 1:
+                raise UsageError("worker count must be >= 1")
         return args.func(args)
-    except _usage_errors() as exc:
+    except (UsageError, BoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -264,7 +264,7 @@ def classify(G: PermGroup, k: int, t: int = 2, workers: int = 1) -> list[DesignC
     complete design is a t-design (Gottlieb-Kantor, on block complements).
     Otherwise orbit O of k-subsets is kept exactly when its lex-least block
     holds C(k,t) |T_j| / C(v,t) t-subsets of every G-orbit T_j of t-subsets
-    (Kramer-Mesner), and lambda_t = |O| C(k,t) / C(v,t). kcombs.BoundError
+    (Kramer-Mesner), and lambda_t = |O| C(k,t) / C(v,t). permcore.BoundError
     refuses a scan of over kcombs.MAX_SUBSETS k-subsets (never the t-scan:
     C(v,t) < C(v,k) when t < v - k) and, before any search, an orbit design
     over isomorph.MAX_VERTICES.

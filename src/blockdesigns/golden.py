@@ -12,6 +12,8 @@ of this package and kept since as a regression guard.
 
 from __future__ import annotations
 
+from collections import Counter
+
 # the builtin group names, here rather than in grouplib so that the command
 # line can list them without importing numpy
 BUILTIN_NAMES = ("psl28_paper36", "pgammal28_paper36")
@@ -79,9 +81,6 @@ PGAMMAL28_LAMBDA_COUNTS: dict[int, int] = {
 }
 
 
-def table2_multiset() -> dict[tuple[tuple[int, ...], int], int]:
+def table2_multiset() -> Counter[tuple[tuple[int, ...], int]]:
     """The 46 rows as a multiset of (base block, lambda) pairs."""
-    out: dict[tuple[tuple[int, ...], int], int] = {}
-    for row in TABLE2:
-        out[row] = out.get(row, 0) + 1
-    return out
+    return Counter(TABLE2)

@@ -45,7 +45,7 @@ from math import comb
 
 import numpy as np
 
-from .permcore import PermGroup
+from .permcore import BoundError, PermGroup
 
 # the orbit scan stores points as uint8
 MAX_POINTS = 255
@@ -55,11 +55,6 @@ MAX_POINTS = 255
 # at a time, the 3-subsets of an iso spectrum, |G| * k for an orbit pass down the
 # stabilizer chain, and degree^2 for a group the CLI builds from --q
 MAX_SUBSETS = 5_000_000
-
-
-class BoundError(ValueError):
-    """An input exceeds one of the package's size bounds (MAX_POINTS,
-    MAX_SUBSETS, isomorph.MAX_VERTICES): refused, not failed."""
 
 
 def lex_combinations(n: int, k: int) -> np.ndarray:
@@ -168,7 +163,7 @@ def _sorted_ranks(lookup, n: int, k: int, shape: tuple[int, ...]) -> np.ndarray:
 @lru_cache(maxsize=None)
 def subset_positions(k: int, t: int) -> np.ndarray:
     """The positions of the t-subsets of one k-block, in lex order; a
-    BoundError past MAX_SUBSETS of them. Read-only: every caller shares it."""
+    permcore.BoundError past MAX_SUBSETS of them. Read-only: every caller shares it."""
     if comb(k, t) > MAX_SUBSETS:
         raise BoundError(f"a block of {k} points has {comb(k, t)} {t}-subsets, more "
                          f"than the {MAX_SUBSETS}-subset bound")

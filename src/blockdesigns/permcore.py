@@ -42,6 +42,13 @@ from operator import itemgetter
 MAX_ELEMENTS = 10_000_000
 
 
+class BoundError(ValueError):
+    """An input exceeds one of the package's size bounds (MAX_ELEMENTS,
+    kcombs.MAX_POINTS, kcombs.MAX_SUBSETS, isomorph.MAX_VERTICES): refused,
+    not failed. It lives here, where no numpy is needed, so the command
+    line catches it whether or not a numpy module is loaded."""
+
+
 @cache
 def _iota(n: int) -> tuple[int, ...]:
     """The identity image tuple of degree n, one shared object per degree."""
@@ -488,11 +495,11 @@ class PermGroup:
         Order of the stream is lexicographic over chain coset words: the
         outermost loop runs over the sorted transversal points of the first
         level, then the second, and so on. Raises if the group order exceeds
-        MAX_ELEMENTS.
+        MAX_ELEMENTS (BoundError).
         """
         order = self.order()
         if order > MAX_ELEMENTS:
-            raise ValueError(f"group order {order} exceeds the iteration bound {MAX_ELEMENTS}")
+            raise BoundError(f"group order {order} exceeds the iteration bound {MAX_ELEMENTS}")
         ident = Permutation.identity(self._degree)
         trans = self._chain.trans
 

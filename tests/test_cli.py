@@ -307,6 +307,20 @@ class TestClassify:
         assert (code, err) == (0, "")
         assert out.endswith("\n0 classes\n")
 
+    @pytest.mark.parametrize("q,action,degree", [
+        (256, "line", 257),
+        (23, "pairs", 276),
+        # past the chain bound too, whose refusal comes second
+        (4096, "line", 4097),
+    ])
+    def test_degree_past_max_points_refused_before_group_is_built(
+            self, capsys, monkeypatch, q, action, degree):
+        monkeypatch.setattr("blockdesigns.grouplib.projective_group", unbuilt)
+        code, out, err = run_cli(["classify", "--q", str(q), "--action", action,
+                                  "--k", "3"], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: --q {q} gives degree {degree}; classify takes at most 255\n"
+
     def test_json_format(self, capsys, memo_classify):
         code, out, _ = run_cli(
             ["classify", "--group", "psl28_paper36", "--format", "json"], capsys
@@ -510,6 +524,27 @@ class TestSieve:
                               env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert "NONTRIVIAL SURVIVOR: q=8 case=even-3 v=36 k=6" in proc.stdout
+
+    def test_bound_error_is_usage_error_without_numpy(self):
+        # BoundError is caught as a usage error even where no module that
+        # needs numpy has been imported
+        env = dict(os.environ)
+        src = str(Path(blockdesigns.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import sys\n"
+            "from blockdesigns import permcore, sieve\n"
+            "def refuse(qmax):\n"
+            "    raise permcore.BoundError('refused')\n"
+            "sieve.run = refuse\n"
+            "from blockdesigns.cli import main\n"
+            "assert main(['sieve', '--qmax', '64']) == 2\n"
+            "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "error: refused\n"
 
     def test_package_names_resolve_lazily(self):
         from blockdesigns import design, sieve

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from blockdesigns import kcombs, permcore
 from blockdesigns.permcore import (
     PermGroup,
     Permutation,
@@ -192,6 +193,19 @@ class TestPermGroup:
         assert symmetric(5).derived_subgroup().order() == 60
         C3 = PermGroup([parse_cycles("(1,2,3)", 3)])
         assert C3.derived_subgroup().order() == 1
+
+
+class TestBoundError:
+    """BoundError lives in numpy-free permcore; kcombs re-exports it."""
+
+    def test_one_class(self):
+        assert permcore.BoundError is kcombs.BoundError
+        assert issubclass(permcore.BoundError, ValueError)
+
+    def test_elements_past_the_bound(self):
+        G = symmetric(11)  # order 39,916,800 > MAX_ELEMENTS
+        with pytest.raises(permcore.BoundError, match="iteration bound 10000000"):
+            G.elements()
 
 
 class TestOrbitStabilizerRandom:
