@@ -291,9 +291,9 @@ def _add_group_args(sub) -> None:
     )
 
 
-def _add_common(sub) -> None:
+def _add_common(sub, workers_help: str = "worker processes (>= 1)") -> None:
     sub.add_argument("-o", "--output", help="output file (default: stdout)")
-    sub.add_argument("--workers", type=int, default=None, help="worker processes (>= 1)")
+    sub.add_argument("--workers", type=int, default=None, help=workers_help)
     sub.add_argument("-v", "--verbose", action="count", default=0)
 
 
@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
         f"blocks its orbit can have, exceeds {MAX_CONSTRUCT_BLOCKS}",
     )
     p.add_argument("--t", type=int, default=2)
-    _add_common(p)
+    _add_common(p, "checked (>= 1) but unused: construct runs in one process")
     p.set_defaults(func=cmd_construct)
 
     p = subs.add_parser("classify", help="classify k-subset orbit designs up to isomorphism")
@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("sieve", help="numeric elimination over a prime power range")
     p.add_argument("--qmax", type=int, default=1024, help=f"largest q, at most {MAX_QMAX}")
     p.add_argument("--format", choices=("json", "text"), default="text")
-    _add_common(p)
+    _add_common(p, "checked (>= 1) but unused: sieve runs in one process")
     p.set_defaults(func=cmd_sieve)
 
     p = subs.add_parser("verify", help="check classification output against embedded reference data")

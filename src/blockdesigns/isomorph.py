@@ -13,7 +13,7 @@ candidate to it; the skipped subtree then only repeats leaf encodings of the
 explored one. The known automorphisms form the pruning group: the group
 passed in (the identity group if none), whose generators are each verified
 on entry, extended by any automorphism discovered when two leaves encode
-equally (PermGroup.extend). Both are checked with
+equally (PermGroup.extend; see Backjump). Both are checked with
 kcombs.block_permutation, which sorts the image rows. Block signatures and
 a leaf's block order rank blocks as multisets by kcombs.digit_ranks, with no
 row sorted; point signatures are sorted rows. The skips use the orbits of the
@@ -27,16 +27,22 @@ never changes the result. A search node keeps the union of the orbits of
 its explored candidates, so each orbit is computed once per node and
 stabilizer.
 
-Backjump (McKay and Piperno, Practical graph isomorphism II, 2014): a leaf
-that encodes like the best leaf gives an automorphism gamma carrying its
-path onto the best leaf's path, since a leaf's coloring determines the
+Backjump (McKay and Piperno, Practical graph isomorphism II, 2014): each
+leaf that is not a new best is compared with two reference leaves, the
+best so far and the first, as nauty does. A leaf that encodes like a
+reference leaf with another coloring gives an automorphism gamma carrying
+its path onto the reference path, since a leaf's coloring determines the
 point individualized at each depth. So gamma fixes their common prefix, of
 length d, pointwise and maps the current path's node at depth d + 1 onto
-the best path's node there, whose subtree is already searched. The search
-resumes at depth d: every deeper node returns at once. The abandoned
-subtree only repeats leaf encodings already seen, so it holds no leaf less
-than the best and no earlier one equal to it: data stays the minimum over
-the tree and labeling the first least leaf in depth-first order.
+the reference path's node there, an earlier sibling whose subtree is
+already searched (the first path's node at each depth is the first child
+searched there). The search resumes at depth d: every deeper node returns
+at once. The abandoned subtree only repeats leaf encodings already seen,
+so it holds no leaf less than the best and no earlier one equal to it:
+data stays the minimum over the tree and labeling the first least leaf in
+depth-first order. Which automorphisms are known, and so how much of the
+tree is skipped, never changes data, labeling or a witness; the first-leaf
+test only finds automorphisms sooner.
 
 Refinement stops as soon as no cell can split, skipping the round that
 would only confirm it; both stops are exact. Discrete: a coloring with v
@@ -206,39 +212,45 @@ def _search(design, group: PermGroup | None, goal: bytes | None = None) -> Certi
         if block_permutation(g.images, refiner.rows_arr) is None:
             raise ValueError("group generator is not an automorphism of the design")
 
-    best_data: bytes | None = None
-    best_pcol: list[int] | None = None
-    best_prefix: tuple[int, ...] = ()
+    # (data, plist, prefix) of the first leaf and of the least leaf so far
+    first = best = None
+    nodes = leaves = grown = 0
 
     def add_automorphism(sigma: Permutation) -> bool:
-        nonlocal aut_group
+        nonlocal aut_group, grown
         if block_permutation(sigma.images, refiner.rows_arr) is None:
             return False  # equal leaf encodings always yield a real automorphism; stay safe anyway
-        aut_group = aut_group.extend(sigma)
+        extended = aut_group.extend(sigma)
+        grown += extended is not aut_group
+        aut_group = extended
         return True
 
     def search(pcol: np.ndarray, prefix: tuple[int, ...]) -> int:
         """Search the subtree of prefix; return the depth the search resumes
         at: len(prefix) when the subtree is done, less after a backjump."""
-        nonlocal best_data, best_pcol, best_prefix
+        nonlocal first, best, nodes, leaves
         depth = len(prefix)
+        nodes += 1
         pcol = refiner.refine(pcol)
         counts = np.bincount(pcol)
         nonsingleton = [c for c in np.nonzero(counts > 1)[0]]
         if not nonsingleton:
-            plist = pcol.tolist()
-            data = _leaf_bytes(v, b, k, refiner.cols, pcol)
-            if best_data is None or data < best_data:
-                best_data, best_pcol, best_prefix = data, plist, prefix
-                if data == goal:
-                    return -1  # below every depth: each level returns at once
-            elif data == best_data and plist != best_pcol:
-                inv_best = [0] * v
-                for i, c in enumerate(best_pcol):
-                    inv_best[c] = i
-                if add_automorphism(Permutation([inv_best[plist[i]] for i in range(v)])):
-                    # it maps this path onto the best leaf's: back to where they part
-                    return next(i for i, (x, y) in enumerate(zip(prefix, best_prefix)) if x != y)
+            leaves += 1
+            data, plist = _leaf_bytes(v, b, k, refiner.cols, pcol), pcol.tolist()
+            if first is None:
+                first = (data, plist, prefix)
+            if best is None or data < best[0]:
+                best = (data, plist, prefix)
+                # below every depth on the goal: each level returns at once
+                return -1 if data == goal else depth
+            for ref_data, ref_plist, ref_prefix in (best, first):
+                if data == ref_data and plist != ref_plist:
+                    inv_ref = [0] * v
+                    for i, c in enumerate(ref_plist):
+                        inv_ref[c] = i
+                    if add_automorphism(Permutation([inv_ref[c] for c in plist])):
+                        # it maps this path onto the reference leaf's: back to where they part
+                        return next(i for i, (x, y) in enumerate(zip(prefix, ref_prefix)) if x != y)
             return depth
         # target cell: smallest non-singleton, earliest in the cell order
         target = min(nonsingleton, key=lambda c: (counts[c], c))
@@ -266,7 +278,9 @@ def _search(design, group: PermGroup | None, goal: bytes | None = None) -> Certi
         return depth
 
     search(np.zeros(v, dtype=np.int64), ())
-    return Certificate(best_data, tuple(best_pcol))
+    log.debug("search: %d nodes, %d leaves; %d discovered automorphisms grew the pruning "
+              "group, now of order %d", nodes, leaves, grown, aut_group.order())
+    return Certificate(best[0], tuple(best[1]))
 
 
 def _coverage_spectrum(design) -> tuple[int, ...] | None:

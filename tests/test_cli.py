@@ -482,6 +482,26 @@ class TestVerboseStages:
             assert quiet_err == ""
             assert re.fullmatch(decided.format(by, answer), err.strip()), err
 
+    def test_iso_debug_logs_both_searches(self, tmp_path, capsys):
+        # row 37 against a copy with its points reversed: -vv adds one line
+        # per certificate search before the line that says what decided
+        row37 = tmp_path / "row37.json"
+        run_cli(["construct", "--group", "psl28_paper36", "--base", "1,2,3,16,24,32",
+                 "-o", str(row37)], capsys)
+        record = json.loads(row37.read_text())
+        reversed_points = tmp_path / "reversed.json"
+        reversed_points.write_text(json.dumps(
+            {"v": 36, "blocks": [[37 - p for p in blk] for blk in record["blocks"]]}))
+        out, err = self.run(["iso", str(row37), str(reversed_points), "-vv"])
+        assert out == "isomorphic\n"
+        search = (r"DEBUG blockdesigns\.isomorph: search: \d+ nodes, \d+ leaves; \d+ "
+                  r"discovered automorphisms grew the pruning group, now of order \d+")
+        lines = err.splitlines()
+        assert len(lines) == 3, err
+        assert all(re.fullmatch(search, line) for line in lines[:2]), err
+        assert lines[2].startswith("INFO blockdesigns.isomorph: iso: the certificate search")
+
+
 class TestSieve:
     def test_text_summary(self, capsys):
         code, out, _ = run_cli(["sieve", "--qmax", "64"], capsys)
@@ -583,6 +603,21 @@ class TestSieve:
         code2, out2, _ = run_cli(base + ["--workers", "2"], capsys)
         assert code1 == code2 == 0
         assert out1 and out1 == out2
+
+
+@pytest.mark.parametrize("subcommand,workers", [
+    ("construct", "checked (>= 1) but unused: construct runs in one process"),
+    ("sieve", "checked (>= 1) but unused: sieve runs in one process"),
+    ("classify", "worker processes (>= 1)"),
+    ("verify", "worker processes (>= 1)"),
+])
+def test_workers_help_says_what_the_option_does(subcommand, workers, capsys):
+    # classify and verify spread their certificates over --workers
+    # processes; construct and sieve only check the value
+    with pytest.raises(SystemExit) as exit_info:
+        main([subcommand, "--help"])
+    assert exit_info.value.code == 0
+    assert f"--workers WORKERS {workers}" in " ".join(capsys.readouterr().out.split())
 
 
 class TestVerify:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from blockdesigns import design, kcombs
+from blockdesigns import design, golden, kcombs
 from blockdesigns.design import (
     Design,
     block_count_step,
@@ -25,6 +25,7 @@ from blockdesigns.design import (
     orbit_design,
 )
 from blockdesigns.grouplib import BUILTIN_NAMES, builtin, pair_action, projective_group
+from blockdesigns.isomorph import certificate
 from blockdesigns.kcombs import BoundError, subset_orbits, subset_ranks
 from blockdesigns.permcore import PermGroup, Permutation, parse_cycles
 
@@ -672,6 +673,18 @@ class TestHeadlineCertificates:
         assert len(pgl_classes) == 330
         assert self.digest(pgl_classes) == (
             "fb3d8095c95b35e1228771e681c44e0b9dd2140ea143a86b692033bc89cd18a6"
+        )
+
+    def test_table2_labelings(self, psl_group):
+        # the 46 Table 2 rows at the paper's labels, searched with no group:
+        # the labeling (the first least leaf in depth-first order) depends
+        # on how the search prunes and backjumps, the data only on the tree
+        certs = [
+            certificate(orbit_design(psl_group, tuple(p - 1 for p in base)))
+            for base, _ in golden.TABLE2
+        ]
+        assert sha256(b"".join(c.data + bytes(c.labeling) for c in certs)).hexdigest() == (
+            "66984ab1acc59a761ee10b580aa45414c00e98839b2c4a5dcdf63ebb9a38dbf3"
         )
 
 

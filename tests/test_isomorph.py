@@ -1,5 +1,6 @@
 """Canonical certificates and isomorphism decisions."""
 
+import logging
 import random
 from collections import Counter, defaultdict
 from itertools import combinations
@@ -387,26 +388,55 @@ class TestSearchPruning:
         assert nodes[0] > 1
         assert 0 < stabilizers[0] <= nodes[0]
 
-    @pytest.mark.parametrize("row", (2, 10))
+    @pytest.mark.parametrize("row", (2, 10, 37))
     def test_backjump_cuts_leaves(self, psl_group, row, monkeypatch):
-        # paper Table 2 rows 2 and 10 (1-based), searched with no group: 14
-        # leaves and 3 PermGroup.extend calls each without backjumps
+        # paper Table 2 rows 2, 10 and 37 (1-based), searched with no group:
+        # 7 leaves each; 12, 12 and 20 when only leaves like the best one
+        # gave automorphisms, 10 with both tests but no backjump
         leaves = counting(monkeypatch, isomorph, "_leaf_bytes")
         extends = counting(monkeypatch, PermGroup, "extend")
         certificate(table2_design(psl_group, row - 1))
-        assert 0 < leaves[0] <= 12
+        assert 0 < leaves[0] <= 7
         assert extends[0] <= 3
 
-    def test_refinement_stops_early_on_row_37(self, psl_group, monkeypatch):
-        # paper Table 2 row 37 at the paper's labels, no group: 108 rank
-        # calls in refinement, one per block side and one per point side of
-        # each round; 148 when every refinement ran one more round to
-        # confirm no cell split. A leaf ranks its blocks once too.
+    @staticmethod
+    def refinement_rank_calls(d, monkeypatch):
+        """Rank calls in the refinements of certificate(d): one per block
+        side and one per point side of each round (a leaf ranks its blocks
+        once too, and is not counted)."""
         blocks = counting(monkeypatch, isomorph, "digit_ranks")
         points = counting(monkeypatch, isomorph, "dense_ranks")
         leaves = counting(monkeypatch, isomorph, "_leaf_bytes")
-        certificate(table2_design(psl_group, 36))
-        assert blocks[0] - leaves[0] + points[0] == 108
+        certificate(d)
+        return blocks[0] - leaves[0] + points[0]
+
+    def test_refinement_stops_early_on_row_37(self, psl_group, monkeypatch):
+        # paper Table 2 row 37 at the paper's labels, no group: 46 rank
+        # calls; 60 when every refinement ran one more round to confirm no
+        # cell split (108 and 148 before the search backjumped on leaves
+        # like the first one)
+        assert self.refinement_rank_calls(table2_design(psl_group, 36), monkeypatch) == 46
+
+    def test_block_stable_stop_on_row_38(self, psl_group, monkeypatch):
+        # row 37's refinements all end discrete or with a point count that
+        # stops growing; row 38 (1-based) reaches a block-stable coloring:
+        # 67 rank calls, 68 if refinement built that round's point signatures
+        assert self.refinement_rank_calls(table2_design(psl_group, 37), monkeypatch) == 67
+
+    def test_search_logs_its_counts(self, psl_group, caplog):
+        # paper Table 2 row 37: with no group, three discovered
+        # automorphisms generate the whole order-504 group; seeded with it,
+        # the search discovers none
+        d = table2_design(psl_group, 36)
+        with caplog.at_level(logging.DEBUG, logger="blockdesigns.isomorph"):
+            certificate(d)
+            certificate(d, psl_group)
+        assert [r.getMessage() for r in caplog.records] == [
+            "search: 13 nodes, 7 leaves; 3 discovered automorphisms grew the "
+            "pruning group, now of order 504",
+            "search: 9 nodes, 4 leaves; 0 discovered automorphisms grew the "
+            "pruning group, now of order 504",
+        ]
 
     @pytest.mark.parametrize("row", TABLE2_ROWS[::2])
     def test_each_stabilizer_orbit_computed_once(self, psl_group, row, monkeypatch):
