@@ -16,16 +16,16 @@ on entry, extended by any automorphism discovered when two leaves encode
 equally (PermGroup.extend; see Backjump). Both are checked with
 kcombs.block_permutation, which sorts the image rows. Block signatures and
 a leaf's block order rank blocks as multisets by kcombs.digit_ranks, with no
-row sorted; point signatures are sorted rows. The skips use the orbits of the
-pointwise stabilizer of the individualized prefix, memoized by the group itself
-(PermGroup.pointwise_stabilizer), so every certificate pruned by one group
-shares its chain and its stabilizers; a discovered automorphism outside it
-gives a new group with a memo of its own. A search node fetches its
-stabilizer once, and again only after such an automorphism replaces the
-group. Pruning depends only on the group as a set, so the group passed in
-never changes the result. A search node keeps the union of the orbits of
-its explored candidates, so each orbit is computed once per node and
-stabilizer.
+row sorted; point signatures are sorted rows. The skips read the orbit
+labels of the pointwise stabilizer of the individualized prefix
+(PermGroup.pointwise_stabilizer, PermGroup.orbit_labels), both memoized by
+the groups themselves, so every certificate pruned by one group shares its
+chain, its stabilizers and their labels; a discovered automorphism outside
+it gives a new group with memos of its own. A search node fetches the
+labels once, and again only after such an automorphism replaces the group,
+and skips a candidate whose label an explored candidate shares. Pruning
+depends only on the group as a set, so the group passed in never changes
+the result.
 
 Backjump (McKay and Piperno, Practical graph isomorphism II, 2014): each
 leaf that is not a new best is compared with two reference leaves, the
@@ -177,6 +177,15 @@ def _leaf_bytes(v: int, b: int, k: int, cols: np.ndarray, pcol: np.ndarray) -> b
     return struct.pack(">HIH", v, b, k) + np.packbits(bits, axis=1).tobytes()
 
 
+def _label_map(labeling, target) -> Permutation:
+    """The permutation taking each point i to the point that target gives
+    the canonical label labeling gives i."""
+    inverse = [0] * len(target)
+    for i, c in enumerate(target):
+        inverse[c] = i
+    return Permutation([inverse[c] for c in labeling])
+
+
 def check_vertices(v: int, b: int) -> None:
     """Refuse an incidence structure of more than MAX_VERTICES points plus
     blocks, the largest certificate() searches."""
@@ -245,10 +254,7 @@ def _search(design, group: PermGroup | None, goal: bytes | None = None) -> Certi
                 return -1 if data == goal else depth
             for ref_data, ref_plist, ref_prefix in (best, first):
                 if data == ref_data and plist != ref_plist:
-                    inv_ref = [0] * v
-                    for i, c in enumerate(ref_plist):
-                        inv_ref[c] = i
-                    if add_automorphism(Permutation([inv_ref[c] for c in plist])):
+                    if add_automorphism(_label_map(plist, ref_plist)):
                         # it maps this path onto the reference leaf's: back to where they part
                         return next(i for i, (x, y) in enumerate(zip(prefix, ref_prefix)) if x != y)
             return depth
@@ -256,19 +262,14 @@ def _search(design, group: PermGroup | None, goal: bytes | None = None) -> Certi
         target = min(nonsingleton, key=lambda c: (counts[c], c))
         candidates = [int(i) for i in np.nonzero(pcol == target)[0]]
         explored: list[int] = []
-        # union of the orbits of explored[:folded] under stab, the prefix
-        # stabilizer in stab_group
-        stab_group, stab, covered, folded = None, None, set(), 0
+        # the orbit labels of the prefix stabilizer in labels_group
+        labels_group = labels = None
         for x in candidates:
             if explored and aut_group.order() > 1:
-                if aut_group is not stab_group:
-                    stab_group, stab = aut_group, aut_group.pointwise_stabilizer(prefix)
-                    covered, folded = set(), 0
-                for e in explored[folded:]:
-                    if e not in covered:
-                        covered.update(stab.orbit(e))
-                folded = len(explored)
-                if x in covered:
+                if aut_group is not labels_group:
+                    labels_group = aut_group
+                    labels = aut_group.pointwise_stabilizer(prefix).orbit_labels()
+                if labels[x] in [labels[e] for e in explored]:
                     explored.append(x)
                     continue
             resume = search(_individualize(pcol, x), prefix + (x,))
@@ -320,10 +321,7 @@ def isomorphism_witness(d1, d2):
              time.perf_counter() - start)
     if c1.data != c2.data:
         return None
-    inv2 = [0] * d2.v
-    for i, c in enumerate(c2.labeling):
-        inv2[c] = i
-    sigma = Permutation([inv2[c1.labeling[i]] for i in range(d1.v)])
+    sigma = _label_map(c1.labeling, c2.labeling)
     if d1.relabel(sigma) != d2:
         raise AssertionError("certificates matched but the recovered map is not an isomorphism")
     return sigma

@@ -16,13 +16,15 @@ is_identity run as single C-level tuple operations.
 PermGroup.__init__ makes every group. From generators alone it builds the
 chain with _Chain(degree, base, gens), the one builder, which adds them one
 by one; a group read off a chain (a stabilizer, extend(g) on a copy of the
-group's chain, derived_subgroup()) is handed it. pointwise_stabilizer(pts) is
-the one stabilizer routine: point by point, the stabilizer of the next point
-in the stabilizer of the ones before, read off a chain whose base starts at
-that point (the parent's own chain when its base does). A chain a group holds
-is never mutated: adding assigns fresh per-level lists and dicts, so a copy
-can share the levels it does not change, a group computes its order once,
-and it memoizes its pointwise stabilizers. Identical inputs (the generator
+group's chain, derived_subgroup()) is handed it. A chain a group holds is
+never mutated: adding assigns fresh per-level lists and dicts, so a copy can
+share the levels it does not change, and a group keeps one memo per question
+asked of it: its order; orbit_labels(), each point's least orbit-mate from
+one breadth-first sweep, which orbit(), orbits() and is_transitive() read;
+and one stabilizer per point, read off a chain whose base starts at the
+point (the group's own when its base does, else one rebuilt from its
+generators). pointwise_stabilizer(pts) walks these, the stabilizer of each
+point in the stabilizer of the ones before. Identical inputs (the generator
 list, plus the point list for a stabilizer) give identical chains, orders
 and element streams.
 transversals() hands the chain's transversals out as tuples of permutations,
@@ -320,7 +322,8 @@ class PermGroup:
             _chain = _Chain(degree, gens=gens)
         self._degree, self._generators, self._chain = degree, gens, _chain
         self._order = _chain.order()
-        self._stabilizers: dict[tuple[int, ...], PermGroup] = {}
+        self._labels: tuple[int, ...] | None = None
+        self._stabilizers: dict[int, PermGroup] = {}
 
     @property
     def degree(self) -> int:
@@ -369,69 +372,60 @@ class PermGroup:
 
     __contains__ = contains
 
+    def orbit_labels(self) -> tuple[int, ...]:
+        """Each point's least orbit-mate, memoized: one breadth-first sweep
+        per group, seeded at each unlabeled point in ascending order."""
+        if self._labels is None:
+            gens = [g.images for g in self._generators]
+            labels = [-1] * self._degree
+            for s in range(self._degree):
+                if labels[s] < 0:
+                    labels[s], queue = s, [s]
+                    for a in queue:  # grows while it is scanned
+                        for g in gens:
+                            b = g[a]
+                            if labels[b] < 0:
+                                labels[b] = s
+                                queue.append(b)
+            self._labels = tuple(labels)
+        return self._labels
+
     def orbit(self, point: int) -> tuple[int, ...]:
-        """Orbit of a point, in BFS discovery order (generators in listed order)."""
+        """Orbit of a point, in ascending order."""
         if not 0 <= point < self._degree:
             raise ValueError(f"point {point} out of range")
-        seen = {point}
-        out = [point]
-        queue = deque([point])
-        while queue:
-            a = queue.popleft()
-            for g in self._generators:
-                b = g.images[a]
-                if b not in seen:
-                    seen.add(b)
-                    out.append(b)
-                    queue.append(b)
-        return tuple(out)
+        labels = self.orbit_labels()
+        return tuple(i for i, x in enumerate(labels) if x == labels[point])
 
     def orbits(self) -> list[tuple[int, ...]]:
-        """All point orbits, seeded by ascending smallest unvisited point."""
-        seen: set[int] = set()
-        out = []
-        for s in range(self._degree):
-            if s in seen:
-                continue
-            orb = self.orbit(s)
-            seen.update(orb)
-            out.append(orb)
-        return out
+        """All point orbits, each ascending, ordered by least point."""
+        members: dict[int, list[int]] = {}
+        for i, label in enumerate(self.orbit_labels()):
+            members.setdefault(label, []).append(i)
+        return [tuple(m) for m in members.values()]
 
     def is_transitive(self) -> bool:
-        return len(self.orbit(0)) == self._degree if self._degree else True
+        return not any(self.orbit_labels())
 
     def pointwise_stabilizer(self, points) -> "PermGroup":
-        """Subgroup fixing every listed point, memoized on this group (safe,
-        since its chain never changes): a repeated call with the same tuple
-        returns the same group from one dict lookup.
-
-        A miss checks and de-duplicates the points, then extends the longest
-        memoized prefix one point at a time. The stabilizer of p in H is the
-        tail, from level 1 on, of a chain whose base starts at p: H's own
-        chain if its base does, else one built from H's generators with p
-        first. The strong generators fixing a base point generate its
-        stabilizer; that is the defining property of a base."""
-        key = points if type(points) is tuple else tuple(points)
-        memo = self._stabilizers
-        stab = memo.get(key)
-        if stab is not None:
-            return stab
-        pts = tuple(dict.fromkeys(key))
-        for p in pts:
-            if not 0 <= p < self._degree:
-                raise ValueError(f"point {p} out of range")
-        i = len(pts)
-        while i and pts[:i] not in memo:
-            i -= 1
-        stab = memo[pts[:i]] if i else self
-        for i in range(i, len(pts)):
-            chain = stab._chain
-            if chain.base[:1] != [pts[i]]:
-                chain = _Chain(self._degree, pts[i : i + 1], stab._generators)
-            stab = memo[pts[: i + 1]] = chain.tail(1).group()
-        if key:  # the group is not its own memo entry: no reference cycle
-            memo[key] = stab
+        """Subgroup fixing every listed point (repeats ignored), walked one
+        memoized one-point stabilizer at a time. A miss reads the stabilizer
+        of p in H as the tail, from level 1 on, of a chain whose base starts
+        at p: H's own if its base does, else one built from H's generators
+        with p first; the strong generators fixing a base point generate
+        its stabilizer."""
+        stab = self
+        for p in dict.fromkeys(points):
+            memo = stab._stabilizers
+            hit = memo.get(p)
+            if hit is None:
+                if not 0 <= p < self._degree:
+                    raise ValueError(f"point {p} out of range")
+                chain = stab._chain
+                if chain.base[:1] != [p]:
+                    chain = _Chain(self._degree, (p,), stab._generators)
+                hit = memo[p] = chain.tail(1).group()
+            stab = hit
         return stab
 
     def subdegrees(self, point: int = 0) -> tuple[int, ...]:
@@ -474,20 +468,17 @@ class PermGroup:
         return tuple(x for x in range(n) if find(x) == root)
 
     def is_primitive(self) -> bool:
-        """True iff transitive with no nontrivial block system.
-
-        Tries every pair seed {0, d}; the group is primitive iff each minimal
-        block through such a pair is the whole point set.
-        """
+        """True iff transitive with no nontrivial block system: iff every
+        minimal block through a pair {0, d} is the whole point set. Tries one
+        d per G_0-orbit, its least point: G_0 carries the minimal block
+        through {0, d} onto the one through {0, d'} for each d' in d's orbit."""
         if not self.is_transitive():
             return False
         n = self._degree
         if n <= 2:
             return True
-        for d in range(1, n):
-            if len(self.minimal_block(0, d)) < n:
-                return False
-        return True
+        labels = self.pointwise_stabilizer((0,)).orbit_labels()
+        return all(len(self.minimal_block(0, d)) == n for d in set(labels) - {0})
 
     def elements(self):
         """Lazy deterministic iteration over all elements.

@@ -440,17 +440,32 @@ class TestSearchPruning:
 
     @pytest.mark.parametrize("row", TABLE2_ROWS[::2])
     def test_each_stabilizer_orbit_computed_once(self, psl_group, row, monkeypatch):
-        calls = []  # (group, point); holding the groups keeps their ids unique
-        orbit = PermGroup.orbit
+        # the search reads the orbit labels of its prefix stabilizers; each
+        # group computes them on its first read only
+        computed = []  # holding the groups keeps their ids unique
+        orbit_labels = PermGroup.orbit_labels
 
-        def counted(self, point):
-            calls.append((self, point))
-            return orbit(self, point)
+        def counted(self):
+            if self._labels is None:
+                computed.append(self)
+            return orbit_labels(self)
 
-        monkeypatch.setattr(PermGroup, "orbit", counted)
+        monkeypatch.setattr(PermGroup, "orbit_labels", counted)
         certificate(table2_design(psl_group, row), PermGroup(psl_group.generators))
-        keys = [(id(group), point) for group, point in calls]
-        assert keys and len(set(keys)) == len(keys)
+        ids = [id(group) for group in computed]
+        assert ids and len(set(ids)) == len(ids)
+
+    def test_table2_search_tree_sizes(self, psl_group, monkeypatch):
+        # over all 46 paper Table 2 rows: 606 search nodes and 314 leaves
+        # with no group, 398 and 176 pruned by the order-504 group
+        nodes = counting(monkeypatch, isomorph._Refiner, "refine")  # once per search node
+        leaves = counting(monkeypatch, isomorph, "_leaf_bytes")
+        totals = []
+        for group in (None, psl_group):
+            for row in range(len(golden.TABLE2)):
+                certificate(table2_design(psl_group, row), group)
+            totals.append((nodes[0], leaves[0]))
+        assert totals == [(606, 314), (606 + 398, 314 + 176)]
 
 
 class TestUnprunedOracle:

@@ -293,6 +293,55 @@ class TestChainPaths:
             }
 
 
+class TestOrbitLabels:
+    """orbit_labels() is the one orbit computation; orbit(), orbits() and
+    is_transitive() read it. Checked against closure by multiplication."""
+
+    @staticmethod
+    def least_mates(G):
+        elems = brute_force_elements(G.generators)
+        return tuple(min(g.images[p] for g in elems) for p in range(G.degree))
+
+    @given(group_perm_prefix())
+    def test_labels_are_least_orbit_mates(self, args):
+        G, _, _ = args
+        assert G.orbit_labels() == self.least_mates(G)
+        assert G.orbit_labels() is G.orbit_labels()
+
+    @given(group_perm_prefix())
+    def test_orbits_read_the_labels(self, args):
+        G, _, _ = args
+        elems = brute_force_elements(G.generators)
+        for p in range(G.degree):
+            assert G.orbit(p) == tuple(sorted({g.images[p] for g in elems}))
+        orbits = G.orbits()
+        assert [o[0] for o in orbits] == sorted(set(G.orbit_labels()))
+        assert orbits == [G.orbit(o[0]) for o in orbits]
+        assert sorted(p for o in orbits for p in o) == list(range(G.degree))
+
+    @given(group_perm_prefix())
+    def test_is_transitive(self, args):
+        G, _, _ = args
+        assert G.is_transitive() == (len({g.images[0] for g in brute_force_elements(G.generators)})
+                                     == G.degree)
+
+    @pytest.mark.parametrize("degree", [0, 1])
+    def test_is_transitive_at_degrees_0_and_1(self, degree):
+        G = PermGroup([Permutation.identity(degree)])
+        assert G.is_transitive()
+        assert G.orbit_labels() == tuple(range(degree))
+        assert G.orbits() == [(p,) for p in range(degree)]
+
+    @given(group_perm_prefix(), st.data())
+    def test_stabilizer_walks_one_point_memos(self, args, data):
+        G, _, _ = args
+        a, b = data.draw(st.lists(st.integers(0, G.degree - 1), min_size=2, max_size=2,
+                                  unique=True))
+        S = G.pointwise_stabilizer((a,))
+        assert G.pointwise_stabilizer((a, b)) is S.pointwise_stabilizer((b,))
+        assert G.pointwise_stabilizer(()) is G
+
+
 class TestOneConstructor:
     """Every group the chain routines make, read off a chain or not, goes
     through PermGroup.__init__ once, handed the chain already built."""
