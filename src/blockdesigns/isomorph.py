@@ -11,21 +11,26 @@ Pruning: a candidate in the target cell is skipped when a known automorphism
 fixing all previously individualized points maps an already explored
 candidate to it; the skipped subtree then only repeats leaf encodings of the
 explored one. The known automorphisms form the pruning group: the group
-passed in (the identity group if none), whose generators are each verified
-on entry, extended by any automorphism discovered when two leaves encode
-equally (PermGroup.extend; see Backjump). Both are checked with
-kcombs.block_permutation, which sorts the image rows. Block signatures and
-a leaf's block order rank blocks as multisets by kcombs.digit_ranks, with no
-row sorted; point signatures are sorted rows. The skips read the orbit
-labels of the pointwise stabilizer of the individualized prefix
-(PermGroup.pointwise_stabilizer, PermGroup.orbit_labels), both memoized by
-the groups themselves, so every certificate pruned by one group shares its
-chain, its stabilizers and their labels; a discovered automorphism outside
-it gives a new group with memos of its own. A search node fetches the
-labels once, and again only after such an automorphism replaces the group,
-and skips a candidate whose label an explored candidate shares. Pruning
-depends only on the group as a set, so the group passed in never changes
-the result.
+passed in, whose generators are each verified on entry, or else the
+identity group, which needs no check, extended by any automorphism
+discovered when two leaves encode equally (PermGroup.extend; see Backjump),
+verified likewise. Both checks use kcombs.block_permutation, which sorts
+the image rows. Block signatures and a leaf's block order rank blocks as
+multisets by kcombs.digit_ranks, with no row sorted; point signatures are
+sorted rows. The skips read the orbit labels of the pointwise stabilizer of
+the individualized prefix (PermGroup.pointwise_stabilizer,
+PermGroup.orbit_labels), both memoized by the groups themselves, so every
+certificate pruned by one group shares its chain, its stabilizers and their
+labels; a discovered automorphism outside it gives a new group with memos
+of its own. That group only records the automorphism as one more
+generator: its stabilizer chain is built when the search first asks it for
+a prefix stabilizer, based at that prefix, so no chain is built that the
+search does not read (whole-group labels, all the root node asks, come from
+the generators, and the search tells a trivial group by its generators). A
+search node fetches the labels once, and again only after such an
+automorphism replaces the group, and skips a candidate whose label an
+explored candidate shares. Pruning depends only on the group as a set, so
+the group passed in never changes the result.
 
 Backjump (McKay and Piperno, Practical graph isomorphism II, 2014): each
 leaf that is not a new best is compared with two reference leaves, the
@@ -214,12 +219,15 @@ def _search(design, group: PermGroup | None, goal: bytes | None = None) -> Certi
     check_vertices(v, b)
 
     refiner = _Refiner(design)
-    aut_group = PermGroup([Permutation.identity(v)]) if group is None else group
-    for g in aut_group.generators:
-        if g.degree != v:
-            raise ValueError("automorphism degree does not match point count")
-        if block_permutation(g.images, refiner.rows_arr) is None:
-            raise ValueError("group generator is not an automorphism of the design")
+    if group is None:
+        aut_group = PermGroup([Permutation.identity(v)])
+    else:
+        aut_group = group
+        for g in group.generators:
+            if g.degree != v:
+                raise ValueError("automorphism degree does not match point count")
+            if block_permutation(g.images, refiner.rows_arr) is None:
+                raise ValueError("group generator is not an automorphism of the design")
 
     # (data, plist, prefix) of the first leaf and of the least leaf so far
     first = best = None
@@ -262,14 +270,16 @@ def _search(design, group: PermGroup | None, goal: bytes | None = None) -> Certi
         target = min(nonsingleton, key=lambda c: (counts[c], c))
         candidates = [int(i) for i in np.nonzero(pcol == target)[0]]
         explored: list[int] = []
-        # the orbit labels of the prefix stabilizer in labels_group
+        # the orbit labels of the prefix stabilizer in labels_group, None
+        # while all its generators are the identity
         labels_group = labels = None
         for x in candidates:
-            if explored and aut_group.order() > 1:
+            if explored:
                 if aut_group is not labels_group:
-                    labels_group = aut_group
-                    labels = aut_group.pointwise_stabilizer(prefix).orbit_labels()
-                if labels[x] in [labels[e] for e in explored]:
+                    labels_group, labels = aut_group, None
+                    if not all(g.is_identity() for g in aut_group.generators):
+                        labels = aut_group.pointwise_stabilizer(prefix).orbit_labels()
+                if labels is not None and labels[x] in [labels[e] for e in explored]:
                     explored.append(x)
                     continue
             resume = search(_individualize(pcol, x), prefix + (x,))
@@ -279,8 +289,9 @@ def _search(design, group: PermGroup | None, goal: bytes | None = None) -> Certi
         return depth
 
     search(np.zeros(v, dtype=np.int64), ())
-    log.debug("search: %d nodes, %d leaves; %d discovered automorphisms grew the pruning "
-              "group, now of order %d", nodes, leaves, grown, aut_group.order())
+    if log.isEnabledFor(logging.DEBUG):  # the order may need a chain nothing else reads
+        log.debug("search: %d nodes, %d leaves; %d discovered automorphisms grew the pruning "
+                  "group, now of order %d", nodes, leaves, grown, aut_group.order())
     return Certificate(best[0], tuple(best[1]))
 
 
@@ -293,7 +304,11 @@ def _coverage_spectrum(design) -> tuple[int, ...] | None:
     b, k = design.b, design.k
     if k < 3 or b * comb(k, 3) > kcombs.MAX_SUBSETS:
         return None
-    _, counts = np.unique(subset_ranks(design.blocks, design.v, 3), return_counts=True)
+    # stable sort on the smallest unsigned key: numpy radix-sorts 8- and 16-bit keys
+    key = np.min_scalar_type(comb(design.v, 3) - 1)
+    ranks = np.sort(subset_ranks(design.blocks, design.v, 3).ravel().astype(key), kind="stable")
+    starts = np.flatnonzero(np.r_[True, ranks[1:] != ranks[:-1]])
+    counts = np.diff(np.r_[starts, len(ranks)])  # the run length of each distinct rank
     spectrum = np.bincount(counts)
     spectrum[0] = comb(design.v, 3) - len(counts)
     return tuple(spectrum.tolist())

@@ -15,18 +15,24 @@ sifting and Schreier generators compose without inverting, and compose and
 is_identity run as single C-level tuple operations.
 PermGroup.__init__ makes every group. From generators alone it builds the
 chain with _Chain(degree, base, gens), the one builder, which adds them one
-by one; a group read off a chain (a stabilizer, extend(g) on a copy of the
-group's chain, derived_subgroup()) is handed it. A chain a group holds is
-never mutated: adding assigns fresh per-level lists and dicts, so a copy can
-share the levels it does not change, and a group keeps one memo per question
-asked of it: its order; orbit_labels(), each point's least orbit-mate from
-one breadth-first sweep, which orbit(), orbits() and is_transitive() read;
-and one stabilizer per point, read off a chain whose base starts at the
-point (the group's own when its base does, else one rebuilt from its
-generators). pointwise_stabilizer(pts) walks these, the stabilizer of each
-point in the stabilizer of the ones before. Identical inputs (the generator
-list, plus the point list for a stabilizer) give identical chains, orders
-and element streams.
+by one; a group read off a chain (a stabilizer, derived_subgroup()) is
+handed it. extend(g) builds no chain: it returns the group itself when the
+group holds a chain that sifts g to the identity, else a group on one more
+generator, handed its parent, whose chain waits for the first question
+asked of it and is built at the base that question names (PermGroup._build).
+So an extended group's base, and with it transversals() and the elements()
+order, depends on that question; its order, membership and orbits never
+do. A chain a group holds is never mutated: adding assigns fresh per-level
+lists and dicts, so a copy can share the levels it does not change, and a
+group keeps one memo per question asked of it: its chain; orbit_labels(),
+each point's least orbit-mate from one breadth-first sweep over the
+generators, which orbit(), orbits() and is_transitive() read; and one
+stabilizer per point, read off a chain whose base starts at the point (the
+group's own when its base does, else one rebuilt from its generators).
+pointwise_stabilizer(pts) walks these, the stabilizer of each point in the
+stabilizer of the ones before. Identical inputs (the generator list, the
+point list for a stabilizer, and for an extended group the questions asked
+of it) give identical chains, orders and element streams.
 transversals() hands the chain's transversals out as tuples of permutations,
 for callers that walk the chain level by level (design.py enumerates block
 orbits that way) without reaching into it; permcore itself needs no numpy.
@@ -304,11 +310,17 @@ class _Chain:
 
 
 class PermGroup:
-    """Permutation group with an eagerly built, immutable stabilizer chain."""
+    """Permutation group with an immutable stabilizer chain, built when the
+    group is made from generators alone and on first need for a group made
+    by extend(). An extended group's base depends on the first question
+    asked of it; its order, membership and orbits never do."""
 
-    def __init__(self, generators, *, _chain: _Chain | None = None):
-        """The group generated by generators; _chain, private, is its chain
-        when one is already built, else it is built here."""
+    def __init__(self, generators, *, _chain: _Chain | None = None,
+                 _parent: PermGroup | None = None):
+        """The group generated by generators. _chain and _parent are private:
+        _chain is its chain when one is already built; _parent, a group whose
+        generators begin this group's, defers the chain to first need (see
+        _build). With neither, the chain is built here."""
         gens = tuple(generators)
         if not gens:
             raise ValueError("a group needs at least one generator (identity is fine)")
@@ -318,12 +330,34 @@ class PermGroup:
                 raise ValueError("generators must be Permutation instances")
             if g.degree != degree:
                 raise ValueError("all generators must share one degree")
-        if _chain is None:
+        if _chain is None and _parent is None:
             _chain = _Chain(degree, gens=gens)
-        self._degree, self._generators, self._chain = degree, gens, _chain
-        self._order = _chain.order()
+        self._degree, self._generators = degree, gens
+        self._held, self._parent = _chain, _parent
         self._labels: tuple[int, ...] | None = None
         self._stabilizers: dict[int, PermGroup] = {}
+
+    @property
+    def _chain(self) -> _Chain:
+        if self._held is None:
+            self._build()
+        return self._held
+
+    def _build(self, points=()) -> None:
+        """Build and keep this extended group's chain: a copy of the nearest
+        built ancestor's chain plus the generators added since, unless
+        points are named and that chain's base does not start at points[0];
+        then one based at points, from all the generators."""
+        ancestor = self._parent
+        while ancestor._held is None:  # the root of every extend() lineage holds a chain
+            ancestor = ancestor._parent
+        if points and ancestor._held.base[:1] != points[:1]:
+            chain, start = _Chain(self._degree, points), 0
+        else:
+            chain, start = ancestor._held.tail(0), len(ancestor._generators)
+        for g in self._generators[start:]:
+            chain.add(g)
+        self._held, self._parent = chain, None
 
     @property
     def degree(self) -> int:
@@ -338,7 +372,7 @@ class PermGroup:
         return tuple(self._chain.base)
 
     def order(self) -> int:
-        return self._order
+        return self._chain.order()
 
     def transversals(self) -> tuple[tuple[Permutation, ...], ...]:
         """Per chain level, base point first, one element carrying the
@@ -356,14 +390,14 @@ class PermGroup:
         return self._chain.sift(p)[0]
 
     def extend(self, g: Permutation) -> "PermGroup":
-        """The group generated by this one and g, its chain extended from
-        this group's chain; this group itself when g is already a member."""
+        """The group generated by this one and g: this group itself when it
+        holds a chain that sifts g to the identity, else a group on one
+        more generator whose chain is built on first need. Builds no chain."""
         if not isinstance(g, Permutation) or g.degree != self._degree:
             raise ValueError("g must be a Permutation of the group's degree")
-        chain = self._chain.tail(0)
-        if not chain.add(g):
+        if self._held is not None and self._held.sift(g)[0].is_identity():
             return self
-        return chain.group(self._generators + (g,))
+        return PermGroup(self._generators + (g,), _parent=self)
 
     def contains(self, p: Permutation) -> bool:
         if p.degree != self._degree:
@@ -409,24 +443,34 @@ class PermGroup:
 
     def pointwise_stabilizer(self, points) -> "PermGroup":
         """Subgroup fixing every listed point (repeats ignored), walked one
-        memoized one-point stabilizer at a time. A miss reads the stabilizer
-        of p in H as the tail, from level 1 on, of a chain whose base starts
-        at p: H's own if its base does, else one built from H's generators
-        with p first; the strong generators fixing a base point generate
-        its stabilizer."""
+        memoized one-point stabilizer at a time: the stabilizer of p in H is
+        the tail, from level 1 on, of a chain of H whose base starts at p
+        (_chain_at); the strong generators fixing a base point generate its
+        stabilizer."""
+        pts = list(dict.fromkeys(points))
+        for p in pts:
+            if not 0 <= p < self._degree:
+                raise ValueError(f"point {p} out of range")
         stab = self
-        for p in dict.fromkeys(points):
+        for i, p in enumerate(pts):
             memo = stab._stabilizers
             hit = memo.get(p)
             if hit is None:
-                if not 0 <= p < self._degree:
-                    raise ValueError(f"point {p} out of range")
-                chain = stab._chain
-                if chain.base[:1] != [p]:
-                    chain = _Chain(self._degree, (p,), stab._generators)
-                hit = memo[p] = chain.tail(1).group()
+                hit = memo[p] = stab._chain_at(pts[i:]).tail(1).group()
             stab = hit
         return stab
+
+    def _chain_at(self, points: list[int]) -> _Chain:
+        """A chain of this group whose base starts at points[0]: its own,
+        built here at the base the question names if it has none yet (see
+        _build), else, when its own is based elsewhere, one built from its
+        generators with points[0] first."""
+        if self._held is None:
+            self._build(points)
+        chain = self._held
+        if chain.base[:1] != points[:1]:
+            chain = _Chain(self._degree, points[:1], self._generators)
+        return chain
 
     def subdegrees(self, point: int = 0) -> tuple[int, ...]:
         """Orbit lengths of a point stabilizer on all points, sorted ascending.

@@ -598,16 +598,16 @@ class TestClassify:
 
     def test_builds_no_group(self, monkeypatch):
         # the group classified is the pruning group of every certificate;
-        # stabilizers read off its chain are groups, but no chain is built
-        # from generators
+        # stabilizers read off its chain and groups it is extended to are
+        # groups, but no group is built from generators alone
         G = builtin("psl28_paper36")
         built = []
         init = PermGroup.__init__
 
-        def counted(self, generators, *, _chain=None):
-            if _chain is None:
+        def counted(self, generators, *, _chain=None, _parent=None):
+            if _chain is None and _parent is None:
                 built.append(generators)
-            init(self, generators, _chain=_chain)
+            init(self, generators, _chain=_chain, _parent=_parent)
 
         monkeypatch.setattr(PermGroup, "__init__", counted)
         assert len(classify(G, 6, 2, workers=1)) == 46

@@ -279,6 +279,16 @@ class TestCoverageSpectrum:
         spectrum[0] = comb(d.v, 3) - len(covered)
         assert _coverage_spectrum(d) == tuple(spectrum[c] for c in range(max(spectrum) + 1))
 
+    def test_matches_python_count_past_16_bit_ranks(self):
+        # C(v,3) > 2**16 from v = 75 on: the ranks sort as 32-bit keys
+        rng = random.Random(90)
+        for d in (Design(76, combinations(range(76), 3)),
+                  Design(90, {tuple(sorted(rng.sample(range(90), 5))) for _ in range(300)})):
+            covered = Counter(sub for blk in d.block_rows() for sub in combinations(blk, 3))
+            spectrum = Counter(covered.values())
+            spectrum[0] = comb(d.v, 3) - len(covered)
+            assert _coverage_spectrum(d) == tuple(spectrum[c] for c in range(max(spectrum) + 1))
+
     def test_rows_37_and_2_decided_without_search(self, psl_group, monkeypatch):
         d37, d2 = table2_design(psl_group, 36), table2_design(psl_group, 1)
         searches = counting(monkeypatch, isomorph, "_search")
@@ -398,6 +408,14 @@ class TestSearchPruning:
         certificate(table2_design(psl_group, row - 1))
         assert 0 < leaves[0] <= 7
         assert extends[0] <= 3
+
+    def test_only_discovered_automorphisms_verified(self, psl_group, monkeypatch):
+        # paper Table 2 row 37 with no group: the identity group is not
+        # checked, and each discovered automorphism is, once
+        checks = counting(monkeypatch, isomorph, "block_permutation")
+        extends = counting(monkeypatch, PermGroup, "extend")
+        certificate(table2_design(psl_group, 36))
+        assert checks[0] == extends[0] == 3
 
     @staticmethod
     def refinement_rank_calls(d, monkeypatch):

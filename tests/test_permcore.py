@@ -2,8 +2,10 @@
 
 import pickle
 import random
+from contextlib import contextmanager
 from itertools import permutations
 from math import factorial
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -293,6 +295,87 @@ class TestChainPaths:
             }
 
 
+@contextmanager
+def chain_work_refused():
+    """Fail on any _Chain construction or addition inside the block."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stabilizer chain was built or added to")
+
+    with mock.patch.object(permcore._Chain, "__init__", refuse), \
+            mock.patch.object(permcore._Chain, "add", refuse):
+        yield
+
+
+@st.composite
+def extension_lineages(draw):
+    """A group on at most 6 points, then a few extend() steps: per step a
+    permutation and the points (maybe none) whose pointwise stabilizer is
+    asked of the extended group before the next step."""
+    n = draw(st.integers(2, 6))
+    gens = draw(st.lists(perms(n), min_size=1, max_size=2))
+    steps = draw(st.lists(st.tuples(perms(n), st.lists(st.integers(0, n - 1), max_size=3)),
+                          min_size=1, max_size=4))
+    return gens, steps
+
+
+class TestLazyExtension:
+    """extend() builds no chain; an extended group builds one on first need,
+    at the base its first stabilizer question names. Whatever was asked, and
+    in whatever order, it is the group of all its generators."""
+
+    @given(extension_lineages(), st.booleans(), st.data())
+    def test_matches_group_of_all_generators(self, args, order_first, data):
+        gens, steps = args
+        G = PermGroup(gens)
+        for g, asked in steps:
+            with chain_work_refused():
+                G = G.extend(g)
+            G.pointwise_stabilizer(asked)
+        rebuilt = PermGroup(gens + [g for g, _ in steps])
+        n = G.degree
+        if order_first:  # the chain is then a copy of the nearest built one
+            assert G.order() == rebuilt.order()
+        for pts in [(a,) for a in range(n)] + list(permutations(range(n), 2)):
+            assert (G.pointwise_stabilizer(pts).orbit_labels()
+                    == rebuilt.pointwise_stabilizer(pts).orbit_labels())
+        assert G.order() == rebuilt.order()
+        assert G.orbit_labels() == rebuilt.orbit_labels()
+        words = data.draw(st.lists(st.lists(st.sampled_from(rebuilt.generators), max_size=6),
+                                   max_size=4))
+        for word in words:
+            product = Permutation.identity(n)
+            for s in word:
+                product = compose(product, s)
+            assert G.contains(product)
+        for p in data.draw(st.lists(perms(n), max_size=4)):
+            assert G.contains(p) == rebuilt.contains(p)
+        assert_inverse_transversals(G)
+
+    def test_chain_built_at_the_first_question(self, monkeypatch):
+        G = PermGroup([parse_cycles("(1,2,3)", 5)])  # base (0,)
+        g = parse_cycles("(4,5)", 5)
+        added = []
+        add = permcore._Chain.add
+
+        def counted(chain, h):
+            added.append(h)
+            return add(chain, h)
+
+        monkeypatch.setattr(permcore._Chain, "add", counted)
+        # asked at G's first base point, or with no point: G's chain copied, g added
+        for question in (lambda E: E.pointwise_stabilizer((0,)), lambda E: E.order()):
+            added.clear()
+            E = G.extend(g)
+            question(E)
+            assert added == [g] and E.base == (0, 3)
+        # asked elsewhere: one chain based at the named points, from every generator
+        added.clear()
+        F = G.extend(g)
+        F.pointwise_stabilizer((4, 1))
+        assert added == list(F.generators) and F.base[:2] == (4, 1)
+        assert F.order() == 6
+
+
 class TestOrbitLabels:
     """orbit_labels() is the one orbit computation; orbit(), orbits() and
     is_transitive() read it. Checked against closure by multiplication."""
@@ -373,12 +456,21 @@ class TestOneConstructor:
         assert inits == [True]
         assert S.order() == factorial(4) and S.base[0] != point
 
-    def test_extend(self, inits):
+    def test_extend(self, monkeypatch):
+        # one __init__, handed the parent; the chain waits for a question
         G = PermGroup([parse_cycles("(1,2,3)", 4)])
-        inits.clear()
+        handed = []
+        init = PermGroup.__init__
+
+        def counted(self, generators, **kwargs):
+            handed.append(kwargs)
+            init(self, generators, **kwargs)
+
+        monkeypatch.setattr(PermGroup, "__init__", counted)
         E = G.extend(parse_cycles("(1,2)", 4))
-        assert inits == [True]
+        assert handed == [{"_parent": G}] and E._held is None
         assert E.order() == 6
+        assert len(handed) == 1 and E._held is not None
 
     def test_derived_subgroup(self, inits):
         G = symmetric(4)
