@@ -120,6 +120,17 @@ def _one_based(block: tuple[int, ...]) -> list[int]:
     return [p + 1 for p in block]
 
 
+def _record_json(record: dict) -> list[str]:
+    """The text json.dumps(record, indent=1) + "\n", in pieces, for a record
+    whose "blocks" is a non-empty list of non-empty integer lists. indent
+    turns off json's C encoder, so only the other fields go through
+    json.dumps and the block list is joined here."""
+    head, tail = json.dumps({**record, "blocks": None}, indent=1).split('"blocks": null')
+    blocks = ",\n".join(["  [\n   " + ",\n   ".join(map(str, blk)) + "\n  ]"
+                         for blk in record["blocks"]])
+    return [head, '"blocks": [\n', blocks, "\n ]", tail, "\n"]
+
+
 def cmd_construct(args) -> int:
     from .design import is_flag_transitive, lambda_of, orbit_design
     from .kcombs import subset_positions
@@ -153,7 +164,7 @@ def cmd_construct(args) -> int:
         "flag_transitive": is_flag_transitive(G, design),
         "status": "ok" if lam is not None else f"not a {args.t}-design",
     }
-    _emit((json.dumps(record, indent=1) + "\n",), args.output)
+    _emit(_record_json(record), args.output)
     if lam is None:
         log.info("orbit of size %d is not a %d-design", design.b, args.t)
     return 0

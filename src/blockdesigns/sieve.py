@@ -23,14 +23,14 @@ arithmetic; no floating point. The run report states the verified range:
 the sieve checks a finite range numerically, it does not prove anything
 beyond it.
 
-A run builds tens of thousands of small records, and almost every case
+A run evaluates up to 354,232 cases (q <= 10^6), and almost every case
 fails the square test, so a case costs only what its verdict needs. Each case
 is written once, in two stages. _point_counts() gives stage one: case id, v,
 notes, and the parameter stage two needs beyond q (the subfield order q0, or
 the |G| and |M| a table-1 line quotes). _constraints() gives stage two:
 ambient, stabilizer and out orders, subdegrees and the trivial flag. run()
-tests isqrt(v)**2 == v first. A square failure becomes its SieveVerdict at
-once, and only a square v gets stage two and evaluate(). case_catalog() joins
+tests isqrt(v)**2 == v first. A square failure builds no record at all, and
+only a square v gets stage two and evaluate(). case_catalog() joins
 both stages into CaseSpec records; evaluate() takes a CaseSpec or a plain
 tuple of its fields. CaseSpec and SieveVerdict are typing.NamedTuple classes,
 immutable and hashable. run() does not factorize each q: it walks the
@@ -39,20 +39,32 @@ comes after p^f, and carries (p, f+1) forward from q = p^f to q*p; a q that
 nothing carried to is a prime, (q, 1). Each exponent f is factorized once.
 run() refuses q_max above MAX_QMAX before building that list.
 
+A report keeps its verdicts as VerdictColumns: three flat array columns, q,
+v and a small integer code per verdict. A code indexes the report's table of
+the distinct keys, a verdict's seven fields other than q and v; a run to
+q = 10^4 has 28 of them. run() fills the columns straight from stage one,
+and the square failures of one case id and notes share one code.
+VerdictColumns is a read-only Sequence: len() reads a column, and indexing
+or iterating builds each SieveVerdict on demand. The survivor lists and the
+summary's elimination counts read the codes, not the verdicts. A report made
+from any iterable of SieveVerdicts stores it in the same columns.
+
 The JSON line format is fixed: one object per verdict with its keys sorted
 and json.dumps' default separators, the bytes of json.dumps(record,
-sort_keys=True), written by SieveVerdict.to_json alone. A run holds a few dozen
-distinct combinations of the fields other than q and v, so to_json()
-memoizes, per combination, the line's text before q and between q and v. SieveReport.json_chunks() yields the lines
-JSON_CHUNK verdicts at a time; the CLI writes the chunks as they come, and
-json_lines() joins the same chunks.
+sort_keys=True). _json_parts() writes a key's text before q and between q
+and v; SieveVerdict.to_json() calls it per verdict, and
+SieveReport.json_chunks() once per code of the table, then writes each line
+as that pair around the verdict's q and v, JSON_CHUNK verdicts at a time.
+The CLI writes the chunks as they come, and json_lines() joins the same
+chunks.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from math import gcd, isqrt
 from typing import NamedTuple
@@ -62,10 +74,10 @@ from .numth import factorize, prime_power, prime_powers_upto
 CONSTRAINT_ORDER = ("square", "k_guard", "subdegree", "block_count", "stabilizer")
 
 # run() refuses a larger q_max before allocating anything: the prime-power
-# table and the verdicts take memory linear in q_max. run(10**6) peaks at
-# 77 MB in 0.65-0.9 s, and 191 MB in 1.4-1.5 s with json_lines() (2-vCPU x86
-# VM); `sieve --qmax 1000000 --format json` streams its chunks at a 79 MB
-# peak in 1.1-1.3 s
+# table and the verdict columns take memory linear in q_max. run(10**6)
+# peaks at 25 MB in 0.27-0.37 s, and 138 MB in 0.44-0.54 s with json_lines()
+# (2-vCPU x86 VM, Python 3.11); `sieve --qmax 1000000 --format json` streams
+# its chunks at a 28 MB peak in 0.50-0.54 s
 MAX_QMAX = 10**6
 
 
@@ -106,11 +118,9 @@ class SieveVerdict(NamedTuple):
         return f"{head}{q}{tail}{v}}}"
 
 
-@lru_cache(maxsize=256)
 def _json_parts(case_id: str, failed: str | None, k: int | None, notes: tuple[str, ...],
                 square: bool, survivor: bool, trivial: bool) -> tuple[str, str]:
-    """A verdict's JSON line up to its q, and from its q to its v: a run
-    holds a few dozen distinct pairs, so each is written once."""
+    """A verdict's JSON line up to its q, and from its q to its v."""
     k = "null" if k is None else k
     square, survivor, trivial = ("true" if x else "false" for x in (square, survivor, trivial))
     return (f'{{"case": {json.dumps(case_id)}, "failed": {json.dumps(failed)}, "k": {k}, '
@@ -122,45 +132,95 @@ def _json_parts(case_id: str, failed: str | None, k: int | None, notes: tuple[st
 # constructor NamedTuple generates (half the cost per verdict)
 _new = tuple.__new__
 
-
-def _square_failure(case_id: str, q: int, v: int, notes: tuple[str, ...]) -> SieveVerdict:
-    """The verdict of a case whose v is not a square."""
-    return _new(SieveVerdict, (case_id, q, v, False, None, "square", False, False, notes))
-
-
 # the verdict lines per chunk that SieveReport.json_chunks joins
 JSON_CHUNK = 4096
 
 
-@dataclass(frozen=True)
+class VerdictColumns(Sequence):
+    """SieveVerdicts kept as three flat columns: q, v, and a code per
+    verdict. A code numbers a key, a verdict's fields other than q and v in
+    their SieveVerdict order; `keys` maps each distinct key to its code, so
+    its order is the code table. The sequence is read-only, and reading an
+    entry builds its SieveVerdict."""
+
+    def __init__(self, verdicts: Iterable[SieveVerdict] = ()):
+        self.q, self.v, self.code = array("q"), array("q"), array("I")
+        self.keys: dict[tuple, int] = {}
+        for case_id, q, v, *rest in verdicts:
+            self.q.append(q)
+            self.v.append(v)
+            self.code.append(self.keys.setdefault((case_id, *rest), len(self.keys)))
+
+    def __len__(self) -> int:
+        return len(self.code)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        key = self.table()[self.code[i]]
+        return _new(SieveVerdict, (key[0], self.q[i], self.v[i], *key[1:]))
+
+    def __iter__(self):
+        table = self.table()
+        for q, v, c in zip(self.q, self.v, self.code):
+            key = table[c]
+            yield _new(SieveVerdict, (key[0], q, v, *key[1:]))
+
+    def table(self) -> list[tuple]:
+        """The keys, indexed by code."""
+        return list(self.keys)
+
+
 class SieveReport:
-    q_min: int
-    q_max: int
-    verdicts: tuple[SieveVerdict, ...]
+    """The verdicts of a run over q_min <= q <= q_max. verdicts is a
+    VerdictColumns; any other iterable of SieveVerdicts is stored as one."""
+
+    def __init__(self, q_min: int, q_max: int, verdicts: Iterable[SieveVerdict] = ()):
+        self.q_min = q_min
+        self.q_max = q_max
+        self.verdicts = (verdicts if isinstance(verdicts, VerdictColumns)
+                         else VerdictColumns(verdicts))
+
+    def _survivors(self, trivial: bool) -> tuple[SieveVerdict, ...]:
+        # key[4] is the survivor flag and key[5] the trivial one
+        cols = self.verdicts
+        codes = {c for c, key in enumerate(cols.table()) if key[4] and bool(key[5]) == trivial}
+        return tuple(cols[i] for i, c in enumerate(cols.code) if c in codes)
 
     @property
     def survivors(self) -> tuple[SieveVerdict, ...]:
-        return tuple(x for x in self.verdicts if x.survivor and not x.trivial)
+        return self._survivors(False)
 
     @property
     def trivial_survivors(self) -> tuple[SieveVerdict, ...]:
-        return tuple(x for x in self.verdicts if x.survivor and x.trivial)
+        return self._survivors(True)
 
     def json_chunks(self):
         """The JSON lines, newline-terminated, joined JSON_CHUNK verdicts at a
-        time: a writer holds one chunk of text, not the whole output."""
-        verdicts = self.verdicts
-        for i in range(0, len(verdicts), JSON_CHUNK):
-            yield "\n".join([x.to_json() for x in verdicts[i:i + JSON_CHUNK]]) + "\n"
+        time: a writer holds one chunk of text, not the whole output. Each
+        code's text around q and v is written once."""
+        cols = self.verdicts
+        parts = [_json_parts(case_id, failed, k, notes, square, survivor, trivial)
+                 for case_id, square, k, failed, survivor, trivial, notes in cols.keys]
+        heads = [head for head, _ in parts]
+        tails = [tail for _, tail in parts]
+        for i in range(0, len(cols), JSON_CHUNK):
+            j = i + JSON_CHUNK
+            yield "\n".join([f"{heads[c]}{q}{tails[c]}{v}}}" for q, v, c
+                             in zip(cols.q[i:j], cols.v[i:j], cols.code[i:j])]) + "\n"
 
     def json_lines(self) -> str:
         return "".join(self.json_chunks())
 
     def summary_text(self) -> str:
-        fails = Counter(x.failed for x in self.verdicts)
+        cols = self.verdicts
+        table = cols.table()
+        fails = Counter()
+        for c, n in Counter(cols.code).items():
+            fails[table[c][3]] += n  # key[3] is the first failed constraint
         lines = [
             f"sieve over prime powers {self.q_min} <= q <= {self.q_max}: "
-            f"{len(self.verdicts)} case evaluations",
+            f"{len(cols)} case evaluations",
             "eliminations by first failed constraint: "
             + ", ".join(f"{name}={fails[name]}" for name in CONSTRAINT_ORDER),
         ]
@@ -289,7 +349,7 @@ def evaluate(case: CaseSpec | tuple) -> SieveVerdict:
     case_id, q, v, ambient, stabilizer, out, subdegrees, trivial, notes = case
     k = isqrt(v)
     if k * k != v:
-        return _square_failure(case_id, q, v, notes)
+        return _new(SieveVerdict, (case_id, q, v, False, None, "square", False, False, notes))
     if k < 3:
         failed = "k_guard"
     elif any(s % (k + 1) for s in subdegrees):
@@ -320,11 +380,20 @@ def run(q_max: int) -> SieveReport:
     """Evaluate every case for every prime power 4 <= q <= q_max."""
     if not 4 <= q_max <= MAX_QMAX:
         raise ValueError(f"q_max must be in 4..{MAX_QMAX}")
-    verdicts = [
-        evaluate((case_id, q, v, *_constraints(case_id, q, p, f, param), notes))
-        if isqrt(v) ** 2 == v
-        else _square_failure(case_id, q, v, notes)
-        for q, p, f in _prime_powers_with_pf(q_max)
-        for case_id, v, notes, param in _point_counts(q, p, f)
-    ]
-    return SieveReport(q_min=4, q_max=q_max, verdicts=tuple(verdicts))
+    cols = VerdictColumns()
+    add_q, add_v, add_code, keys = cols.q.append, cols.v.append, cols.code.append, cols.keys
+    square_failures: dict[tuple, int] = {}  # (case id, notes) -> code
+    for q, p, f in _prime_powers_with_pf(q_max):
+        for case_id, v, notes, param in _point_counts(q, p, f):
+            if isqrt(v) ** 2 == v:
+                x = evaluate((case_id, q, v, *_constraints(case_id, q, p, f, param), notes))
+                code = keys.setdefault((case_id, *x[3:]), len(keys))
+            else:
+                code = square_failures.get((case_id, notes))
+                if code is None:
+                    key = (case_id, False, None, "square", False, False, notes)
+                    code = square_failures[case_id, notes] = keys.setdefault(key, len(keys))
+            add_q(q)
+            add_v(v)
+            add_code(code)
+    return SieveReport(4, q_max, cols)

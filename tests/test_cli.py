@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -64,6 +65,19 @@ class TestConstruct:
         assert rec["lambda"] is None
         assert rec["status"] == "not a 2-design"
         assert rec["k"] == 3
+
+    @pytest.mark.parametrize("args,b,lam", [
+        (["--group", "psl28_paper36", "--base", "1,2,4,16,26,31"], 84, 2),
+        (["--q", "5", "--base", "1,2,3,4,5,6"], 1, 1),  # one block: the whole point set
+        (["--group", "psl28_paper36", "--base", "1,2,3"], 504, None),
+    ], ids=["builtin", "one-block", "lambda-null"])
+    def test_record_bytes_are_json_dumps_indent_1(self, args, b, lam, capsys):
+        # the block list is joined outside json.dumps; the bytes must not change
+        code, out, _ = run_cli(["construct", *args], capsys)
+        assert code == 0
+        rec = json.loads(out)
+        assert (rec["b"], rec["lambda"]) == (b, lam)
+        assert out == json.dumps(rec, indent=1) + "\n"
 
     def test_construct_under_larger_builtin(self, tmp_path, capsys):
         out = tmp_path / "g.json"
@@ -544,6 +558,33 @@ class TestSieve:
                               env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert "NONTRIVIAL SURVIVOR: q=8 case=even-3 v=36 k=6" in proc.stdout
+
+    def test_json_to_1e6_in_bounded_memory_without_numpy(self, tmp_path):
+        # the 354,232 verdicts are kept as columns and written a chunk at a
+        # time. The child reads its own peak RSS as VmHWM: on Linux its
+        # ru_maxrss would start at this process's peak, carried over the exec
+        env = dict(os.environ)
+        src = str(Path(blockdesigns.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        path = tmp_path / "sieve-1e6.jsonl"
+        args = ["sieve", "--qmax", "1000000", "--format", "json", "-o", str(path)]
+        code = (
+            "import sys\n"
+            "from blockdesigns.cli import main\n"
+            f"assert main({args!r}) == 0\n"
+            "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+            "if sys.platform.startswith('linux'):\n"
+            "    print(next(line.split()[1] for line in open('/proc/self/status')\n"
+            "               if line.startswith('VmHWM:')))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "a936bd20f6dd826afbb797002d64c483098eb6c42b5c564e2463410766de6805"
+        if sys.platform.startswith("linux"):
+            peak_kib = int(proc.stdout)
+            assert peak_kib < 50 * 1024, f"peak RSS {peak_kib / 1024:.1f} MB"
 
     def test_bound_error_is_usage_error_without_numpy(self):
         # BoundError is caught as a usage error even where no module that

@@ -239,6 +239,37 @@ class TestFastPath:
             evaluate(c) for q in prime_powers_upto(4, 5000) for c in case_catalog(q)
         ]
 
+    @given(st.integers(4, 3000), st.data())
+    @example(4, None)
+    @example(7, None)
+    @example(8, None)
+    @example(9, None)
+    @example(11, None)
+    @example(64, None)
+    def test_columns_read_as_the_public_verdicts(self, q_max, data):
+        # run() keeps (q, v, code) columns; a report built from the public
+        # path's SieveVerdicts must read the same everywhere
+        public = [evaluate(c) for q in prime_powers_upto(4, q_max) for c in case_catalog(q)]
+        report, expect = run(q_max), SieveReport(4, q_max, public)
+        assert report.summary_text() == expect.summary_text()
+        assert report.survivors == expect.survivors
+        assert report.trivial_survivors == expect.trivial_survivors
+        verdicts, want = report.verdicts, tuple(public)
+        n = len(want)
+        assert len(verdicts) == len(expect.verdicts) == n
+        assert tuple(verdicts) == tuple(expect.verdicts) == want
+        assert [verdicts[i] for i in (0, n // 2, -1, -n)] == [want[i] for i in (0, n // 2, -1, -n)]
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                verdicts[i]
+        slices = [slice(None), slice(-5, None), slice(None, None, -7), slice(3, -2, 2)]
+        if data is not None:
+            index = st.integers(-n - 3, n + 3) | st.none()
+            step = st.integers(-9, 9).filter(bool) | st.none()
+            slices.append(slice(data.draw(index), data.draw(index), data.draw(step)))
+        for s in slices:
+            assert verdicts[s] == want[s]
+
     @given(st.integers(4, 5000))
     @example(4)
     @example(8)
@@ -334,8 +365,8 @@ class TestJsonLine:
     @example(49, 2)  # odd-3 at 49: a square failure with notes
     @example(3000, 4095)
     def test_memoized_lines_match_json_dumps(self, q_max, chunk):
-        # to_json() memoizes all of a line but q and v, across runs and
-        # examples; chunks of a drawn size put boundaries anywhere
+        # json_chunks() writes all of a line but q and v once per code of
+        # the report's table; chunks of a drawn size put boundaries anywhere
         report = run(q_max)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sieve, "JSON_CHUNK", chunk)
