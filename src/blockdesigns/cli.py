@@ -158,7 +158,7 @@ def cmd_construct(args) -> int:
         "lambda": lam,
         "base_block": _one_based(base),
         "group": name,
-        "blocks": [_one_based(blk) for blk in design.block_rows()],
+        "blocks": (design.blocks + 1).tolist(),
         "b": design.b,
         "block_transitive": True,
         "flag_transitive": is_flag_transitive(G, design),

@@ -3,7 +3,7 @@
 A design is v points 0..v-1 and b distinct blocks of one size k, held as one
 read-only (b, k) int64 array of sorted rows in lexicographic order. Every
 computation here and in isomorph.py reads that array; tuples of points
-appear only in Design.block_rows(), for output and tests. orbit_design()
+appear only in Design.block_rows(), for hashable rows. orbit_design()
 realizes the block-transitive construction: the block set is one group
 orbit. _orbit_rows() enumerates it down the group's stabilizer chain, one
 gather, row sort and unique per level, when |G| * k <= kcombs.MAX_SUBSETS:
@@ -41,8 +41,8 @@ class Design:
     integer array, one block per row, or any iterable of point collections.
     They are checked once, here, and stored in blocks as a read-only
     (b, k) int64 array of sorted rows in lexicographic order, a copy that
-    no caller's array aliases. block_rows() is the tuple view for output
-    and for hashable rows. v is kept as a Python int. Two designs are equal
+    no caller's array aliases. block_rows() is the tuple view, for
+    hashable rows. v is kept as a Python int. Two designs are equal
     when v and the arrays are; a pickled design is rebuilt, and so checked
     again, on load."""
 

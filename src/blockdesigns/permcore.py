@@ -16,23 +16,27 @@ is_identity run as single C-level tuple operations.
 PermGroup.__init__ makes every group. From generators alone it builds the
 chain with _Chain(degree, base, gens), the one builder, which adds them one
 by one; a group read off a chain (a stabilizer, derived_subgroup()) is
-handed it. extend(g) builds no chain: it returns the group itself when the
-group holds a chain that sifts g to the identity, else a group on one more
-generator, handed its parent, whose chain waits for the first question
-asked of it and is built at the base that question names (PermGroup._build).
-So an extended group's base, and with it transversals() and the elements()
-order, depends on that question; its order, membership and orbits never
-do. A chain a group holds is never mutated: adding assigns fresh per-level
-lists and dicts, so a copy can share the levels it does not change, and a
-group keeps one memo per question asked of it: its chain; orbit_labels(),
-each point's least orbit-mate from one breadth-first sweep over the
-generators, which orbit(), orbits() and is_transitive() read; and one
-stabilizer per point, read off a chain whose base starts at the point (the
-group's own when its base does, else one rebuilt from its generators).
-pointwise_stabilizer(pts) walks these, the stabilizer of each point in the
-stabilizer of the ones before. Identical inputs (the generator list, the
-point list for a stabilizer, and for an extended group the questions asked
-of it) give identical chains, orders and element streams.
+handed it; extend(g) returns the group itself when its chain sifts g to the
+identity, else a group on one more generator, handed its parent, with no
+chain. After __init__ a group gets a chain only from _chain_at(points), by
+one rule: the chain it holds, if that chain's base starts at points[0]
+(any base fits when no point is named); else, for an extended group
+holding none, a copy of its nearest built ancestor's chain plus the
+generators added since, if that copy fits; else a new chain from its
+generators, based at every named point. A group keeps the first chain it
+gets, so an extended group's base, and with it transversals() and the
+elements() order, depends on the first question asked of it; its order,
+membership and orbits never do. A held chain is never mutated: adding
+assigns fresh per-level lists and dicts, so a copy can share the levels it
+does not change. A group keeps one memo per question asked of it: its
+chain; orbit_labels(), each point's least orbit-mate from one breadth-first
+sweep over the generators, which orbit(), orbits() and is_transitive()
+read; and one stabilizer per point, the levels past the first of a chain
+_chain_at bases there. pointwise_stabilizer(pts) walks these point by
+point, each time naming every point still to fix, so a chain built at one
+step is based at the rest and no later step builds. Identical inputs (the
+generator list, the point list for a stabilizer, and for an extended group
+the questions asked of it) give identical chains, orders and element streams.
 transversals() hands the chain's transversals out as tuples of permutations,
 for callers that walk the chain level by level (design.py enumerates block
 orbits that way) without reaching into it; permcore itself needs no numpy.
@@ -319,8 +323,9 @@ class PermGroup:
                  _parent: PermGroup | None = None):
         """The group generated by generators. _chain and _parent are private:
         _chain is its chain when one is already built; _parent, a group whose
-        generators begin this group's, defers the chain to first need (see
-        _build). With neither, the chain is built here."""
+        generators begin this group's, defers the chain to the first
+        question that needs one (_chain_at). With neither, the chain is
+        built here."""
         gens = tuple(generators)
         if not gens:
             raise ValueError("a group needs at least one generator (identity is fine)")
@@ -339,25 +344,7 @@ class PermGroup:
 
     @property
     def _chain(self) -> _Chain:
-        if self._held is None:
-            self._build()
-        return self._held
-
-    def _build(self, points=()) -> None:
-        """Build and keep this extended group's chain: a copy of the nearest
-        built ancestor's chain plus the generators added since, unless
-        points are named and that chain's base does not start at points[0];
-        then one based at points, from all the generators."""
-        ancestor = self._parent
-        while ancestor._held is None:  # the root of every extend() lineage holds a chain
-            ancestor = ancestor._parent
-        if points and ancestor._held.base[:1] != points[:1]:
-            chain, start = _Chain(self._degree, points), 0
-        else:
-            chain, start = ancestor._held.tail(0), len(ancestor._generators)
-        for g in self._generators[start:]:
-            chain.add(g)
-        self._held, self._parent = chain, None
+        return self._chain_at(())
 
     @property
     def degree(self) -> int:
@@ -460,16 +447,25 @@ class PermGroup:
             stab = hit
         return stab
 
-    def _chain_at(self, points: list[int]) -> _Chain:
-        """A chain of this group whose base starts at points[0]: its own,
-        built here at the base the question names if it has none yet (see
-        _build), else, when its own is based elsewhere, one built from its
-        generators with points[0] first."""
-        if self._held is None:
-            self._build(points)
+    def _chain_at(self, points) -> _Chain:
+        """A chain of this group whose base starts at points[0], any base
+        when points is empty, by the one rule the module docstring states."""
+        def fits(chain: _Chain) -> bool:
+            return not points or chain.base[:1] == [points[0]]
+
         chain = self._held
-        if chain.base[:1] != points[:1]:
-            chain = _Chain(self._degree, points[:1], self._generators)
+        if chain is None:
+            ancestor = self._parent
+            while ancestor._held is None:  # the root of every extend() lineage holds a chain
+                ancestor = ancestor._parent
+            if fits(ancestor._held):
+                chain = ancestor._held.tail(0)
+                for g in self._generators[len(ancestor._generators):]:
+                    chain.add(g)
+        if chain is None or not fits(chain):
+            chain = _Chain(self._degree, points, self._generators)
+        if self._held is None:
+            self._held, self._parent = chain, None
         return chain
 
     def subdegrees(self, point: int = 0) -> tuple[int, ...]:

@@ -12,6 +12,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from blockdesigns import kcombs, permcore
+from blockdesigns.design import classify
+from blockdesigns.grouplib import pair_action, projective_group
 from blockdesigns.permcore import (
     PermGroup,
     Permutation,
@@ -374,6 +376,58 @@ class TestLazyExtension:
         F.pointwise_stabilizer((4, 1))
         assert added == list(F.generators) and F.base[:2] == (4, 1)
         assert F.order() == 6
+
+
+class TestOneChainRule:
+    """_chain_at is the one place a group gets a chain after __init__. A
+    chain it must build is based at every point the question names, so the
+    deeper levels of one stabilizer question read that chain instead of
+    building again."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        built = []  # the base of each _Chain built from generators
+        init = permcore._Chain.__init__
+
+        def counted(chain, degree, base=(), gens=()):
+            init(chain, degree, base, gens)
+            if gens:
+                built.append(tuple(base))
+
+        monkeypatch.setattr(permcore._Chain, "__init__", counted)
+        return built
+
+    def test_one_build_for_a_prefix_off_the_base(self, builds):
+        G = PermGroup([parse_cycles("(1,2,3,4,5)", 5), parse_cycles("(1,2)", 5)])
+        assert G.base == (0, 1, 3, 2)
+        held = G._held
+        builds.clear()
+        S = G.pointwise_stabilizer((4, 3))
+        assert builds == [(4, 3)]
+        assert S.order() == 6 and S.orbits() == [(0, 1, 2), (3,), (4,)]
+        assert G._held is held  # a group keeps the first chain it gets
+
+    def test_pair_action_certificates(self, monkeypatch):
+        # PSL(2,5) on the 15 pairs of the projective line: each certificate's
+        # prefix stabilizers sit off the group's base
+        P = pair_action(projective_group(5)[0])[0]
+        added = []
+        add = permcore._Chain.add
+
+        def counted(chain, g):
+            added.append(g)
+            return add(chain, g)
+
+        monkeypatch.setattr(permcore._Chain, "add", counted)
+        classes = classify(P, 3, 1)
+        assert [c.certificate.hexdigest for c in classes] == [
+            "e0746c39b2ebdc48435bc9061af6a4b9a5208acb5bf79e09a07fa55a8f72c686",
+            "7dcaaf77a379b889c911dbd454e55bedc40cb62724a56fea7499bdb8265c04ac",
+            "148e604b102ad6fd2d48779af55e2fa0274ee7cf7598d024e2483df870adc9e1",
+            "24a1309efdcdb6e547a542f7256b48d51d35e2ab5934832f11086a891757fe33",
+            "8e07d30d22e3a1e5ebcea6f0b76dece29ddb5fb503a8c4154dee105141039531",
+        ]
+        assert len(added) <= 30
 
 
 class TestOrbitLabels:
