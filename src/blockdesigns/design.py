@@ -1,8 +1,11 @@
 """Block designs as orbits of a base block, and their classification.
 
 A design is v points 0..v-1 and b distinct blocks of one size k, held as one
-read-only (b, k) int64 array of sorted rows in lexicographic order. Every
-computation here and in isomorph.py reads that array; tuples of points
+read-only (b, k) int64 array of sorted rows in lexicographic order, and
+their ascending row keys, which every block-set check compares image keys
+with (kcombs.same_block_set()). Rows that arrive canonical, as orbit
+designs and classify() give them, are checked without a sort. Every
+computation here and in isomorph.py reads the array; tuples of points
 appear only in Design.block_rows(), for hashable rows. orbit_design()
 realizes the block-transitive construction: the block set is one group
 orbit. _orbit_rows() enumerates it down the group's stabilizer chain, one
@@ -13,7 +16,10 @@ is_flag_transitive() counts one block's orbit under a point stabilizer
 the same way. classify() enumerates every orbit of k-subsets, keeps the
 orbits whose base block passes the Kramer-Mesner test for a t-design, and
 merges them into isomorphism classes by canonical certificate. It
-enumerates nothing when divisibility or t >= v - k rules out every orbit.
+enumerates nothing when divisibility or t >= v - k rules out every orbit,
+and refuses before any scan when the least block count a t-design could
+have already passes the certificate search's vertex bound. A process pool,
+and its import, start only for more than one worker.
 """
 
 from __future__ import annotations
@@ -22,15 +28,14 @@ import logging
 import operator
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb, gcd, lcm
 
 import numpy as np
 
 from . import isomorph, kcombs
-from .kcombs import block_permutation, subset_orbits, subset_rank_chunks, unique_rows
-from .permcore import PermGroup, Permutation
+from .kcombs import row_keys, same_block_set, subset_orbits, subset_rank_chunks, unique_rows
+from .permcore import BoundError, PermGroup, Permutation
 
 log = logging.getLogger(__name__)
 
@@ -41,10 +46,16 @@ class Design:
     integer array, one block per row, or any iterable of point collections.
     They are checked once, here, and stored in blocks as a read-only
     (b, k) int64 array of sorted rows in lexicographic order, a copy that
-    no caller's array aliases. block_rows() is the tuple view, for
-    hashable rows. v is kept as a Python int. Two designs are equal
-    when v and the arrays are; a pickled design is rebuilt, and so checked
-    again, on load."""
+    no caller's array aliases. keys holds their kcombs.row_keys() over v
+    points, read-only and ascending, for the block-set checks
+    (kcombs.same_block_set); it is no field, so equality, hashing, repr
+    and pickling ignore it. Canonical rows, each strictly increasing with
+    strictly increasing keys, are accepted after those two comparisons;
+    other rows are sorted and made unique, and raise on a repeated point
+    or a duplicate block. block_rows() is the tuple view, for hashable
+    rows. v is kept as a Python int. Two designs are equal when v and the
+    arrays are; a pickled design is rebuilt, and so checked again, on
+    load."""
 
     v: int
     blocks: np.ndarray
@@ -74,18 +85,24 @@ class Design:
         if rows.min() < 0 or rows.max() >= v:
             blk = tuple(sorted(rows[((rows < 0) | (rows >= v)).any(axis=1)][0].tolist()))
             raise ValueError(f"block {blk} has a point outside 0..{v - 1}")
-        rows = np.sort(rows, axis=1)
-        repeated = rows[:, 1:] == rows[:, :-1]
-        if repeated.any():
-            blk = rows[repeated.any(axis=1)][0]
-            raise ValueError(f"point repeated in block {tuple(blk.tolist())}")
-        blocks, _ = unique_rows(rows, v)
-        if len(blocks) < len(rows):
-            raise ValueError("duplicate blocks")
-        blocks = blocks.astype(np.int64, copy=False)  # indexing copied rows
+        if not (rows[:, 1:] > rows[:, :-1]).all():
+            rows = np.sort(rows, axis=1)
+            repeated = rows[:, 1:] == rows[:, :-1]
+            if repeated.any():
+                blk = rows[repeated.any(axis=1)][0]
+                raise ValueError(f"point repeated in block {tuple(blk.tolist())}")
+        keys = row_keys(rows, v)
+        if keys.dtype.kind == "V" or not (keys[1:] > keys[:-1]).all():
+            keys, first = np.unique(keys, return_index=True)
+            if len(keys) < len(rows):
+                raise ValueError("duplicate blocks")
+            rows = rows[first]
+        blocks = rows.astype(np.int64)  # a copy, even of canonical int64 rows
         blocks.flags.writeable = False
+        keys.flags.writeable = False
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "keys", keys)
 
     @property
     def k(self) -> int:
@@ -200,7 +217,7 @@ def is_flag_transitive(G: PermGroup, design: Design) -> bool:
     if G.degree != design.v:
         raise ValueError("degree mismatch")
     for g in G.generators:
-        if block_permutation(g.images, design.blocks) is None:
+        if not same_block_set(g.images, design.blocks, design.keys):
             raise ValueError("group does not preserve the block set")
     B = design.blocks[:1]
     p = int(B[0, 0])
@@ -248,6 +265,19 @@ def block_count_step(v: int, k: int, t: int) -> int:
     return lcm(*(comb(v, s) // gcd(comb(v, s), comb(k, s)) for s in range(1, t + 1)))
 
 
+def __getattr__(name: str):
+    """design.ProcessPoolExecutor, imported when first read or when
+    classify() first starts a pool, so a one-worker run never loads
+    concurrent.futures.process. Assigning the name replaces the pool
+    classify() starts."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
+
+
 def _certificate_chunk(args) -> list[isomorph.Certificate]:
     """Certificates of one worker's designs, all pruned by one group."""
     designs, G = args
@@ -265,9 +295,11 @@ def classify(G: PermGroup, k: int, t: int = 2, workers: int = 1) -> list[DesignC
     Otherwise orbit O of k-subsets is kept exactly when its lex-least block
     holds C(k,t) |T_j| / C(v,t) t-subsets of every G-orbit T_j of t-subsets
     (Kramer-Mesner), and lambda_t = |O| C(k,t) / C(v,t). permcore.BoundError
-    refuses a scan of over kcombs.MAX_SUBSETS k-subsets (never the t-scan:
-    C(v,t) < C(v,k) when t < v - k) and, before any search, an orbit design
-    over isomorph.MAX_VERTICES.
+    refuses, before any scan, v + block_count_step() over
+    isomorph.MAX_VERTICES, even if no orbit would be kept; a scan of over
+    kcombs.MAX_SUBSETS k-subsets (never the t-scan: C(v,t) < C(v,k) when
+    t < v - k); and, before any search, an orbit design over
+    isomorph.MAX_VERTICES.
 
     The group itself acts by automorphisms on every orbit design and is the
     pruning group of every certificate search; worker processes receive it
@@ -286,6 +318,11 @@ def classify(G: PermGroup, k: int, t: int = 2, workers: int = 1) -> list[DesignC
         log.info("orbit scan skipped: |G| = %d is not a multiple of %d, the least "
                  "block count of a %d-design", G.order(), step, t)
         return []
+    if v + step > isomorph.MAX_VERTICES:
+        # every kept orbit design would be refused before its search
+        raise BoundError(f"{v} points + {step} blocks (the least block count of a {t}-design "
+                         f"with blocks of {k} points) exceeds the "
+                         f"{isomorph.MAX_VERTICES}-vertex bound")
     start = time.perf_counter()
     so = subset_orbits(G, k)
     log.info("orbit scan: %d orbits of %d-subsets in %.2f s",
@@ -320,7 +357,8 @@ def classify(G: PermGroup, k: int, t: int = 2, workers: int = 1) -> list[DesignC
         # one chunk per worker, dealt round-robin, each with a pickled copy of G
         chunks = [(designs[i::procs], G) for i in range(procs)]
         certs = [None] * len(designs)
-        with ProcessPoolExecutor(max_workers=procs) as pool:
+        executor = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
+        with executor(max_workers=procs) as pool:
             for i, chunk_certs in enumerate(pool.map(_certificate_chunk, chunks)):
                 certs[i::procs] = chunk_certs
     log.info("certificates: %d in %.2f s", len(certs), time.perf_counter() - start)

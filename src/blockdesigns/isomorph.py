@@ -14,11 +14,14 @@ explored one. The known automorphisms form the pruning group: the group
 passed in, whose generators are each verified on entry, or else the
 identity group, which needs no check, extended by any automorphism
 discovered when two leaves encode equally (PermGroup.extend; see Backjump),
-verified likewise. Both checks use kcombs.block_permutation, which sorts
-the image rows. Block signatures and a leaf's block order rank blocks as
-multisets by kcombs.digit_ranks, with no row sorted; point signatures are
-sorted rows. The skips read the orbit labels of the pointwise stabilizer of
-the individualized prefix (PermGroup.pointwise_stabilizer,
+verified likewise. Both checks, and isomorphism_witness's check of the map
+it recovers, use kcombs.same_block_set, which compares the sorted keys of
+the image rows with design.Design.keys: no block is ranked. Block
+signatures and a leaf's block order rank blocks as multisets by
+kcombs.digit_ranks, with no row sorted; a point signature is one row, the
+old point color ahead of the sorted incident block colors, ranked by its
+one kcombs.row_keys key. The skips read the orbit labels of the pointwise
+stabilizer of the individualized prefix (PermGroup.pointwise_stabilizer,
 PermGroup.orbit_labels), both memoized by the groups themselves, so every
 certificate pruned by one group shares its chain, its stabilizers and their
 labels; a discovered automorphism outside it gives a new group with memos
@@ -50,15 +53,19 @@ tree is skipped, never changes data, labeling or a witness; the first-leaf
 test only finds automorphisms sooner.
 
 Refinement stops as soon as no cell can split, skipping the round that
-would only confirm it; both stops are exact. Discrete: a coloring with v
-colors is returned at once; its next round would give the same array back,
-since the old color leads every point signature. Block-stable: from the
-second round on, if the block color count did not grow, the coloring is
-returned before point signatures are built. Colors are renumbered
-monotonically, so the new block partition refines the last one, and an
-equal count makes it the same partition; every point then has the
-signature class of its current color, and the round would return the
-coloring unchanged.
+would only confirm it; all three stops are exact. Unit: the one-color
+coloring is returned at once when every point has one degree (as in an
+orbit design of a transitive group), since every block and every point
+then has one signature. Discrete: a coloring with v colors is returned at once;
+its next round would give the same array back, since the old color leads
+every point signature. Block-stable: from the second round on, if the
+block color count did not grow, the coloring is returned before point
+signatures are built. Colors are renumbered monotonically, so the new
+block partition refines the last one, and an equal count makes it the same
+partition; every point then has the signature class of its current color,
+and the round would return the coloring unchanged. A refiner allocates its
+rounds' arrays once per design: the block colors extended by the sentinel,
+and the point signatures.
 
 isomorphism_witness first compares exact invariants, as practical
 canonical labeling does before it searches (McKay and Piperno 2014): the
@@ -88,7 +95,8 @@ from math import comb
 import numpy as np
 
 from . import kcombs
-from .kcombs import BoundError, block_permutation, dense_ranks, digit_ranks, row_keys, subset_ranks
+from .kcombs import (BoundError, dense_ranks, digit_ranks, row_keys, same_block_set,
+                     subset_ranks)
 from .permcore import PermGroup, Permutation
 
 log = logging.getLogger(__name__)
@@ -123,9 +131,10 @@ class _Refiner:
     its digit-sum key (kcombs.digit_ranks), which orders blocks as their
     sorted point colors would be. Point signature: old point color, then
     sorted incident block colors (padded with a sentinel that sorts last,
-    so unequal degrees split). Color ids are lex ranks of the signatures,
-    hence renumbering is monotone and cells only ever split; the loop stops
-    when the point color count stops growing, or earlier at a discrete or
+    so unequal degrees split), one row of the psig buffer, ranked by its
+    row key. Color ids are lex ranks of the signatures, hence renumbering
+    is monotone and cells only ever split; the loop stops when the point
+    color count stops growing, or earlier at a unit, discrete or
     block-stable coloring (see the module docstring).
     """
 
@@ -141,20 +150,34 @@ class _Refiner:
         # pad with block id b; the sentinel color looked up for it sorts last
         self.pb_arr = np.full((self.v, degrees.max(initial=0)), self.b, dtype=np.int64)
         self.pb_arr[flat[order], slots] = order // self.rows_arr.shape[1]
+        # the unit coloring is equitable when every point has one degree
+        self.regular = (degrees == degrees[0]).all()
+        # every round's buffers: the block colors and the sentinel, then
+        # point signatures, the old point color ahead of the sorted
+        # incident block colors; numpy sorts int32 rows about twice as fast
+        # as int64 (and 8-bit ones far slower)
+        self.bcol_ext = np.empty(self.b + 1, dtype=np.int32)
+        self.psig = np.empty((self.v, 1 + self.pb_arr.shape[1]), dtype=np.int32)
 
     def refine(self, pcol: np.ndarray) -> np.ndarray:
         ncol = int(pcol.max()) + 1
+        if ncol == 1 and self.regular:
+            return pcol  # its first round would only confirm it
         nbcol = 0  # no block partition yet
+        psig, incident = self.psig, self.psig[:, 1:]
         while True:
             _, bcol, newnbcol = digit_ranks(self.cols, pcol, ncol, len(self.cols))
             if newnbcol == nbcol:
                 return pcol  # block-stable: no point signature can split a cell
             nbcol = newnbcol
-            # sentinel color nbcol, beyond any color id; numpy sorts int32
-            # rows about twice as fast as int64 (and 8-bit ones far slower)
-            bcol_ext = np.append(bcol, nbcol).astype(np.int32)
-            psig = np.sort(bcol_ext[self.pb_arr], axis=1)
-            new, newncol = dense_ranks([pcol, row_keys(psig, nbcol + 1)])
+            # sentinel color nbcol, beyond any color id
+            self.bcol_ext[:-1] = bcol
+            self.bcol_ext[-1] = nbcol
+            # a gather copied in measures faster than np.take into the strided view
+            incident[...] = self.bcol_ext[self.pb_arr]
+            incident.sort(axis=1)
+            psig[:, 0] = pcol
+            new, newncol = dense_ranks([row_keys(psig, max(ncol, nbcol + 1))])
             if newncol == ncol:
                 return pcol
             if newncol == self.v:
@@ -226,7 +249,7 @@ def _search(design, group: PermGroup | None, goal: bytes | None = None) -> Certi
         for g in group.generators:
             if g.degree != v:
                 raise ValueError("automorphism degree does not match point count")
-            if block_permutation(g.images, refiner.rows_arr) is None:
+            if not same_block_set(g.images, design.blocks, design.keys):
                 raise ValueError("group generator is not an automorphism of the design")
 
     # (data, plist, prefix) of the first leaf and of the least leaf so far
@@ -235,7 +258,7 @@ def _search(design, group: PermGroup | None, goal: bytes | None = None) -> Certi
 
     def add_automorphism(sigma: Permutation) -> bool:
         nonlocal aut_group, grown
-        if block_permutation(sigma.images, refiner.rows_arr) is None:
+        if not same_block_set(sigma.images, design.blocks, design.keys):
             return False  # equal leaf encodings always yield a real automorphism; stay safe anyway
         extended = aut_group.extend(sigma)
         grown += extended is not aut_group
@@ -337,7 +360,7 @@ def isomorphism_witness(d1, d2):
     if c1.data != c2.data:
         return None
     sigma = _label_map(c1.labeling, c2.labeling)
-    if d1.relabel(sigma) != d2:
+    if not same_block_set(sigma.images, d1.blocks, d2.keys):
         raise AssertionError("certificates matched but the recovered map is not an isomorphism")
     return sigma
 

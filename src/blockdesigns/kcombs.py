@@ -1,4 +1,4 @@
-"""k-subsets of {0..n-1}, the block-image kernel, and orbit labeling.
+"""k-subsets of {0..n-1}, the block-set check, and orbit labeling.
 
 Subsets are kept as rows of a lexicographically ordered (C(n,k), k) array.
 The lex rank is the row index in that array and the order every public
@@ -11,23 +11,26 @@ their spectrum. It subtracts one column's weights at a time, so a (b,
 C(k,t)) ranking holds the ranks and one gathered column, not all t.
 
 Rows are ordered by one of two keys. row_keys() keys a row by its entries
-in place. unique_rows() is the one place a block list is lex-ordered and
-made unique: one np.unique of those keys gives the distinct rows in lex
-order and each one's first index. Design, relabeling, both orbit-design
-passes and the isomorphism check go through it. block_permutation() and
-refinement's point signatures rank rows by the same keys. digit_ranks()
-keys a row as a multiset, by a digit sum over its entries that orders rows
-as their sorted copies would be, so rows that are compared or ranked but
-not needed sorted (block signatures of refinement, the block order of a
-leaf) are never sorted; dense_ranks() ranks either key.
+in place. unique_rows() lex-orders a block list and makes it unique: one
+np.unique of those keys gives the distinct rows in lex order and each
+one's first index. Both orbit-design passes go through it; Design makes
+the same np.unique of the keys it keeps, unless they already ascend.
+same_block_set(), block_permutation() and refinement's point signatures
+compare or rank rows by the same keys. digit_ranks() keys a row as a
+multiset, by a digit sum over its entries that orders rows as their sorted
+copies would be, so rows that are compared or ranked but not needed sorted
+(block signatures of refinement, the block order of a leaf) are never
+sorted; dense_ranks() ranks either key.
 
-The block-image kernel, block_permutation(), maps a lex-sorted block list
-through one point permutation and says where each block goes, or that the
-list is not preserved. The invariance check of flag transitivity,
-automorphism checks and the pair action use it. orbit_labels() labels
-every index by the least index in its orbit under a list of index
-permutations, propagating minima along the maps and their inverses with
-pointer jumping.
+The block-image check, same_block_set(), maps a lex-sorted block list
+through one point permutation and says whether the images are the same
+blocks: it sorts the image keys and compares them with the keys a
+design.Design holds, ranking nothing. The invariance check of flag
+transitivity, the automorphism checks of the certificate search and the
+final check of an isomorphism use it. block_permutation() also says where
+each block goes, for the pair action. orbit_labels() labels every index by
+the least index in its orbit under a list of index permutations,
+propagating minima along the maps and their inverses with pointer jumping.
 
 The orbit scan needs no search for its images, since every k-subset is a
 row: it gathers the image points under each generator, sorts each row with
@@ -296,6 +299,16 @@ def block_permutation(images, rows: np.ndarray) -> np.ndarray | None:
     if not np.array_equal(keys, row_keys(rows, n)[ranks]):
         return None
     return ranks
+
+
+def same_block_set(images, rows: np.ndarray, keys: np.ndarray) -> bool:
+    """True iff the point permutation images maps the blocks of sorted points
+    rows onto the block set whose row_keys() over len(images) points are
+    keys, in ascending order (design.Design.keys). The image rows are
+    sorted and keyed, and their keys sorted: equal keys are equal blocks."""
+    images = np.asarray(images)
+    image_keys = np.sort(row_keys(np.sort(images[rows], axis=1), len(images)))
+    return np.array_equal(image_keys, keys)
 
 
 def orbit_labels(maps, count: int) -> np.ndarray:

@@ -206,6 +206,7 @@ class TestBadParameters:
             ["construct", "--q", "3", "--base", "1,2"],  # socle not simple
             ["classify", "--q", "32", "--k", "4"],  # 33 points + 8184 blocks > 5000
             ["classify", "--q", "251", "--k", "6"],  # C(252, 6) subsets to scan
+            ["classify", "--q", "101", "--k", "4"],  # 102 points + at least 5151 blocks
         ],
     )
     def test_usage_error_without_traceback(self, args, capsys):
@@ -320,6 +321,21 @@ class TestClassify:
         code, out, err = run_cli(["classify", *args], capsys)
         assert (code, err) == (0, "")
         assert out.endswith("\n0 classes\n")
+
+    def test_one_worker_classify_imports_no_process_pool(self):
+        # a fresh interpreter: this one has loaded the pool module already
+        env = dict(os.environ)
+        src = str(Path(blockdesigns.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import sys; from blockdesigns.cli import main; "
+            "assert main(['classify', '--q', '13', '--k', '5', '--workers', '1']) == 0; "
+            "assert 'concurrent.futures.process' not in sys.modules, 'pool imported'"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.endswith("\n3 classes\n")
 
     @pytest.mark.parametrize("q,action,degree", [
         (256, "line", 257),

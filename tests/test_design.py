@@ -161,7 +161,7 @@ class TestDesignFromArray:
         def no_key(rows, bound):
             raise AssertionError("sort key built for an out-of-range point")
 
-        monkeypatch.setattr(design, "unique_rows", no_key)
+        monkeypatch.setattr(design, "row_keys", no_key)
         for rows in ([[0, 2**40]], [[-1, 0]], [[0, 4]]):
             with pytest.raises(ValueError, match="outside"):
                 Design(4, np.array(rows))
@@ -230,6 +230,64 @@ class TestDesignValue:
         d = Design(5, rows)
         rows[0, 0] = 4
         assert d.block_rows() == ((0, 1, 2), (1, 2, 3))
+
+
+@st.composite
+def distinct_blocks(draw):
+    """v and distinct k-subsets of 0..v-1 as lex-sorted tuples of sorted
+    points; at v = 300 the blocks have 8 or 9 points, so their row keys
+    are np.void (300**8 > 2**63)."""
+    v = draw(st.sampled_from([5, 9, 40, 300]))
+    k = draw(st.integers(8, 9) if v == 300 else st.integers(1, min(v, 6)))
+    blocks = draw(st.sets(st.frozensets(st.integers(0, v - 1), min_size=k, max_size=k),
+                          min_size=1, max_size=12))
+    return v, sorted(tuple(sorted(blk)) for blk in blocks)
+
+
+class TestCanonicalRows:
+    """Canonical rows (each strictly increasing, their keys strictly
+    increasing) take Design's short path and every other form the full one:
+    both give the same design and keys, and each fault the same error."""
+
+    @staticmethod
+    def forms(rows, rng):
+        """The rows as given, then shuffled with their points shuffled."""
+        unsorted = [rng.sample(blk, len(blk)) for blk in rows]
+        rng.shuffle(unsorted)
+        return [np.array(rows), np.array(unsorted)]
+
+    @given(distinct_blocks(), st.randoms(use_true_random=False))
+    def test_every_form_gives_the_same_blocks_and_keys(self, case, rng):
+        v, rows = case
+        want = Design(v, rows)
+        keys = want.keys.tolist()  # ints, or bytes for np.void keys
+        assert keys == sorted(set(keys)) and not want.keys.flags.writeable
+        assert np.array_equal(want.keys, kcombs.row_keys(want.blocks, v))
+        assert want.block_rows() == tuple(rows)
+        for form in self.forms(rows, rng) + [pickle.loads(pickle.dumps(want))]:
+            d = Design(v, form) if isinstance(form, np.ndarray) else form
+            assert d == want
+            assert d.keys.dtype == want.keys.dtype and np.array_equal(d.keys, want.keys)
+
+    @given(distinct_blocks(), st.randoms(use_true_random=False),
+           st.sampled_from(["duplicate", "repeated", "outside"]))
+    def test_every_form_raises_the_same_error(self, case, rng, fault):
+        v, rows = case
+        rows = [list(blk) for blk in rows]
+        bad = rows[-1]
+        if fault == "duplicate":
+            rows.append(list(bad))  # lex order kept, keys no longer strictly increasing
+            message = "duplicate blocks"
+        elif fault == "repeated" and len(bad) > 1:
+            bad[1] = bad[0]
+            message = f"point repeated in block {tuple(sorted(bad))}"
+        else:
+            bad[-1] = v
+            message = f"block {tuple(sorted(bad))} has a point outside 0..{v - 1}"
+        for form in self.forms(rows, rng):
+            with pytest.raises(ValueError) as raised:
+                Design(v, form)
+            assert str(raised.value) == message
 
 
 class TestOrbitDesign:
@@ -356,10 +414,13 @@ class TestFlagTransitivity:
         assert is_flag_transitive(G, d)
 
     def test_non_invariant_group_rejected(self):
+        # every generator is checked: a transposition alone, or after the
+        # rotation that preserves the plane
         d = orbit_design(cyclic(7), FANO_BASE)
-        H = PermGroup([parse_cycles("(1,2)", 7)])
-        with pytest.raises(ValueError):
-            is_flag_transitive(H, d)
+        rotation, swap = parse_cycles("(1,2,3,4,5,6,7)", 7), parse_cycles("(1,2)", 7)
+        for H in (PermGroup([swap]), PermGroup([rotation, swap])):
+            with pytest.raises(ValueError, match="does not preserve the block set"):
+                is_flag_transitive(H, d)
 
 
 @st.composite
@@ -595,6 +656,20 @@ class TestClassify:
             assert G.order() % block_count_step(q + 1, k, t) == 0
             assert classify(G, k, t) == []
         assert scanned == []
+
+    def test_vertex_bound_refused_before_any_scan(self, monkeypatch):
+        # PSL(2,101) on 102 points, k = 4: every 2-design has a multiple of
+        # 5151 blocks, and 102 + 5151 passes the certificate search's bound
+        def unscanned(G, k):
+            raise AssertionError("subset_orbits called")
+
+        monkeypatch.setattr(design, "subset_orbits", unscanned)
+        G, _ = projective_group(101)
+        assert block_count_step(102, 4, 2) == 5151
+        assert G.order() % 5151 == 0
+        with pytest.raises(BoundError, match=r"^102 points \+ 5151 blocks \(the least block "
+                                             r"count of a 2-design with blocks of 4 points\)"):
+            classify(G, 4, 2)
 
     def test_builds_no_group(self, monkeypatch):
         # the group classified is the pruning group of every certificate;

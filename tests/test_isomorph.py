@@ -412,7 +412,7 @@ class TestSearchPruning:
     def test_only_discovered_automorphisms_verified(self, psl_group, monkeypatch):
         # paper Table 2 row 37 with no group: the identity group is not
         # checked, and each discovered automorphism is, once
-        checks = counting(monkeypatch, isomorph, "block_permutation")
+        checks = counting(monkeypatch, isomorph, "same_block_set")
         extends = counting(monkeypatch, PermGroup, "extend")
         certificate(table2_design(psl_group, 36))
         assert checks[0] == extends[0] == 3
@@ -429,17 +429,19 @@ class TestSearchPruning:
         return blocks[0] - leaves[0] + points[0]
 
     def test_refinement_stops_early_on_row_37(self, psl_group, monkeypatch):
-        # paper Table 2 row 37 at the paper's labels, no group: 46 rank
-        # calls; 60 when every refinement ran one more round to confirm no
-        # cell split (108 and 148 before the search backjumped on leaves
-        # like the first one)
-        assert self.refinement_rank_calls(table2_design(psl_group, 36), monkeypatch) == 46
+        # paper Table 2 row 37 at the paper's labels, no group: 44 rank
+        # calls; 46 when the root refined the unit coloring of this
+        # one-degree design, 60 when every refinement ran one more round to
+        # confirm no cell split (108 and 148 before the search backjumped on
+        # leaves like the first one)
+        assert self.refinement_rank_calls(table2_design(psl_group, 36), monkeypatch) == 44
 
     def test_block_stable_stop_on_row_38(self, psl_group, monkeypatch):
         # row 37's refinements all end discrete or with a point count that
         # stops growing; row 38 (1-based) reaches a block-stable coloring:
-        # 67 rank calls, 68 if refinement built that round's point signatures
-        assert self.refinement_rank_calls(table2_design(psl_group, 37), monkeypatch) == 67
+        # 65 rank calls, 66 if refinement built that round's point signatures
+        # (67 and 68 when the root refined the unit coloring)
+        assert self.refinement_rank_calls(table2_design(psl_group, 37), monkeypatch) == 65
 
     def test_search_logs_its_counts(self, psl_group, caplog):
         # paper Table 2 row 37: with no group, three discovered

@@ -18,6 +18,7 @@ from blockdesigns.kcombs import (
     lex_combinations,
     orbit_labels,
     row_keys,
+    same_block_set,
     subset_orbits,
     subset_ranks,
     unique_rows,
@@ -302,7 +303,8 @@ def wide_blocks_and_map(draw, sizes=st.integers(2, 150), max_k=4):
 
 
 def _check_block_permutation(rows, images):
-    # against a lookup of each sorted image row among the blocks
+    # against a lookup of each sorted image row among the blocks; the
+    # yes/no check agrees, given the ascending keys of the lex-sorted rows
     index = {tuple(r): j for j, r in enumerate(rows.tolist())}
     want = [index.get(tuple(sorted(images[r].tolist()))) for r in rows]
     perm = block_permutation(images, rows)
@@ -310,6 +312,7 @@ def _check_block_permutation(rows, images):
         assert perm is None
     else:
         assert perm.tolist() == want
+    assert same_block_set(images, rows, row_keys(rows, len(images))) == (perm is not None)
 
 
 def _check_unique_rows(rows, bound):
@@ -367,6 +370,8 @@ class TestBlockImageKernel:
         swap = np.arange(n)
         swap[[0, 1]] = [1, 0]
         assert block_permutation(swap, rows) is None
+        keys = row_keys(rows, n)
+        assert same_block_set(rotation, rows, keys) and not same_block_set(swap, rows, keys)
 
     @given(st.integers(1, 30).flatmap(
         lambda n: st.lists(st.permutations(range(n)), min_size=0, max_size=3)
