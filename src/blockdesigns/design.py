@@ -13,9 +13,11 @@ gather, row sort and unique per level, when |G| * k <= kcombs.MAX_SUBSETS:
 no level gathers more than |G| blocks. A larger group is closed under its
 generators, whose rounds hold only the orbit found so far.
 is_flag_transitive() counts one block's orbit under a point stabilizer
-the same way. classify() enumerates every orbit of k-subsets, keeps the
-orbits whose base block passes the Kramer-Mesner test for a t-design, and
-merges them into isomorphism classes by canonical certificate. It
+the same way, at the group's first base point when a block holds it, so
+the stabilizer is read off the chain the group already holds. classify()
+enumerates every orbit of k-subsets, keeps the orbits whose base block
+passes the Kramer-Mesner test for a t-design, and merges them into
+isomorphism classes by canonical certificate. It
 enumerates nothing when divisibility or t >= v - k rules out every orbit,
 and refuses before any scan when the least block count a t-design could
 have already passes the certificate search's vertex bound. A process pool,
@@ -208,12 +210,15 @@ def lambda_of(design: Design, t: int) -> int | None:
 
 def is_flag_transitive(G: PermGroup, design: Design) -> bool:
     """True iff G is transitive on incident (point, block) pairs. Raises if G
-    does not stabilize the block set. By orbit-stabilizer, the flag (p, B),
-    B the first block and p its first point, has |G:G_p| * |G_p:G_pB| images
-    (G_pB fixing both): all b*k flags iff G is flag-transitive. |G_p:G_pB|
-    is the size of B's G_p-orbit, enumerated by _orbit_rows() (down G_p's
-    chain while |G_p| * k <= kcombs.MAX_SUBSETS) and only counted: it lies
-    in the checked block set, so no design is built from it."""
+    does not stabilize the block set. By orbit-stabilizer, any flag (p, B)
+    has |G:G_p| * |G_p:G_pB| images (G_pB fixing both): all b*k flags iff
+    G is flag-transitive. p is G's first base point and B the first block
+    through it, so G_p is the tail of the chain G holds and no chain is
+    built; when G has no base point or no block holds it, B is the first
+    block and p its first point. |G_p:G_pB| is the size of B's G_p-orbit,
+    enumerated by _orbit_rows() (down G_p's chain while
+    |G_p| * k <= kcombs.MAX_SUBSETS) and only counted: it lies in the
+    checked block set, so no design is built from it."""
     if G.degree != design.v:
         raise ValueError("degree mismatch")
     for g in G.generators:
@@ -221,6 +226,10 @@ def is_flag_transitive(G: PermGroup, design: Design) -> bool:
             raise ValueError("group does not preserve the block set")
     B = design.blocks[:1]
     p = int(B[0, 0])
+    through = np.flatnonzero((design.blocks == G.base[0]).any(axis=1)) if G.base else ()
+    if len(through):
+        # at G's first base point, G_p is the tail of the chain G holds
+        p, B = G.base[0], design.blocks[through[:1]]
     # G_p from G's memo, which certificate searches under G share
     orbit_p = _orbit_rows(G.pointwise_stabilizer((p,)), B)[0]
     return len(G.orbit(p)) * len(orbit_p) == design.b * design.k

@@ -4,9 +4,11 @@ The projective line over GF(q) is labeled [infinity, e_0, ..., e_{q-1}] where
 e_i is the field element whose coefficient vector encodes i in base p. Groups
 are generated by Mobius maps (translation, primitive scaling, negated
 inversion) plus the Frobenius map for the "full" variant; pair_action then
-induces the degree-n(n-1)/2 action on unordered point pairs. FiniteField
-tabulates the powers of one primitive element, so products, inverses and
-Frobenius images add or scale exponents instead of multiplying polynomials.
+induces the degree-n(n-1)/2 action on unordered point pairs, each pair
+labeled by its lex rank, the rank the orbit scan gives its images
+(kcombs.image_ranks()). FiniteField tabulates the powers of one primitive
+element, so products, inverses and Frobenius images add or scale exponents
+instead of multiplying polynomials.
 
 builtin() exposes two fixed degree-36 generator sets. They are constants:
 the golden classification tables in this package are tied to this exact
@@ -19,10 +21,8 @@ from __future__ import annotations
 
 from math import gcd
 
-import numpy as np
-
 from .golden import BUILTIN_NAMES
-from .kcombs import block_permutation
+from .kcombs import image_ranks, lex_combinations
 from .numth import prime_power
 from .permcore import PermGroup, Permutation, parse_cycles
 
@@ -174,17 +174,19 @@ def projective_group(q: int, variant: str = "socle") -> tuple[PermGroup, tuple]:
 
 
 def pair_action(G: PermGroup, points=None) -> tuple[PermGroup, tuple]:
-    """Induced action on unordered point pairs, labeled lexicographically by
-    (min, max), and the pairs in label order as frozensets of two points,
-    taken from points if given, else labels. The input action must be
-    faithful on pairs; the construction asserts the order is preserved.
+    """Induced action on unordered point pairs, and the pairs in label order
+    as frozensets of two points, taken from points if given, else labels.
+    A pair's label is its lex rank by (min, max), its row in
+    kcombs.lex_combinations(n, 2), so a generator's image of each pair is
+    the lex rank kcombs.image_ranks() gives that row's image. The input
+    action must be faithful on pairs; the construction asserts the order is
+    preserved.
     """
     n = G.degree
     if n < 3:
         raise ValueError("pair action needs degree >= 3")
-    rows = np.stack(np.triu_indices(n, 1), axis=1)  # the pairs i < j in lex order
-    H = PermGroup([Permutation(block_permutation(g.images, rows).tolist())
-                   for g in G.generators])
+    rows = lex_combinations(n, 2)  # the pairs i < j; row index = label
+    H = PermGroup([Permutation(r.tolist()) for r in image_ranks(G, rows)])
     if H.order() != G.order():
         raise AssertionError("pair action is not faithful; order changed")
     if points is None:

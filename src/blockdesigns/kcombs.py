@@ -2,42 +2,45 @@
 
 Subsets are kept as rows of a lexicographically ordered (C(n,k), k) array.
 The lex rank is the row index in that array and the order every public
-iterator follows. _sorted_ranks() is the one subset rank: the orbit scan
-ranks generator images with it after sorting each row (_lex_ranks()), and
-subset_ranks() ranks the t-subsets of sorted blocks with it directly (a
-chunk of blocks at a time in subset_rank_chunks()), for design.py to count
-their coverage or test an orbit's base block and isomorph.py to count
-their spectrum. It subtracts one column's weights at a time, so a (b,
-C(k,t)) ranking holds the ranks and one gathered column, not all t.
+iterator follows. _sorted_ranks() is the one subset rank: image_ranks()
+ranks generator images with it after sorting each row (_lex_ranks()), for
+the orbit scan and grouplib.pair_action(), and subset_ranks() ranks the
+t-subsets of sorted blocks with it directly (a chunk of blocks at a time
+in subset_rank_chunks()), for design.py to count their coverage or test an
+orbit's base block and isomorph.py to count their spectrum. It subtracts
+one column's weights at a time, so a (b, C(k,t)) ranking holds the ranks
+and one gathered column, not all t.
 
 Rows are ordered by one of two keys. row_keys() keys a row by its entries
 in place. unique_rows() lex-orders a block list and makes it unique: one
 np.unique of those keys gives the distinct rows in lex order and each
 one's first index. Both orbit-design passes go through it; Design makes
 the same np.unique of the keys it keeps, unless they already ascend.
-same_block_set(), block_permutation() and refinement's point signatures
-compare or rank rows by the same keys. digit_ranks() keys a row as a
-multiset, by a digit sum over its entries that orders rows as their sorted
-copies would be, so rows that are compared or ranked but not needed sorted
-(block signatures of refinement, the block order of a leaf) are never
-sorted; dense_ranks() ranks either key.
+same_block_set() and refinement's point signatures compare or rank rows by
+the same keys. digit_ranks() keys a row as a multiset, by a digit sum over
+its entries that orders rows as their sorted copies would be, so rows that
+are compared or ranked but not needed sorted (block signatures of
+refinement, the block order of a leaf) are never sorted; dense_ranks()
+ranks either key.
 
 The block-image check, same_block_set(), maps a lex-sorted block list
 through one point permutation and says whether the images are the same
 blocks: it sorts the image keys and compares them with the keys a
 design.Design holds, ranking nothing. The invariance check of flag
 transitivity, the automorphism checks of the certificate search and the
-final check of an isomorphism use it. block_permutation() also says where
-each block goes, for the pair action. orbit_labels() labels every index by
+final check of an isomorphism use it. orbit_labels() labels every index by
 the least index in its orbit under a list of index permutations,
 propagating minima along the maps and their inverses with pointer jumping.
 
-The orbit scan needs no search for its images, since every k-subset is a
-row: it gathers the image points under each generator, sorts each row with
-a min/max network and applies the closed form lex rank
-C(n,k) - 1 - sum_i C(n-1-s[i], k-i). orbit_labels() then labels each subset
-by the lex rank of the least subset in its orbit. No stage sorts whole rows
-or loops over subsets in Python.
+image_ranks() is the one image rank, and needs no search: it gathers the
+image points of every row under each generator, in the rows' own dtype,
+sorts each row with a min/max network and applies the closed form lex rank
+C(n,k) - 1 - sum_i C(n-1-s[i], k-i). In the orbit scan and the pair action
+every k-subset is a row, so an image's rank is its row index, and
+orbit_labels() labels each subset by the lex rank of the least subset in
+its orbit. Lex-sorted rows that are not all k-subsets have ascending ranks
+of their own, so np.searchsorted() of an image's rank finds its row. No
+stage sorts whole rows or loops over subsets in Python.
 """
 
 from __future__ import annotations
@@ -283,24 +286,6 @@ def dense_ranks(keys) -> tuple[np.ndarray, int]:
     return out, int(ranks[-1]) + 1 if len(ranks) else 0
 
 
-def block_permutation(images, rows: np.ndarray) -> np.ndarray | None:
-    """For distinct lex-sorted blocks of sorted points rows and a point
-    permutation images, the index in rows of each block's image; None if
-    the images are not the same block set.
-
-    The image rows are sorted and keyed in place (row_keys()): a point-set
-    key (digit_ranks()) would take ceil(n/63) words however small the block.
-    The blocks' keys ascend, so the images are the same set exactly when the
-    image of rank r has the key of block r, and r is then its index."""
-    images = np.asarray(images)
-    n = len(images)
-    keys = row_keys(np.sort(images[rows], axis=1), n)
-    ranks, _ = dense_ranks([keys])
-    if not np.array_equal(keys, row_keys(rows, n)[ranks]):
-        return None
-    return ranks
-
-
 def same_block_set(images, rows: np.ndarray, keys: np.ndarray) -> bool:
     """True iff the point permutation images maps the blocks of sorted points
     rows onto the block set whose row_keys() over len(images) points are
@@ -336,13 +321,17 @@ def orbit_labels(maps, count: int) -> np.ndarray:
             return labels
 
 
-def _image_ranks(G: PermGroup, rows: np.ndarray) -> list[np.ndarray]:
-    """Per generator, the lex rank of the image of every row of the
-    lex-ordered k-subsets."""
+def image_ranks(G: PermGroup, rows: np.ndarray) -> list[np.ndarray]:
+    """Per generator, the lex rank among all k-subsets of {0..G.degree-1} of
+    the image of every row of rows, sorted k-subsets of an unsigned dtype
+    that holds G.degree - 1 (lex_combinations() gives uint8 up to 256
+    points, uint16 beyond). The rows need not be all k-subsets: the ranks
+    of any lex-sorted rows ascend, so np.searchsorted() of an image's rank
+    in theirs finds its index among them."""
     count, k = rows.shape
-    # the image points of every subset, column-wise per generator; numpy
-    # gathers faster with an intp index than with the uint8 one
-    images = [np.asarray(g.images, dtype=np.uint8) for g in G.generators]
+    # the image points of every subset, column-wise per generator, of the
+    # rows' dtype; numpy gathers faster with an intp index than a narrow one
+    images = [np.asarray(g.images, dtype=rows.dtype) for g in G.generators]
     moved: list[list[np.ndarray]] = [[] for _ in images]
     for i in range(k):
         col = rows[:, i].astype(np.intp)
@@ -357,7 +346,7 @@ def subset_orbits(G: PermGroup, k: int) -> SubsetOrbits:
         raise BoundError(f"uint8 point labels require n <= {MAX_POINTS}")
     rows = lex_combinations(G.degree, k)
     count = len(rows)
-    labels = orbit_labels(_image_ranks(G, rows), count)
+    labels = orbit_labels(image_ranks(G, rows), count)
 
     # a label is the least rank of its orbit, so counting the subsets that
     # are their own label numbers the orbits in ascending representative order

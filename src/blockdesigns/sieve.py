@@ -52,9 +52,9 @@ from any iterable of SieveVerdicts stores it in the same columns.
 The JSON line format is fixed: one object per verdict with its keys sorted
 and json.dumps' default separators, the bytes of json.dumps(record,
 sort_keys=True). _json_parts() writes a key's text before q and between q
-and v; SieveVerdict.to_json() calls it per verdict, and
-SieveReport.json_chunks() once per code of the table, then writes each line
-as that pair around the verdict's q and v, JSON_CHUNK verdicts at a time.
+and v; SieveReport.json_chunks(), the one line writer, calls it once per
+code of the table, then writes each line as that pair around the verdict's
+q and v, JSON_CHUNK verdicts at a time.
 The CLI writes the chunks as they come, and json_lines() joins the same
 chunks.
 """
@@ -109,13 +109,6 @@ class SieveVerdict(NamedTuple):
     survivor: bool
     trivial: bool = False
     notes: tuple[str, ...] = ()
-
-    def to_json(self) -> str:
-        """One JSON object with sorted keys and the default separators: the
-        bytes json.dumps(..., sort_keys=True) gives for the same record."""
-        case_id, q, v, square, k, failed, survivor, trivial, notes = self
-        head, tail = _json_parts(case_id, failed, k, notes, square, survivor, trivial)
-        return f"{head}{q}{tail}{v}}}"
 
 
 def _json_parts(case_id: str, failed: str | None, k: int | None, notes: tuple[str, ...],

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from blockdesigns import design, golden, kcombs
+from blockdesigns import design, golden, kcombs, permcore
 from blockdesigns.design import (
     Design,
     block_count_step,
@@ -412,6 +412,19 @@ class TestFlagTransitivity:
         assert G.order() == 168
         d = orbit_design(cyclic(7), FANO_BASE)
         assert is_flag_transitive(G, d)
+
+    def test_flag_at_the_first_base_point_builds_no_chain(self, monkeypatch):
+        # PSL(2,13)'s base starts at 1, off the first point of the first
+        # block {0}: the flag is taken at 1, whose stabilizer is the tail of
+        # the chain the group holds, so no Schreier-Sims step runs
+        G, _ = projective_group(13)
+        assert G.base[0] == 1
+        d = orbit_design(G, [0])
+        adds = []
+        add = permcore._Chain.add
+        monkeypatch.setattr(permcore._Chain, "add", lambda chain, g: adds.append(g) or add(chain, g))
+        assert is_flag_transitive(G, d)
+        assert adds == []
 
     def test_non_invariant_group_rejected(self):
         # every generator is checked: a transposition alone, or after the

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from blockdesigns.kcombs import (
     BoundError,
-    block_permutation,
     dense_ranks,
     digit_ranks,
+    image_ranks,
     lex_combinations,
     orbit_labels,
     row_keys,
@@ -302,17 +302,13 @@ def wide_blocks_and_map(draw, sizes=st.integers(2, 150), max_k=4):
     return rows, np.array(images)
 
 
-def _check_block_permutation(rows, images):
-    # against a lookup of each sorted image row among the blocks; the
-    # yes/no check agrees, given the ascending keys of the lex-sorted rows
-    index = {tuple(r): j for j, r in enumerate(rows.tolist())}
-    want = [index.get(tuple(sorted(images[r].tolist()))) for r in rows]
-    perm = block_permutation(images, rows)
-    if None in want:
-        assert perm is None
-    else:
-        assert perm.tolist() == want
-    assert same_block_set(images, rows, row_keys(rows, len(images))) == (perm is not None)
+def _check_same_block_set(rows, images):
+    # against a lookup of each sorted image row among the blocks, given the
+    # ascending keys of the lex-sorted rows: distinct blocks map onto the
+    # block set exactly when every image is found
+    blocks = {tuple(r) for r in rows.tolist()}
+    found = all(tuple(sorted(images[r].tolist())) in blocks for r in rows)
+    assert same_block_set(images, rows, row_keys(rows, len(images))) == found
 
 
 def _check_unique_rows(rows, bound):
@@ -347,15 +343,18 @@ class TestUniqueRows:
 
 
 class TestBlockImageKernel:
+    """same_block_set(), which says whether a point permutation permutes the
+    blocks, and orbit_labels()."""
+
     @given(st.one_of(blocks_and_map(), wide_blocks_and_map()))
     def test_block_permutation_matches_lookup(self, case):
-        _check_block_permutation(*case)
+        _check_same_block_set(*case)
 
     # row keys of the images: one int64 word while n**k < 2**63, bytes from
     # k = 11, 10 and 7 at these n
     @given(wide_blocks_and_map(st.sampled_from([64, 100, 998]), max_k=12))
     def test_block_permutation_matches_lookup_over_many_points(self, case):
-        _check_block_permutation(*case)
+        _check_same_block_set(*case)
 
     @pytest.mark.parametrize("n,k", [(64, 2), (100, 10), (998, 2), (998, 7)])
     def test_block_permutation_over_many_points_on_a_cycle(self, n, k):
@@ -364,12 +363,8 @@ class TestBlockImageKernel:
         rows = np.sort([[(i + j) % n for j in range(k)] for i in range(n)], axis=1)
         rows = rows[np.lexsort(rows.T[::-1])]
         rotation = np.roll(np.arange(n), -1)
-        blocks = [tuple(r) for r in rows.tolist()]
-        assert block_permutation(rotation, rows).tolist() == [
-            blocks.index(tuple(sorted(rotation[r].tolist()))) for r in rows]
         swap = np.arange(n)
         swap[[0, 1]] = [1, 0]
-        assert block_permutation(swap, rows) is None
         keys = row_keys(rows, n)
         assert same_block_set(rotation, rows, keys) and not same_block_set(swap, rows, keys)
 
@@ -444,6 +439,38 @@ class TestSubsetOrbits:
             rows = [tuple(r) for r in so.orbit_rows(i)]
             assert rows == sorted(rows)
             assert rows[0] == tuple(so.rows[so.rep_ranks[i]])
+
+    def test_image_ranks_match_ranks_of_sorted_images(self):
+        # 300 points: the rows are uint16, and so are the image points. The
+        # group is dihedral, on a 300-gon whose corners are shuffled points
+        n = 300
+        corner, i = np.random.default_rng(0).permutation(n), np.arange(n)
+        gens = []
+        for step in ((i + 1) % n, -i % n):
+            images = np.empty(n, dtype=np.int64)
+            images[corner] = corner[step]
+            gens.append(Permutation(images.tolist()))
+        G = PermGroup(gens)
+        rows = lex_combinations(n, 2)
+        assert rows.dtype == np.uint16
+        rank = {c: r for r, c in enumerate(combinations(range(n), 2))}
+        for g, ranks in zip(G.generators, image_ranks(G, rows)):
+            assert ranks.tolist() == [rank[tuple(sorted(g.images[x] for x in r))]
+                                      for r in rows.tolist()]
+
+    def test_image_ranks_index_an_orbit_by_searchsorted(self, psl_group):
+        # lex-sorted rows that are not all k-subsets, one orbit's: its own
+        # ranks ascend, so searchsorted of an image's rank is its index there
+        so = subset_orbits(psl_group, 3)
+        rank = {c: r for r, c in enumerate(combinations(range(36), 3))}
+        for i in range(so.orbit_count):
+            rows = so.orbit_rows(i)
+            index = {tuple(r): j for j, r in enumerate(rows.tolist())}
+            for g, ranks in zip(psl_group.generators, image_ranks(psl_group, rows)):
+                images = [tuple(sorted(g.images[x] for x in r)) for r in rows.tolist()]
+                assert ranks.tolist() == [rank[im] for im in images]
+                assert np.searchsorted(so.members(i), ranks).tolist() == [
+                    index[im] for im in images]
 
     def test_image_ranks_use_int64_weights(self, psl_group):
         # at k = 34 the weight table holds C(35, 17) > 2**31
