@@ -173,15 +173,19 @@ def cmd_construct(args) -> int:
 def cmd_classify(args) -> int:
     if args.lam is not None and args.lam < 1:
         raise UsageError(f"--lambda must be at least 1, as for every t-design; got {args.lam}")
-    from .design import classify
-    from .kcombs import MAX_POINTS
+    from .design import classify, no_orbit_design
+    from .kcombs import MAX_SUBSETS
 
-    _, degree, name, build = _group(args)
-    if degree > MAX_POINTS:
-        raise UsageError(f"--q {args.q} gives degree {degree}; classify takes at most {MAX_POINTS}")
+    order, degree, name, build = _group(args)
     if not 1 <= args.t < args.k < degree:
         raise UsageError(f"need 1 <= t < k < {degree} (the degree); got t={args.t}, k={args.k}")
-    classes = classify(build(), args.k, args.t, workers=args.workers)
+    if no_orbit_design(order, degree, args.k, args.t):
+        classes = []  # classify()'s answer, before build() makes the group
+    elif comb(degree, args.k) > MAX_SUBSETS:
+        raise UsageError(f"the {comb(degree, args.k)} {args.k}-subsets of {degree} points "
+                         f"exceed the {MAX_SUBSETS}-subset bound of the orbit scan")
+    else:
+        classes = classify(build(), args.k, args.t, workers=args.workers)
     rows = [
         (i + 1, _one_based(c.base), c.lam, c.b, c.certificate.hexdigest)
         for i, c in enumerate(classes)

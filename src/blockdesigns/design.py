@@ -191,20 +191,15 @@ def orbit_design(G: PermGroup, base) -> Design:
 
 def lambda_of(design: Design, t: int) -> int | None:
     """lambda_t if every t-subset of points lies in equally many blocks, else
-    None. Uniform coverage needs lambda_t * C(v,t) = b * C(k,t), so nothing
-    is ranked unless C(v,t) divides b * C(k,t); then the coverage of all
-    C(v,t) subsets is counted exactly, ranking at most kcombs.MAX_SUBSETS
-    t-subsets at a time (subset_rank_chunks(), which refuses a block with
-    more before the counter is allocated)."""
+    None: whether kcombs.coverage() is uniform. Uniform coverage needs
+    lambda_t * C(v,t) = b * C(k,t), so nothing is counted unless C(v,t)
+    divides b * C(k,t)."""
     if not 1 <= t <= design.k:
         raise ValueError("t must be in 1..k")
     (b, k), v = design.blocks.shape, design.v
     if b * comb(k, t) % comb(v, t):
         return None
-    chunks = subset_rank_chunks(design.blocks, v, t)
-    counts = np.zeros(comb(v, t), dtype=np.int64)
-    for ranks in chunks:
-        counts += np.bincount(ranks.ravel(), minlength=comb(v, t))
+    counts = kcombs.coverage(design.blocks, v, t)
     return int(counts[0]) if counts.min() == counts.max() else None
 
 
@@ -274,17 +269,28 @@ def block_count_step(v: int, k: int, t: int) -> int:
     return lcm(*(comb(v, s) // gcd(comb(v, s), comb(k, s)) for s in range(1, t + 1)))
 
 
-def __getattr__(name: str):
-    """design.ProcessPoolExecutor, imported when first read or when
-    classify() first starts a pool, so a one-worker run never loads
-    concurrent.futures.process. Assigning the name replaces the pool
-    classify() starts."""
-    if name != "ProcessPoolExecutor":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+def no_orbit_design(order: int, v: int, k: int, t: int) -> bool:
+    """Whether, for t < k < v, no orbit of k-subsets under a group of this
+    order is a nontrivial t-design, known from the order alone: when
+    t >= v - k only the complete design is a t-design (Gottlieb-Kantor, on
+    block complements), and an orbit's size divides the order but must be
+    a multiple of block_count_step(v, k, t) to carry a t-design."""
+    if t >= v - k:
+        return True
+    step = block_count_step(v, k, t)
+    if order % step:
+        log.info("orbit scan skipped: |G| = %d is not a multiple of %d, the least "
+                 "block count of a %d-design", order, step, t)
+    return order % step > 0
+
+
+def ProcessPoolExecutor(*args, **kwargs):
+    """concurrent.futures.ProcessPoolExecutor, imported when classify() first
+    starts a pool, so a one-worker run never loads concurrent.futures.process.
+    Assigning the name replaces the pool classify() starts."""
     from concurrent.futures import ProcessPoolExecutor
 
-    globals()[name] = ProcessPoolExecutor
-    return ProcessPoolExecutor
+    return ProcessPoolExecutor(*args, **kwargs)
 
 
 def _certificate_chunk(args) -> list[isomorph.Certificate]:
@@ -297,11 +303,8 @@ def classify(G: PermGroup, k: int, t: int = 2, workers: int = 1) -> list[DesignC
     """All nontrivial t-designs among the G-orbits of k-subsets, merged into
     isomorphism classes, sorted by (lambda, base block).
 
-    An orbit's size divides |G| and must be a multiple of
-    block_count_step(v, k, t) to carry a t-design; when |G| is not, the
-    result is [] before any scan. So it is when t >= v - k, where only the
-    complete design is a t-design (Gottlieb-Kantor, on block complements).
-    Otherwise orbit O of k-subsets is kept exactly when its lex-least block
+    The result is [] before any scan when no_orbit_design() rules every
+    orbit out. Otherwise orbit O of k-subsets is kept exactly when its lex-least block
     holds C(k,t) |T_j| / C(v,t) t-subsets of every G-orbit T_j of t-subsets
     (Kramer-Mesner), and lambda_t = |O| C(k,t) / C(v,t). permcore.BoundError
     refuses, before any scan, v + block_count_step() over
@@ -320,13 +323,9 @@ def classify(G: PermGroup, k: int, t: int = 2, workers: int = 1) -> list[DesignC
     if t < 1:
         raise ValueError("t must be >= 1")
     v = G.degree
-    if not t < k < v or t >= v - k:
+    if not t < k < v or no_orbit_design(G.order(), v, k, t):
         return []
     step = block_count_step(v, k, t)
-    if G.order() % step:
-        log.info("orbit scan skipped: |G| = %d is not a multiple of %d, the least "
-                 "block count of a %d-design", G.order(), step, t)
-        return []
     if v + step > isomorph.MAX_VERTICES:
         # every kept orbit design would be refused before its search
         raise BoundError(f"{v} points + {step} blocks (the least block count of a {t}-design "
@@ -366,8 +365,7 @@ def classify(G: PermGroup, k: int, t: int = 2, workers: int = 1) -> list[DesignC
         # one chunk per worker, dealt round-robin, each with a pickled copy of G
         chunks = [(designs[i::procs], G) for i in range(procs)]
         certs = [None] * len(designs)
-        executor = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
-        with executor(max_workers=procs) as pool:
+        with ProcessPoolExecutor(max_workers=procs) as pool:
             for i, chunk_certs in enumerate(pool.map(_certificate_chunk, chunks)):
                 certs[i::procs] = chunk_certs
     log.info("certificates: %d in %.2f s", len(certs), time.perf_counter() - start)

@@ -71,15 +71,17 @@ isomorphism_witness first compares exact invariants, as practical
 canonical labeling does before it searches (McKay and Piperno 2014): the
 parameters (v, b, k), then the lambda_3 spectra, the histogram of how many
 blocks contain each 3-subset of points (Kaski and Ostergard, Classification
-Algorithms for Codes and Designs, 2006). Unequal spectra answer "not
-isomorphic" with no search. The spectrum is skipped when k < 3 or when
-the b * C(k,3) 3-subsets of the blocks exceed kcombs.MAX_SUBSETS. A pair
-that passes goes to the two searches: d1 to the end (certificate()), d2 only up
-to its first leaf that encodes like d1's certificate, then unwinds. The
-witness is the one the two full certificates give: if d1 and d2 are
-isomorphic, d1's data is the least leaf of d2's tree too, the full search
-of d2 would label by its first leaf that attains it, and up to that leaf
-the two searches of d2 are one search. If no leaf matches, the search runs
+Algorithms for Codes and Designs, 2006), read off kcombs.coverage() at
+t = 3. Unequal spectra answer "not isomorphic" with no search. The
+spectrum is skipped when k < 3 or when the b * C(k,3) 3-subsets of the
+blocks, or the C(m,3) counter over the m points the blocks hold, exceed
+kcombs.MAX_SUBSETS (m >= 312). A pair that passes goes to the two
+searches: d1 to the end (certificate()), d2 only up to its first leaf
+that encodes like d1's certificate, then unwinds. The witness is the one
+the two full certificates give: if d1 and d2 are isomorphic, d1's data
+is the least leaf of d2's tree too, the full search of d2 would label by
+its first leaf that attains it, and up to that leaf the two searches of
+d2 are one search. If no leaf matches, the search runs
 to the end and the designs are not isomorphic.
 """
 
@@ -95,8 +97,7 @@ from math import comb
 import numpy as np
 
 from . import kcombs
-from .kcombs import (BoundError, dense_ranks, digit_ranks, row_keys, same_block_set,
-                     subset_ranks)
+from .kcombs import BoundError, dense_ranks, digit_ranks, row_keys, same_block_set
 from .permcore import PermGroup, Permutation
 
 log = logging.getLogger(__name__)
@@ -319,21 +320,21 @@ def _search(design, group: PermGroup | None, goal: bytes | None = None) -> Certi
 
 
 def _coverage_spectrum(design) -> tuple[int, ...] | None:
-    """The lambda_3 spectrum of a design: entry c counts the 3-subsets of
-    points that lie in exactly c blocks, so entry 0 is C(v,3) minus the
-    3-subsets some block covers. Relabeling the points permutes the
-    3-subsets, so isomorphic designs have equal spectra. None when k < 3 or
-    when the b * C(k,3) subsets of the blocks exceed kcombs.MAX_SUBSETS."""
-    b, k = design.b, design.k
-    if k < 3 or b * comb(k, 3) > kcombs.MAX_SUBSETS:
+    """The lambda_3 spectrum of a design, the histogram of
+    kcombs.coverage() at t = 3: entry c counts the 3-subsets of points that
+    lie in exactly c blocks. Relabeling the points permutes the 3-subsets,
+    so isomorphic designs have equal spectra. A point in no block lies only
+    in uncovered 3-subsets, so coverage is counted over the m points some
+    block holds, relabeled in order, and the other C(v,3) - C(m,3)
+    3-subsets join entry 0. None when k < 3, or when the b * C(k,3)
+    subsets of the blocks or the C(m,3) counter exceed kcombs.MAX_SUBSETS."""
+    (b, k), v = design.blocks.shape, design.v
+    covered = np.bincount(design.blocks.ravel(), minlength=v) > 0
+    m = int(covered.sum())
+    if k < 3 or max(b * comb(k, 3), comb(m, 3)) > kcombs.MAX_SUBSETS:
         return None
-    # stable sort on the smallest unsigned key: numpy radix-sorts 8- and 16-bit keys
-    key = np.min_scalar_type(comb(design.v, 3) - 1)
-    ranks = np.sort(subset_ranks(design.blocks, design.v, 3).ravel().astype(key), kind="stable")
-    starts = np.flatnonzero(np.r_[True, ranks[1:] != ranks[:-1]])
-    counts = np.diff(np.r_[starts, len(ranks)])  # the run length of each distinct rank
-    spectrum = np.bincount(counts)
-    spectrum[0] = comb(design.v, 3) - len(counts)
+    spectrum = np.bincount(kcombs.coverage((np.cumsum(covered) - 1)[design.blocks], m, 3))
+    spectrum[0] += comb(v, 3) - comb(m, 3)
     return tuple(spectrum.tolist())
 
 

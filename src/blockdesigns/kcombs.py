@@ -1,4 +1,4 @@
-"""k-subsets of {0..n-1}, the block-set check, and orbit labeling.
+"""k-subsets of {0..n-1}, their coverage, the block-set check, orbit labels.
 
 Subsets are kept as rows of a lexicographically ordered (C(n,k), k) array.
 The lex rank is the row index in that array and the order every public
@@ -6,10 +6,11 @@ iterator follows. _sorted_ranks() is the one subset rank: image_ranks()
 ranks generator images with it after sorting each row (_lex_ranks()), for
 the orbit scan and grouplib.pair_action(), and subset_ranks() ranks the
 t-subsets of sorted blocks with it directly (a chunk of blocks at a time
-in subset_rank_chunks()), for design.py to count their coverage or test an
-orbit's base block and isomorph.py to count their spectrum. It subtracts
-one column's weights at a time, so a (b, C(k,t)) ranking holds the ranks
-and one gathered column, not all t.
+in subset_rank_chunks()), for design.py to test an orbit's base block and
+for coverage(), the one count of the blocks through each t-subset, which
+design.lambda_of() tests for uniformity and isomorph's lambda_3 spectrum
+histograms. It subtracts one column's weights at a time, so a (b, C(k,t))
+ranking holds the ranks and one gathered column, not all t.
 
 Rows are ordered by one of two keys. row_keys() keys a row by its entries
 in place. unique_rows() lex-orders a block list and makes it unique: one
@@ -53,13 +54,12 @@ import numpy as np
 
 from .permcore import BoundError, PermGroup
 
-# the orbit scan stores points as uint8
-MAX_POINTS = 255
 # lex_combinations builds at most this many k-subsets (classify over the
 # C(102, 4) = 4,249,575 of them peaked at 486 MB). It also bounds the
 # t-subsets of one block (subset_positions), those subset_rank_chunks ranks
-# at a time, the 3-subsets of an iso spectrum, |G| * k for an orbit pass down the
-# stabilizer chain, and degree^2 for a group the CLI builds from --q
+# at a time, both the 3-subsets ranked and the C(m,3) counter (m covered
+# points) of an iso spectrum, |G| * k for an orbit pass down the stabilizer
+# chain, and degree^2 for a group the CLI builds from --q
 MAX_SUBSETS = 5_000_000
 
 
@@ -195,6 +195,17 @@ def subset_rank_chunks(rows: np.ndarray, n: int, t: int):
     chunk. A row with more t-subsets is refused here, before any chunk."""
     per_chunk = max(1, MAX_SUBSETS // len(subset_positions(rows.shape[1], t)))
     return (subset_ranks(rows[i:i + per_chunk], n, t) for i in range(0, len(rows), per_chunk))
+
+
+def coverage(rows: np.ndarray, n: int, t: int) -> np.ndarray:
+    """How many sorted rows of a (b, k) array hold each t-subset of
+    {0..n-1}, by lex rank: bincounts of subset_rank_chunks(), taken first,
+    so a row past MAX_SUBSETS t-subsets is refused before the counter."""
+    chunks = subset_rank_chunks(rows, n, t)
+    counts = np.zeros(comb(n, t), dtype=np.int64)
+    for ranks in chunks:
+        counts += np.bincount(ranks.ravel(), minlength=len(counts))
+    return counts
 
 
 def row_keys(rows: np.ndarray, bound: int) -> np.ndarray:
@@ -342,8 +353,6 @@ def image_ranks(G: PermGroup, rows: np.ndarray) -> list[np.ndarray]:
 
 
 def subset_orbits(G: PermGroup, k: int) -> SubsetOrbits:
-    if G.degree > MAX_POINTS:
-        raise BoundError(f"uint8 point labels require n <= {MAX_POINTS}")
     rows = lex_combinations(G.degree, k)
     count = len(rows)
     labels = orbit_labels(image_ranks(G, rows), count)

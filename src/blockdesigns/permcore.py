@@ -56,7 +56,7 @@ MAX_ELEMENTS = 10_000_000
 
 class BoundError(ValueError):
     """An input exceeds one of the package's size bounds (MAX_ELEMENTS,
-    kcombs.MAX_POINTS, kcombs.MAX_SUBSETS, isomorph.MAX_VERTICES): refused,
+    kcombs.MAX_SUBSETS, isomorph.MAX_VERTICES): refused,
     not failed. It lives here, where no numpy is needed, so the command
     line catches it whether or not a numpy module is loaded."""
 

@@ -10,6 +10,7 @@ import random
 import re
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ import blockdesigns
 from blockdesigns import sieve
 from blockdesigns.cli import MAX_CONSTRUCT_BLOCKS, main
 from blockdesigns.golden import BUILTIN_NAMES
+from blockdesigns.kcombs import MAX_SUBSETS
 from blockdesigns.sieve import MAX_QMAX
 
 
@@ -198,10 +200,10 @@ class TestBadParameters:
             ["classify", "--q", "3"],  # socle not simple
             ["construct", "--group", "psl28_paper36", "--base", "1,2,3", "--t", "9"],  # t > k
             ["classify", "--group", "psl28_paper36", "--k", "40"],  # k > degree
-            ["classify", "--q", "256", "--k", "3", "--t", "2"],  # degree 257 > 255
-            ["classify", "--q", "257", "--k", "3", "--t", "2"],  # degree 258 > 255
-            ["classify", "--q", "2048", "--k", "3", "--t", "2"],  # degree 2049
-            ["classify", "--q", "23", "--action", "pairs"],  # degree 276 > 255
+            ["classify", "--q", "256", "--k", "3", "--t", "2"],  # 257 points + 32896 blocks > 5000
+            ["classify", "--q", "257", "--k", "3", "--t", "2"],  # 258 points + 22102 blocks > 5000
+            ["classify", "--q", "2048", "--k", "3", "--t", "2"],  # C(2049, 3) subsets to scan
+            ["classify", "--q", "13", "--action", "pairs"],  # C(91, 6) subsets to scan
             ["construct", "--q", "6", "--base", "1,2"],  # not a prime power
             ["construct", "--q", "3", "--base", "1,2"],  # socle not simple
             ["classify", "--q", "32", "--k", "4"],  # 33 points + 8184 blocks > 5000
@@ -337,19 +339,41 @@ class TestClassify:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.endswith("\n3 classes\n")
 
-    @pytest.mark.parametrize("q,action,degree", [
-        (256, "line", 257),
-        (23, "pairs", 276),
+    @pytest.mark.parametrize("q,action,k,degree", [
+        (2048, "line", 3, 2049),
+        (13, "pairs", 6, 91),
         # past the chain bound too, whose refusal comes second
-        (4096, "line", 4097),
+        (4096, "line", 3, 4097),
     ])
-    def test_degree_past_max_points_refused_before_group_is_built(
-            self, capsys, monkeypatch, q, action, degree):
+    def test_too_many_k_subsets_refused_before_group_is_built(
+            self, capsys, monkeypatch, q, action, k, degree):
         monkeypatch.setattr("blockdesigns.grouplib.projective_group", unbuilt)
         code, out, err = run_cli(["classify", "--q", str(q), "--action", action,
-                                  "--k", "3"], capsys)
+                                  "--k", str(k)], capsys)
         assert code == 2 and out == ""
-        assert err == f"error: --q {q} gives degree {degree}; classify takes at most 255\n"
+        assert err == (f"error: the {comb(degree, k)} {k}-subsets of {degree} points exceed "
+                       "the 5000000-subset bound of the orbit scan\n")
+
+    @pytest.mark.parametrize("args,degree,k", [
+        (["--q", "31", "--k", "20", "--t", "12"], 32, 20),  # t >= v - k
+        # |PSL(2,9)| = 360 is no multiple of 330, the least block count
+        (["--q", "9", "--action", "pairs", "--k", "6"], 45, 6),
+    ])
+    def test_no_classes_before_the_subset_bound(self, capsys, monkeypatch, args, degree, k):
+        # the two rules that answer before any scan also come before the
+        # C(degree, k) refusal, and need no group
+        assert comb(degree, k) > MAX_SUBSETS
+        monkeypatch.setattr("blockdesigns.grouplib.projective_group", unbuilt)
+        code, out, err = run_cli(["classify", *args], capsys)
+        assert (code, err) == (0, "")
+        assert out.endswith("\n0 classes\n")
+
+    def test_degree_past_255_is_scanned(self, capsys):
+        # PSL(2,256) is 2-transitive on 257 points: its one orbit of pairs is
+        # the complete design, which is trivial
+        code, out, err = run_cli(["classify", "--q", "256", "--k", "2", "--t", "1"], capsys)
+        assert code == 0 and err == ""
+        assert out.endswith("\n0 classes\n")
 
     def test_json_format(self, capsys, memo_classify):
         code, out, _ = run_cli(

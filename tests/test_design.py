@@ -369,6 +369,13 @@ class TestLambdaOf:
                 assert lambda_of(d, t) == (next(iter(counts.values())) if uniform else None)
                 assert sum(ranked) in (0, d.b) and max(ranked, default=0) <= blocks_per_chunk
 
+    def test_is_the_uniformity_of_coverage(self, monkeypatch):
+        d = orbit_design(cyclic(7), FANO_BASE)
+        monkeypatch.setattr(kcombs, "coverage", lambda rows, n, t: np.full(comb(n, t), 3))
+        assert lambda_of(d, 2) == 3
+        monkeypatch.setattr(kcombs, "coverage", lambda rows, n, t: np.arange(comb(n, t)))
+        assert lambda_of(d, 2) is None
+
     def test_t_outside_1_to_k_rejected(self):
         d = orbit_design(cyclic(7), FANO_BASE)
         for t in (0, 4):

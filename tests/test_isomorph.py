@@ -280,7 +280,7 @@ class TestCoverageSpectrum:
         assert _coverage_spectrum(d) == tuple(spectrum[c] for c in range(max(spectrum) + 1))
 
     def test_matches_python_count_past_16_bit_ranks(self):
-        # C(v,3) > 2**16 from v = 75 on: the ranks sort as 32-bit keys
+        # C(v,3) > 2**16 from v = 75 on: a counter longer than any 16-bit rank
         rng = random.Random(90)
         for d in (Design(76, combinations(range(76), 3)),
                   Design(90, {tuple(sorted(rng.sample(range(90), 5))) for _ in range(300)})):
@@ -314,10 +314,46 @@ class TestCoverageSpectrum:
         assert isomorphism_witness(d1, d2) == two_certificate_witness(d1, d2)
         assert searches[0] >= 1
 
-    def test_skipped_for_blocks_past_uint8_positions(self):
-        # the positions of a block's 3-subsets are uint8
+    def test_skipped_over_block_triples_bound(self):
+        # 2 * C(256, 3) = 5,527,040 triples in the blocks, C(257, 3) in the counter
         d = Design(260, [tuple(range(256)), tuple(range(1, 257))])
+        assert 2 * comb(256, 3) > kcombs.MAX_SUBSETS >= comb(257, 3)
         assert _coverage_spectrum(d) is None
+
+    def test_points_in_no_block_join_entry_0(self, monkeypatch):
+        # coverage is counted over the points the blocks hold, so no C(v,3)
+        # counter is built and the spectrum answers far past v = 312
+        blocks = [(0, 1, 2, 3), (0, 1, 2, 4)]
+        assert _coverage_spectrum(Design(4000, blocks)) == (comb(4000, 3) - 7, 6, 1)
+        d1, d2 = Design(313, blocks), Design(313, [(0, 1, 2, 3), (0, 1, 4, 5)])
+        searches = counting(monkeypatch, isomorph, "_search")
+        assert isomorphism_witness(d1, d2) is None
+        assert searches[0] == 0
+
+    def test_skipped_over_counter_bound(self, monkeypatch):
+        # C(312, 3) = 5,013,320 triples of covered points would need a 40 MB
+        # counter, though the blocks hold only 104 triples
+        triples = [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(104)]
+        assert _coverage_spectrum(Design(313, triples[:103]))[:2] == (comb(313, 3) - 103, 103)
+        counts = counting(monkeypatch, kcombs, "coverage")
+        assert _coverage_spectrum(Design(313, triples)) is None
+        assert counts[0] == 0
+        # the same bound at 12 points, whose pairs the search tells apart
+        d1 = Design(12, triples[:4])
+        d2 = Design(12, [(0, 1, 2), (0, 3, 4), (5, 6, 7), (8, 9, 10)])
+        monkeypatch.setattr(kcombs, "MAX_SUBSETS", comb(11, 3) - 1)
+        assert _coverage_spectrum(d1) is None and _coverage_spectrum(d2) is None
+        searches = counting(monkeypatch, isomorph, "_search")
+        assert isomorphism_witness(d1, d2) is None
+        assert isomorphism_witness(d1, relabeled(d1, random.Random(3))) is not None
+        assert searches[0] >= 2
+
+    def test_histogram_of_coverage(self, psl_group, monkeypatch):
+        d = table2_design(psl_group, 1)
+        counts = np.bincount(kcombs.coverage(d.blocks, d.v, 3))
+        calls = counting(monkeypatch, kcombs, "coverage")
+        assert _coverage_spectrum(d) == tuple(counts.tolist())
+        assert calls[0] == 1
 
     def test_vertex_bound_refused_before_spectra(self, monkeypatch):
         d1 = Design(6, [(0, 1, 2, 3), (0, 1, 2, 4)])

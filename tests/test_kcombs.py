@@ -1,6 +1,7 @@
 """Subset ranking and the vectorized k-subset orbit scan."""
 
 import tracemalloc
+from collections import Counter
 from functools import partial
 from itertools import combinations
 from math import comb
@@ -10,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockdesigns import kcombs
 from blockdesigns.kcombs import (
-    BoundError,
+    coverage,
     dense_ranks,
     digit_ranks,
     image_ranks,
@@ -100,6 +102,25 @@ class TestRanking:
         assert ranks[0].tolist() == [rank_lex(n, t, sub) for sub in combinations(rows[0], t)]
 
 
+class TestCoverage:
+    @given(st.integers(3, 10), st.data())
+    def test_matches_python_count(self, n, data):
+        # few blocks, so most t-subsets are uncovered; a chunk of 1 to b + 1
+        # blocks at a time
+        k = data.draw(st.integers(1, n))
+        t = data.draw(st.integers(1, k))
+        blocks = data.draw(st.sets(st.sets(st.integers(0, n - 1), min_size=k, max_size=k)
+                                   .map(frozenset), min_size=1, max_size=6))
+        rows = np.array([sorted(b) for b in blocks], dtype=np.int64)
+        per_chunk = data.draw(st.integers(1, len(rows) + 1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kcombs, "MAX_SUBSETS", comb(k, t) * per_chunk)
+            counts = coverage(rows, n, t)
+        covered = Counter(sub for row in rows.tolist() for sub in combinations(row, t))
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [covered[sub] for sub in combinations(range(n), t)]
+
+
 class TestLexCombinations:
     @pytest.mark.parametrize(
         "n,k",
@@ -123,16 +144,6 @@ class TestLexCombinations:
         assert rows.shape == (40, 39)
         for r in range(40):
             assert rows[r].tolist() == [x for x in range(40) if x != 39 - r]
-
-    def test_degree_limit(self):
-        # the orbit scan stores points as uint8; the rows themselves do not
-        # need to, since the t-subset positions of a block of 256 or more
-        # points are rows of lex_combinations too
-        with pytest.raises(BoundError):
-            subset_orbits(PermGroup([Permutation(tuple(range(1, 256)) + (0,))]), 2)
-        rows = lex_combinations(300, 2)
-        assert rows.dtype == np.uint16
-        assert rows.tolist() == [list(c) for c in combinations(range(300), 2)]
 
 
 def brute_orbits(G, k):
@@ -426,6 +437,20 @@ class TestSubsetOrbits:
             (tuple(so.orbit_rows(i)[0]), so.sizes[i]) for i in range(so.orbit_count)
         )
         assert got == sorted(ref)
+
+    def test_matches_brute_force_past_255_points(self):
+        # the dihedral group of a 300-gon: rows and images are uint16, and
+        # a pair's orbit is fixed by its distance round the polygon
+        n = 300
+        G = PermGroup([Permutation(tuple(range(1, n)) + (0,)),
+                       Permutation(tuple((-x) % n for x in range(n)))])
+        so = subset_orbits(G, 2)
+        assert so.rows.dtype == np.uint16
+        assert so.rows.tolist() == [list(c) for c in combinations(range(n), 2)]
+        got = [(tuple(so.orbit_rows(i)[0].tolist()), int(so.sizes[i]))
+               for i in range(so.orbit_count)]
+        assert so.orbit_count == n // 2
+        assert got == brute_orbits(G, 2)
 
     @pytest.mark.parametrize("G", SMALL_GROUPS)
     def test_sizes_partition_total(self, G):
