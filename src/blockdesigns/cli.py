@@ -98,8 +98,6 @@ def _parse_base(text: str, degree: int) -> tuple[int, ...]:
         pts = [int(x) for x in text.split(",")]
     except ValueError:
         raise UsageError(f"base block {text!r} is not a comma-separated integer list")
-    if not pts:
-        raise UsageError("base block is empty")
     for p in pts:
         if not 1 <= p <= degree:
             raise UsageError(f"point {p} out of range 1..{degree}")

@@ -10,9 +10,10 @@ labeled by its lex rank, the rank the orbit scan gives its images
 element, so products, inverses and Frobenius images add or scale exponents
 instead of multiplying polynomials.
 
-builtin() exposes two fixed degree-36 generator sets. They are constants:
-the golden classification tables in this package are tied to this exact
-36-point labeling, which need not match the lexicographic pair labeling that
+builtin() builds the two fixed degree-36 generator sets of
+golden.BUILTIN_GENERATORS. They are constants: the golden classification
+tables in this package are tied to this exact 36-point labeling, which need
+not match the lexicographic pair labeling that
 pair_action(projective_group(8, ...)) produces. Cross-checks between the two
 constructions compare invariants or isomorphism certificates, never indices.
 """
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .golden import BUILTIN_NAMES
+from .golden import BUILTIN_GENERATORS, BUILTIN_NAMES
 from .kcombs import image_ranks, lex_combinations
 from .numth import prime_power
 from .permcore import PermGroup, Permutation, parse_cycles
@@ -194,33 +195,10 @@ def pair_action(G: PermGroup, points=None) -> tuple[PermGroup, tuple]:
     return H, tuple(frozenset({points[i], points[j]}) for i, j in rows.tolist())
 
 
-# Fixed 36-point generator sets (1-based cycle text). Degree 36 is the action
-# on unordered pairs of the 9-point projective line over GF(8); the labeling
-# is the one the golden classification tables are written in.
-_PSL28_GEN_TEXT = (
-    "(2,3,5,8,13,20,29)(4,7,12,19,11,18,23)(6,10,16,25,28,14,22)"
-    "(9,15,24,33,26,17,27)(21,31,32,34,36,35,30)",
-    "(1,2,4)(3,6,11)(5,9,7)(8,14,23)(10,17,28)(12,13,21)(15,24,34)"
-    "(16,26,31)(18,29,33)(19,20,30)(22,32,36)(25,35,27)",
-)
-
-_PGAMMAL28_GEN_TEXT = (
-    "(1,2,4,9,16,24,10)(3,7,6,13,11,19,18)(5,12,20,8,15,14,23)"
-    "(17,25,22,28,21,29,27)(26,33,30,34,36,35,31)",
-    "(1,3,8)(2,5,6)(4,10,7)(9,17,26)(11,19,14)(12,21,30)(13,22,31)"
-    "(15,23,16)(18,27,34)(20,28,33)(24,29,35)(25,32,36)",
-    "(1,3,8)(2,6,5)(4,11,15)(7,14,16)(9,18,12)(10,19,23)(13,20,24)"
-    "(17,27,21)(22,28,29)(26,34,30)(31,33,35)",
-)
-
-
 def builtin(name: str) -> PermGroup:
-    """The two fixed degree-36 groups by name: psl28_paper36 has order 504,
-    pgammal28_paper36 order 1512."""
-    if name == "psl28_paper36":
-        texts = _PSL28_GEN_TEXT
-    elif name == "pgammal28_paper36":
-        texts = _PGAMMAL28_GEN_TEXT
-    else:
+    """The two fixed degree-36 groups by name (golden.BUILTIN_GENERATORS):
+    psl28_paper36 has order 504, pgammal28_paper36 order 1512."""
+    texts = BUILTIN_GENERATORS.get(name)
+    if texts is None:
         raise ValueError(f"unknown builtin {name!r}; choose from {BUILTIN_NAMES}")
     return PermGroup([parse_cycles(t, 36) for t in texts])

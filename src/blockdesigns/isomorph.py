@@ -35,6 +35,14 @@ automorphism replaces the group, and skips a candidate whose label an
 explored candidate shares. Pruning depends only on the group as a set, so
 the group passed in never changes the result.
 
+Points in no block are interchangeable, so the search branches on none of
+them: the root refinement gives them cells of their own (a signature of
+sentinels only, and cells only split), and a target cell whose first point
+lies in no block is made discrete in one step, its points individualized in
+ascending order, the path the search would take first there, since every
+other candidate only repeats it. A search that would nest deeper than
+Python's recursion limit (one level per branching point) raises BoundError.
+
 Backjump (McKay and Piperno, Practical graph isomorphism II, 2014): each
 leaf that is not a new best is compared with two reference leaves, the
 best so far and the first, as nauty does. A leaf that encodes like a
@@ -89,6 +97,7 @@ from __future__ import annotations
 
 import logging
 import struct
+import sys
 import time
 from dataclasses import dataclass
 from hashlib import sha256
@@ -98,7 +107,7 @@ import numpy as np
 
 from . import kcombs
 from .kcombs import BoundError, dense_ranks, digit_ranks, row_keys, same_block_set
-from .permcore import PermGroup, Permutation
+from .permcore import PermGroup, Permutation, compose
 
 log = logging.getLogger(__name__)
 
@@ -153,6 +162,7 @@ class _Refiner:
         self.pb_arr[flat[order], slots] = order // self.rows_arr.shape[1]
         # the unit coloring is equitable when every point has one degree
         self.regular = (degrees == degrees[0]).all()
+        self.uncovered = degrees == 0
         # every round's buffers: the block colors and the sentinel, then
         # point signatures, the old point color ahead of the sorted
         # incident block colors; numpy sorts int32 rows about twice as fast
@@ -209,10 +219,7 @@ def _leaf_bytes(v: int, b: int, k: int, cols: np.ndarray, pcol: np.ndarray) -> b
 def _label_map(labeling, target) -> Permutation:
     """The permutation taking each point i to the point that target gives
     the canonical label labeling gives i."""
-    inverse = [0] * len(target)
-    for i, c in enumerate(target):
-        inverse[c] = i
-    return Permutation([inverse[c] for c in labeling])
+    return compose(Permutation(labeling), Permutation(target).inverse())
 
 
 def check_vertices(v: int, b: int) -> None:
@@ -230,7 +237,8 @@ def certificate(design, group: PermGroup | None = None) -> Certificate:
     stabilizers shared with every other search it prunes); None means the
     identity group. Every generator is verified to map the block set onto
     itself before use, so a wrong group raises instead of corrupting the
-    canonical form.
+    canonical form. BoundError past the vertex bound, or for a search that
+    would nest deeper than Python's recursion limit.
     """
     return _search(design, group)
 
@@ -293,6 +301,12 @@ def _search(design, group: PermGroup | None, goal: bytes | None = None) -> Certi
         # target cell: smallest non-singleton, earliest in the cell order
         target = min(nonsingleton, key=lambda c: (counts[c], c))
         candidates = [int(i) for i in np.nonzero(pcol == target)[0]]
+        if refiner.uncovered[candidates[0]]:
+            # points in no block: every candidate repeats the first, so the
+            # cell is made discrete in ascending order in one step
+            for x in candidates[:-1]:
+                pcol = _individualize(pcol, x)
+            return min(search(pcol, prefix + tuple(candidates[:-1])), depth)
         explored: list[int] = []
         # the orbit labels of the prefix stabilizer in labels_group, None
         # while all its generators are the identity
@@ -312,7 +326,11 @@ def _search(design, group: PermGroup | None, goal: bytes | None = None) -> Certi
             explored.append(x)
         return depth
 
-    search(np.zeros(v, dtype=np.int64), ())
+    try:
+        search(np.zeros(v, dtype=np.int64), ())
+    except RecursionError:
+        raise BoundError(f"the certificate search of {v} points nests deeper than Python's "
+                         f"recursion limit of {sys.getrecursionlimit()}") from None
     if log.isEnabledFor(logging.DEBUG):  # the order may need a chain nothing else reads
         log.debug("search: %d nodes, %d leaves; %d discovered automorphisms grew the pruning "
                   "group, now of order %d", nodes, leaves, grown, aut_group.order())

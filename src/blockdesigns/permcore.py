@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import math
 import re
-from collections import deque
 from functools import cache
 from operator import itemgetter
 
@@ -478,47 +477,25 @@ class PermGroup:
         stab = self.pointwise_stabilizer((point,))
         return tuple(sorted(len(o) for o in stab.orbits()))
 
-    def minimal_block(self, a: int, b: int) -> tuple[int, ...]:
-        """Smallest block of imprimitivity containing {a, b} (Atkinson-style closure)."""
-        if not self.is_transitive():
-            raise ValueError("blocks are defined for transitive groups only")
-        n = self._degree
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        gens = [g.images for g in self._generators]
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-        pairs = deque([(a, b)])
-        while pairs:
-            x, y = pairs.popleft()
-            for g in gens:
-                gx, gy = g[x], g[y]
-                rx, ry = find(gx), find(gy)
-                if rx != ry:
-                    parent[ry] = rx
-                    pairs.append((gx, gy))
-        root = find(a)
-        return tuple(x for x in range(n) if find(x) == root)
-
     def is_primitive(self) -> bool:
         """True iff transitive with no nontrivial block system: iff every
-        minimal block through a pair {0, d} is the whole point set. Tries one
-        d per G_0-orbit, its least point: G_0 carries the minimal block
-        through {0, d} onto the one through {0, d'} for each d' in d's orbit."""
+        least block through a pair {0, d} is the whole point set. That block
+        is the orbit of 0 under <G_0, g> for any g taking 0 to d (Dixon and
+        Mortimer, Permutation Groups, 1996, Thm 1.5A); g is read off the
+        chain's first level, whose orbit is every point of a transitive group.
+        Tries one d per G_0-orbit, its least point: G_0 carries the least
+        block through {0, d} onto the one through {0, d'} for each d' in
+        d's orbit."""
         if not self.is_transitive():
             return False
         n = self._degree
         if n <= 2:
             return True
-        labels = self.pointwise_stabilizer((0,)).orbit_labels()
-        return all(len(self.minimal_block(0, d)) == n for d in set(labels) - {0})
+        stab = self.pointwise_stabilizer((0,))
+        chain = self._chain
+        to_base, from_base = chain.inv[0][0], chain.trans[0]
+        return all(len(stab.extend(compose(to_base, from_base[d])).orbit(0)) == n
+                   for d in set(stab.orbit_labels()) - {0})
 
     def elements(self):
         """Lazy deterministic iteration over all elements.

@@ -202,6 +202,31 @@ def brute_force_elements(generators, cap: int = 200_000) -> set[Permutation]:
     return elems
 
 
+def is_primitive(generators) -> bool:
+    """Primitivity by brute force over point subsets: the group is
+    transitive (the generators carry point 0 everywhere) and no set B with
+    0 in B and 1 < |B| < n is a block, i.e. meets each of its images, found
+    by closing {B} under the generators, in nothing or in all of B."""
+    gens = [g.images for g in generators]
+    n = len(gens[0])
+    reached, frontier = {0}, {0}
+    while frontier:
+        frontier = {g[a] for a in frontier for g in gens} - reached
+        reached |= frontier
+    if len(reached) != n:
+        return False
+    for size in range(2, n):
+        for rest in combinations(range(1, n), size - 1):
+            block = frozenset((0, *rest))
+            images, frontier = {block}, {block}
+            while frontier:
+                frontier = {frozenset(g[p] for p in x) for x in frontier for g in gens} - images
+                images |= frontier
+            if all(im == block or not im & block for im in images):
+                return False
+    return True
+
+
 def leaf_bytes(v: int, b: int, k: int, rows, pcol) -> bytes:
     """Incidence bitmap of a design under a discrete labeling pcol (a list),
     built bit by bit in Python integers: one row per canonical point, one

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blockdesigns
-from blockdesigns import sieve
+from blockdesigns import golden, sieve
 from blockdesigns.cli import MAX_CONSTRUCT_BLOCKS, main
 from blockdesigns.golden import BUILTIN_NAMES
 from blockdesigns.kcombs import MAX_SUBSETS
@@ -110,6 +110,12 @@ class TestConstruct:
             ["construct", "--group", "psl28_paper36", "--base", "1,x,3"], capsys
         )
         assert code == 2
+
+    def test_empty_base_is_usage_error(self, capsys):
+        # "".split(",") is [""], which int() refuses like any other token
+        code, out, err = run_cli(["construct", "--group", "psl28_paper36", "--base", ""], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: base block '' is not a comma-separated integer list\n"
 
     def test_unknown_group_is_usage_error(self, capsys):
         code, _, err = run_cli(
@@ -707,6 +713,20 @@ class TestVerify:
         assert code == 0
         assert "PASS" in out and "46" in out
 
+    def test_table2_mismatch_fails_with_exit_3(self, capsys, memo_classify, monkeypatch):
+        # the golden multiset without row 44 and with a row no class has
+        want = golden.table2_multiset()
+        del want[((1, 2, 4, 16, 26, 31), 2)]
+        want[((1, 2, 3, 4, 5, 6), 12)] += 1
+        monkeypatch.setattr(golden, "table2_multiset", lambda: want)
+        code, out, _ = run_cli(["verify", "--table2"], capsys)
+        assert code == 3
+        assert out == (
+            "table2 verification: FAIL\n"
+            "  missing: base=1,2,3,4,5,6 lambda=12\n"
+            "  unexpected: base=1,2,4,16,26,31 lambda=2\n"
+        )
+
     def test_requires_table2_flag(self, capsys):
         code, _, _ = run_cli(["verify"], capsys)
         assert code == 2
@@ -788,3 +808,13 @@ class TestIso:
             capsys,
         )
         assert code == 2
+
+    def test_search_past_the_recursion_limit_is_usage_error(self, tmp_path, capsys):
+        # a perfect matching of 2,000 points: 1,000 blocks, inside the
+        # vertex bound, and one search level per block
+        path = tmp_path / "matching.json"
+        path.write_text(json.dumps({"v": 2000, "blocks": [[i, i + 1] for i in range(1, 2000, 2)]}))
+        code, out, err = run_cli(["iso", str(path), str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the certificate search of 2000 points")
+        assert "recursion limit" in err and "Traceback" not in err

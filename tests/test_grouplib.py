@@ -15,7 +15,8 @@ from blockdesigns.grouplib import (
     projective_order,
 )
 from blockdesigns.numth import prime_power, prime_powers_upto
-from blockdesigns.permcore import PermGroup, Permutation
+from blockdesigns.golden import BUILTIN_GENERATORS
+from blockdesigns.permcore import PermGroup, Permutation, parse_cycles
 from oracles import field_index, pair_images
 
 SMALL_Q = [4, 5, 7, 8, 9, 11, 13, 16, 25, 27]
@@ -226,8 +227,15 @@ class TestPairAction:
 class TestBuiltins:
     def test_names(self):
         assert BUILTIN_NAMES == ("psl28_paper36", "pgammal28_paper36")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="choose from .'psl28_paper36', 'pgammal28_paper36'."):
             builtin("nonesuch")
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_one_registry(self, name):
+        # the names and the generators both come from golden.BUILTIN_GENERATORS
+        assert BUILTIN_NAMES == tuple(BUILTIN_GENERATORS)
+        texts = BUILTIN_GENERATORS[name]
+        assert builtin(name).generators == tuple(parse_cycles(t, 36) for t in texts)
 
     def test_psl_invariants(self):
         G = builtin("psl28_paper36")

@@ -1,10 +1,15 @@
 """Canonical certificates and isomorphism decisions."""
 
+import json
 import logging
+import os
 import random
+import subprocess
+import sys
 from collections import Counter, defaultdict
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -567,6 +572,86 @@ class TestUnprunedOracle:
         # the designs where discovered automorphisms make the search backjump
         sigma = restricted(images, d.v)
         self.assert_matches_oracle(d.relabel(sigma))
+
+
+@st.composite
+def uncovered_designs(draw):
+    """Designs on at most 8 points, 2 or 3 of them in no block, spread by
+    one random relabeling: a few random blocks on the others, or the union
+    of the orbits of up to two of them under one permutation of the others."""
+    m = draw(st.integers(3, 5))
+    v = m + draw(st.integers(2, 3))
+    k = draw(st.integers(2, m - 1))
+    subsets = st.sets(st.integers(0, m - 1), min_size=k, max_size=k).map(
+        lambda s: tuple(sorted(s))
+    )
+    blocks = draw(st.lists(subsets, min_size=1, max_size=5, unique=True))
+    if draw(st.booleans()):
+        g = draw(st.permutations(range(m)))
+        orbits = set()
+        for blk in blocks[:2]:
+            while blk not in orbits:
+                orbits.add(blk)
+                blk = tuple(sorted(g[p] for p in blk))
+        blocks = orbits
+    relabel = draw(st.permutations(range(v)))
+    return Design(v, [sorted(relabel[p] for p in blk) for blk in blocks])
+
+
+class TestPointsInNoBlock:
+    """Points in no block fill cells of their own, which the search makes
+    discrete in one step instead of branching on them one point per level."""
+
+    @given(uncovered_designs())
+    def test_small_designs_match_oracle(self, d):
+        TestUnprunedOracle.assert_matches_oracle(d)
+
+    @given(uncovered_designs(), st.permutations(range(9)))
+    def test_witness_for_relabeled_copy(self, d, images):
+        sigma = isomorphism_witness(d, d.relabel(restricted(images, d.v)))
+        assert sigma is not None
+
+    def test_search_tree_does_not_grow_with_uncovered_points(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="blockdesigns.isomorph"):
+            for v in (8, 40, 400):
+                certificate(Design(v, [(0, 1, 2), (0, 1, 3)]))
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 3 and len(set(messages)) == 1, messages
+
+    def test_pair_on_313_points_answered(self, tmp_path):
+        # the uncovered cell of 309 points was individualized one point per
+        # level, and this pair ran for minutes; its lambda_3 spectra agree,
+        # so the search decides it
+        paths = []
+        for name, blocks in (("a", [[1, 2, 3], [1, 2, 4]]), ("b", [[1, 2, 3], [1, 2, 5]])):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps({"v": 313, "blocks": blocks}))
+        env = dict(os.environ)
+        src = str(Path(isomorph.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "blockdesigns", "iso", *map(str, paths)],
+                              capture_output=True, text=True, env=env, timeout=20)
+        assert (proc.returncode, proc.stdout) == (0, "isomorphic\n"), proc.stderr
+
+
+class TestRecursionBound:
+    """A search that nests past Python's recursion limit is refused as a
+    BoundError, with no half-built memo left in the pruning group."""
+
+    MATCHING = Design(2000, [(2 * i, 2 * i + 1) for i in range(1000)])
+
+    def test_perfect_matching_refused(self):
+        # 1,000 blocks, inside the vertex bound; one search level per block
+        swaps = [Permutation([j ^ 1 if j // 2 == i else j for j in range(2000)])
+                 for i in (0, 1)]
+        G = PermGroup(swaps)
+        with pytest.raises(kcombs.BoundError, match="2000 points .* recursion limit"):
+            certificate(self.MATCHING, G)
+        fresh = PermGroup(swaps)
+        assert G.order() == fresh.order() == 4
+        for p, stab in G._stabilizers.items():
+            assert stab.order() == fresh.pointwise_stabilizer((p,)).order()
+            assert stab.orbit_labels() == fresh.pointwise_stabilizer((p,)).orbit_labels()
 
 
 class TestKernels:

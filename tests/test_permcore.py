@@ -22,6 +22,7 @@ from blockdesigns.permcore import (
     parse_cycles,
 )
 
+import oracles
 from oracles import brute_force_elements
 
 
@@ -185,8 +186,6 @@ class TestPermGroup:
         # C4 acting regularly is transitive but imprimitive
         C4 = PermGroup([parse_cycles("(1,2,3,4)", 4)])
         assert not C4.is_primitive()
-        blk = C4.minimal_block(0, 2)
-        assert set(blk) == {0, 2}
 
     def test_intransitive_not_primitive(self):
         G = PermGroup([parse_cycles("(1,2)", 4)])
@@ -197,6 +196,69 @@ class TestPermGroup:
         assert symmetric(5).derived_subgroup().order() == 60
         C3 = PermGroup([parse_cycles("(1,2,3)", 3)])
         assert C3.derived_subgroup().order() == 1
+
+
+@st.composite
+def primitivity_cases(draw):
+    """Generators of degree <= 9 and whether to add all but the first by
+    extend(): random permutations (mostly primitive groups), permutations
+    that keep a partition into equal parts (imprimitive, unless the parts
+    are points or everything), or permutations that fix every point past a
+    prefix (intransitive, unless the prefix is everything), each kind
+    hidden by one random relabeling."""
+    n = draw(st.integers(1, 9))
+    kind = draw(st.sampled_from(("random", "parts", "parts", "prefix")))
+    count = draw(st.integers(1, 3))
+    gens = []
+    for _ in range(count):
+        if kind == "random":
+            g = draw(st.permutations(range(n)))
+        elif kind == "parts":
+            m = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+            outer = draw(st.permutations(range(n // m)))
+            inner = [draw(st.permutations(range(m))) for _ in range(n // m)]
+            g = [outer[i // m] * m + inner[i // m][i % m] for i in range(n)]
+        else:
+            r = draw(st.integers(1, n))
+            g = [*draw(st.permutations(range(r))), *range(r, n)]
+        gens.append(g)
+    relabel = draw(st.permutations(range(n)))
+    conjugated = []
+    for g in gens:
+        images = [0] * n
+        for i in range(n):
+            images[relabel[i]] = relabel[g[i]]
+        conjugated.append(Permutation(images))
+    return conjugated, draw(st.booleans())
+
+
+class TestPrimitivity:
+    """is_primitive reads the least block through {0, d} as the orbit of 0
+    under <G_0, g> for a g taking 0 to d; the oracle searches every subset
+    through 0 for a block."""
+
+    @given(primitivity_cases())
+    def test_matches_brute_force(self, case):
+        gens, extended = case
+        if extended:
+            G = PermGroup(gens[:1])
+            for g in gens[1:]:
+                G = G.extend(g)
+        else:
+            G = PermGroup(gens)
+        assert G.is_primitive() == oracles.is_primitive(gens)
+
+    @pytest.mark.parametrize("text,degree,primitive", [
+        ("(1,2,3,4,5,6)", 6, False),  # blocks {1,4}, and {1,3,5}
+        ("(1,2,3,4,5,6,7)", 7, True),  # prime degree
+        ("(1,2)(3,4)(5,6)(7,8)", 8, False),  # intransitive
+        ("(1,2,3)(4,5,6)(7,8,9);(1,4,7)(2,5,8)(3,6,9)", 9, False),  # C3 x C3 on 3 x 3 rows
+        ("(1,2,3,4,5);(1,2)", 5, True),
+    ])
+    def test_named_groups(self, text, degree, primitive):
+        G = PermGroup([parse_cycles(t, degree) for t in text.split(";")])
+        assert G.is_primitive() is primitive
+        assert oracles.is_primitive(G.generators) is primitive
 
 
 class TestBoundError:

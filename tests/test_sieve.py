@@ -328,6 +328,15 @@ class TestReference:
             assert evaluate(tuple(c)) == evaluate(c) == oracles.evaluate(c)
 
 
+    @pytest.mark.parametrize("v", [1, 4])
+    def test_k_guard_matches_reference(self, v):
+        # no catalog case has v = 1 or 4; k = 1 or 2 is below the guard
+        c = CaseSpec("x", 8, v, 1512, 42, 3, (14, 21), True, ("n",))
+        verdict = evaluate(c)
+        assert (verdict.failed, verdict.k, verdict.survivor) == ("k_guard", isqrt(v), False)
+        assert evaluate(tuple(c)) == verdict == oracles.evaluate(c)
+
+
 def _encoded(x: SieveVerdict) -> str:
     """The json.dumps line that SieveReport.json_chunks() writes per verdict."""
     return json.dumps(
