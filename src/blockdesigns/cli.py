@@ -172,16 +172,13 @@ def cmd_classify(args) -> int:
     if args.lam is not None and args.lam < 1:
         raise UsageError(f"--lambda must be at least 1, as for every t-design; got {args.lam}")
     from .design import classify, no_orbit_design
-    from .kcombs import MAX_SUBSETS
 
     order, degree, name, build = _group(args)
     if not 1 <= args.t < args.k < degree:
         raise UsageError(f"need 1 <= t < k < {degree} (the degree); got t={args.t}, k={args.k}")
+    # classify()'s answer or refusal before any scan, here before build() makes the group
     if no_orbit_design(order, degree, args.k, args.t):
-        classes = []  # classify()'s answer, before build() makes the group
-    elif comb(degree, args.k) > MAX_SUBSETS:
-        raise UsageError(f"the {comb(degree, args.k)} {args.k}-subsets of {degree} points "
-                         f"exceed the {MAX_SUBSETS}-subset bound of the orbit scan")
+        classes = []
     else:
         classes = classify(build(), args.k, args.t, workers=args.workers)
     rows = [

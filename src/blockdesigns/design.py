@@ -17,11 +17,10 @@ the same way, at the group's first base point when a block holds it, so
 the stabilizer is read off the chain the group already holds. classify()
 enumerates every orbit of k-subsets, keeps the orbits whose base block
 passes the Kramer-Mesner test for a t-design, and merges them into
-isomorphism classes by canonical certificate. It
-enumerates nothing when divisibility or t >= v - k rules out every orbit,
-and refuses before any scan when the least block count a t-design could
-have already passes the certificate search's vertex bound. A process pool,
-and its import, start only for more than one worker.
+isomorphism classes by canonical certificate. Before any scan,
+no_orbit_design() rules out every orbit by divisibility or t >= v - k, or
+refuses a scan or search past its bound, for classify() and the CLI alike.
+A process pool, and its import, start only for more than one worker.
 """
 
 from __future__ import annotations
@@ -274,14 +273,25 @@ def no_orbit_design(order: int, v: int, k: int, t: int) -> bool:
     order is a nontrivial t-design, known from the order alone: when
     t >= v - k only the complete design is a t-design (Gottlieb-Kantor, on
     block complements), and an orbit's size divides the order but must be
-    a multiple of block_count_step(v, k, t) to carry a t-design."""
+    a multiple of block_count_step(v, k, t) to carry a t-design. Else
+    permcore.BoundError refuses more than kcombs.MAX_SUBSETS k-subsets to
+    scan, then v + block_count_step() over isomorph.MAX_VERTICES, which
+    every orbit design that could be kept passes."""
     if t >= v - k:
         return True
     step = block_count_step(v, k, t)
     if order % step:
         log.info("orbit scan skipped: |G| = %d is not a multiple of %d, the least "
                  "block count of a %d-design", order, step, t)
-    return order % step > 0
+        return True
+    if comb(v, k) > kcombs.MAX_SUBSETS:
+        raise BoundError(f"the {comb(v, k)} {k}-subsets of {v} points exceed the "
+                         f"{kcombs.MAX_SUBSETS}-subset bound of the orbit scan")
+    if v + step > isomorph.MAX_VERTICES:
+        raise BoundError(f"{v} points + {step} blocks (the least block count of a {t}-design "
+                         f"with blocks of {k} points) exceeds the "
+                         f"{isomorph.MAX_VERTICES}-vertex bound")
+    return False
 
 
 def ProcessPoolExecutor(*args, **kwargs):
@@ -304,14 +314,11 @@ def classify(G: PermGroup, k: int, t: int = 2, workers: int = 1) -> list[DesignC
     isomorphism classes, sorted by (lambda, base block).
 
     The result is [] before any scan when no_orbit_design() rules every
-    orbit out. Otherwise orbit O of k-subsets is kept exactly when its lex-least block
-    holds C(k,t) |T_j| / C(v,t) t-subsets of every G-orbit T_j of t-subsets
-    (Kramer-Mesner), and lambda_t = |O| C(k,t) / C(v,t). permcore.BoundError
-    refuses, before any scan, v + block_count_step() over
-    isomorph.MAX_VERTICES, even if no orbit would be kept; a scan of over
-    kcombs.MAX_SUBSETS k-subsets (never the t-scan: C(v,t) < C(v,k) when
-    t < v - k); and, before any search, an orbit design over
-    isomorph.MAX_VERTICES.
+    orbit out, and permcore.BoundError when it refuses. Otherwise orbit O
+    of k-subsets is kept exactly when its lex-least block holds
+    C(k,t) |T_j| / C(v,t) t-subsets of every G-orbit T_j of t-subsets
+    (Kramer-Mesner), and lambda_t = |O| C(k,t) / C(v,t). BoundError also
+    refuses, before any search, an orbit design over isomorph.MAX_VERTICES.
 
     The group itself acts by automorphisms on every orbit design and is the
     pruning group of every certificate search; worker processes receive it
@@ -325,12 +332,6 @@ def classify(G: PermGroup, k: int, t: int = 2, workers: int = 1) -> list[DesignC
     v = G.degree
     if not t < k < v or no_orbit_design(G.order(), v, k, t):
         return []
-    step = block_count_step(v, k, t)
-    if v + step > isomorph.MAX_VERTICES:
-        # every kept orbit design would be refused before its search
-        raise BoundError(f"{v} points + {step} blocks (the least block count of a {t}-design "
-                         f"with blocks of {k} points) exceeds the "
-                         f"{isomorph.MAX_VERTICES}-vertex bound")
     start = time.perf_counter()
     so = subset_orbits(G, k)
     log.info("orbit scan: %d orbits of %d-subsets in %.2f s",

@@ -36,11 +36,13 @@ explored candidate shares. Pruning depends only on the group as a set, so
 the group passed in never changes the result.
 
 Points in no block are interchangeable, so the search branches on none of
-them: the root refinement gives them cells of their own (a signature of
-sentinels only, and cells only split), and a target cell whose first point
-lies in no block is made discrete in one step, its points individualized in
-ascending order, the path the search would take first there, since every
-other candidate only repeats it. A search that would nest deeper than
+them: the root coloring gives the m such points colors 1..m in ascending
+order and every other point color 0, as McKay and Piperno put an
+input-only distinction into the initial coloring. The leaves are those of
+the one-color root, whose refinement puts them last (a signature of
+sentinels only; cells only split) and whose first path individualizes
+them in ascending order. Pruning stays exact, since every permutation of
+them is an automorphism. A search that would nest deeper than
 Python's recursion limit (one level per branching point) raises BoundError.
 
 Backjump (McKay and Piperno, Practical graph isomorphism II, 2014): each
@@ -282,8 +284,8 @@ def _search(design, group: PermGroup | None, goal: bytes | None = None) -> Certi
         nodes += 1
         pcol = refiner.refine(pcol)
         counts = np.bincount(pcol)
-        nonsingleton = [c for c in np.nonzero(counts > 1)[0]]
-        if not nonsingleton:
+        nonsingleton = np.flatnonzero(counts > 1)
+        if not len(nonsingleton):
             leaves += 1
             data, plist = _leaf_bytes(v, b, k, refiner.cols, pcol), pcol.tolist()
             if first is None:
@@ -298,15 +300,9 @@ def _search(design, group: PermGroup | None, goal: bytes | None = None) -> Certi
                         # it maps this path onto the reference leaf's: back to where they part
                         return next(i for i, (x, y) in enumerate(zip(prefix, ref_prefix)) if x != y)
             return depth
-        # target cell: smallest non-singleton, earliest in the cell order
-        target = min(nonsingleton, key=lambda c: (counts[c], c))
-        candidates = [int(i) for i in np.nonzero(pcol == target)[0]]
-        if refiner.uncovered[candidates[0]]:
-            # points in no block: every candidate repeats the first, so the
-            # cell is made discrete in ascending order in one step
-            for x in candidates[:-1]:
-                pcol = _individualize(pcol, x)
-            return min(search(pcol, prefix + tuple(candidates[:-1])), depth)
+        # target cell: smallest non-singleton, earliest in the cell order (argmin's first)
+        target = nonsingleton[np.argmin(counts[nonsingleton])]
+        candidates = np.flatnonzero(pcol == target).tolist()
         explored: list[int] = []
         # the orbit labels of the prefix stabilizer in labels_group, None
         # while all its generators are the identity
@@ -327,7 +323,8 @@ def _search(design, group: PermGroup | None, goal: bytes | None = None) -> Certi
         return depth
 
     try:
-        search(np.zeros(v, dtype=np.int64), ())
+        # the m points in no block colored 1..m in ascending order, the rest 0
+        search(np.cumsum(refiner.uncovered) * refiner.uncovered, ())
     except RecursionError:
         raise BoundError(f"the certificate search of {v} points nests deeper than Python's "
                          f"recursion limit of {sys.getrecursionlimit()}") from None

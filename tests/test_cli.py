@@ -360,6 +360,15 @@ class TestClassify:
         assert err == (f"error: the {comb(degree, k)} {k}-subsets of {degree} points exceed "
                        "the 5000000-subset bound of the orbit scan\n")
 
+    def test_vertex_bound_refused_before_group_is_built(self, capsys, monkeypatch):
+        # every 2-(102,4,lambda) design has a multiple of 5151 blocks, and
+        # |PSL(2,101)| is one: 102 + 5151 passes the certificate search's bound
+        monkeypatch.setattr("blockdesigns.grouplib.projective_group", unbuilt)
+        code, out, err = run_cli(["classify", "--q", "101", "--k", "4"], capsys)
+        assert code == 2 and out == ""
+        assert err == ("error: 102 points + 5151 blocks (the least block count of a 2-design "
+                       "with blocks of 4 points) exceeds the 5000-vertex bound\n")
+
     @pytest.mark.parametrize("args,degree,k", [
         (["--q", "31", "--k", "20", "--t", "12"], 32, 20),  # t >= v - k
         # |PSL(2,9)| = 360 is no multiple of 330, the least block count

@@ -22,6 +22,7 @@ from blockdesigns.design import (
     fixed_k_subsets,
     is_flag_transitive,
     lambda_of,
+    no_orbit_design,
     orbit_design,
 )
 from blockdesigns.grouplib import BUILTIN_NAMES, builtin, pair_action, projective_group
@@ -686,10 +687,24 @@ class TestClassify:
         monkeypatch.setattr(design, "subset_orbits", unscanned)
         G, _ = projective_group(101)
         assert block_count_step(102, 4, 2) == 5151
-        assert G.order() % 5151 == 0
-        with pytest.raises(BoundError, match=r"^102 points \+ 5151 blocks \(the least block "
-                                             r"count of a 2-design with blocks of 4 points\)"):
+        assert G.order() == 515_100 and G.order() % 5151 == 0
+        message = (r"^102 points \+ 5151 blocks \(the least block count of a 2-design with "
+                   r"blocks of 4 points\) exceeds the 5000-vertex bound$")
+        with pytest.raises(BoundError, match=message):
             classify(G, 4, 2)
+        # the same refusal from the group order alone, as the command line asks
+        with pytest.raises(BoundError, match=message):
+            no_orbit_design(515_100, 102, 4, 2)
+
+    def test_subset_bound_refused_from_the_order_alone(self):
+        # |PSL(2,251)| = 7,906,500 is a multiple of 10,542, the least block
+        # count of a 2-(252,6,lambda) design, so divisibility rules nothing
+        # out; C(252, 6) passes the scan's bound, which comes before the
+        # vertex bound that 252 + 10,542 passes too
+        assert 7_906_500 % block_count_step(252, 6, 2) == 0
+        with pytest.raises(BoundError, match=rf"^the {comb(252, 6)} 6-subsets of 252 points "
+                                             r"exceed the 5000000-subset bound of the orbit scan$"):
+            no_orbit_design(7_906_500, 252, 6, 2)
 
     def test_builds_no_group(self, monkeypatch):
         # the group classified is the pruning group of every certificate;
