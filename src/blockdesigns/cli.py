@@ -271,10 +271,31 @@ def _load_design(path: str) -> Design:
             raise UsageError(f"{path}: {json.dumps(x)} is not an integer")
         return x
 
+    def invalid(reason):
+        return UsageError(f"{path} lacks a valid design record: {reason}")
+
     try:
-        return Design(integer(data["v"]), [[integer(p) - 1 for p in blk] for blk in data["blocks"]])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"{path} lacks a valid design record: {exc}")
+        v, blocks = integer(data["v"]), data["blocks"]
+    except KeyError as exc:
+        raise invalid(f"no {exc} key")
+    if not isinstance(blocks, list):
+        raise invalid(f'"blocks" is {json.dumps(blocks)[:40]}, not a list of blocks')
+    # shape and range are checked here, so errors name the file's 1-based points
+    rows = []
+    for blk in blocks:
+        if not isinstance(blk, list):
+            integer(blk)  # a non-integer is named as such, an integer as no list
+            raise invalid(f"block {blk} is not a list of points")
+        points = tuple(sorted(integer(p) for p in blk))
+        if points and (points[0] < 1 or points[-1] > v):
+            raise invalid(f"block {points} has a point outside 1..{v}")
+        if len(set(points)) < len(points):
+            raise invalid(f"point repeated in block {points}")
+        rows.append([p - 1 for p in points])
+    try:
+        return Design(v, rows)
+    except ValueError as exc:
+        raise invalid(exc)
 
 
 def cmd_iso(args) -> int:

@@ -85,14 +85,19 @@ Algorithms for Codes and Designs, 2006), read off kcombs.coverage() at
 t = 3. Unequal spectra answer "not isomorphic" with no search. The
 spectrum is skipped when k < 3 or when the b * C(k,3) 3-subsets of the
 blocks, or the C(m,3) counter over the m points the blocks hold, exceed
-kcombs.MAX_SUBSETS (m >= 312). A pair that passes goes to the two
-searches: d1 to the end (certificate()), d2 only up to its first leaf
-that encodes like d1's certificate, then unwinds. The witness is the one
-the two full certificates give: if d1 and d2 are isomorphic, d1's data
-is the least leaf of d2's tree too, the full search of d2 would label by
-its first leaf that attains it, and up to that leaf the two searches of
-d2 are one search. If no leaf matches, the search runs
-to the end and the designs are not isomorphic.
+kcombs.MAX_SUBSETS (m >= 312). A pair that passes is decided as
+individualization-refinement decides isomorphism without a canonical form
+(McKay and Piperno 2014): d1 is searched only to its first leaf, the first
+path, which no pruning or backjump touches; d2 is searched until its first
+leaf that encodes like that one. A leaf's encoding is the whole incidence
+bitmap under a bijective labeling, so equal encodings give the
+isomorphism. If d1 and d2 are isomorphic, d2's tree holds such a leaf,
+and pruning and backjumps skip only subtrees whose leaf encodings already
+appeared earlier in depth-first order: the witness maps d1's first leaf
+to the first such leaf of d2's unpruned tree. If no leaf matches, d2's
+search runs to the end and the designs are not isomorphic.
+Neither the certificate nor the witness depends on which automorphisms
+are found.
 """
 
 from __future__ import annotations
@@ -245,10 +250,11 @@ def certificate(design, group: PermGroup | None = None) -> Certificate:
     return _search(design, group)
 
 
-def _search(design, group: PermGroup | None, goal: bytes | None = None) -> Certificate:
-    """The search behind certificate(). With a goal, it stops at the first
-    leaf that encodes to goal and returns that leaf; if none does, it runs to
-    the end and returns the certificate, whose data then differs from goal."""
+def _search(design, group: PermGroup | None, stop=None) -> Certificate:
+    """The search behind certificate(). stop, when given, is tested on the
+    encoding of every leaf reached: the search ends at the first leaf it
+    accepts and returns that leaf; if it accepts none, the search runs to
+    the end and returns the certificate."""
     v, b, k = design.v, design.b, design.k
     check_vertices(v, b)
 
@@ -290,10 +296,12 @@ def _search(design, group: PermGroup | None, goal: bytes | None = None) -> Certi
             data, plist = _leaf_bytes(v, b, k, refiner.cols, pcol), pcol.tolist()
             if first is None:
                 first = (data, plist, prefix)
+            if stop is not None and stop(data):
+                best = (data, plist, prefix)  # the leaf returned
+                return -1  # below every depth: each level returns at once
             if best is None or data < best[0]:
                 best = (data, plist, prefix)
-                # below every depth on the goal: each level returns at once
-                return -1 if data == goal else depth
+                return depth
             for ref_data, ref_plist, ref_prefix in (best, first):
                 if data == ref_data and plist != ref_plist:
                     if add_automorphism(_label_map(plist, ref_plist)):
@@ -356,9 +364,9 @@ def _coverage_spectrum(design) -> tuple[int, ...] | None:
 def isomorphism_witness(d1, d2):
     """A Permutation mapping d1's points to d2's so blocks map onto blocks,
     or None. None at once when the parameters or the lambda_3 spectra
-    differ; otherwise recovered from d1's canonical labeling and the first
-    leaf of d2's search that encodes like it, then verified, so a true
-    return value is self-checking."""
+    differ; otherwise recovered from the first leaf of d1's search and the
+    first leaf of d2's search that encodes like it, then verified, so a
+    true return value is self-checking."""
     if (d1.v, d1.b, d1.k) != (d2.v, d2.b, d2.k):
         return None
     check_vertices(d1.v, d1.b)
@@ -368,9 +376,9 @@ def isomorphism_witness(d1, d2):
         log.info("iso: the lambda_3 spectra decided: not isomorphic, in %.4f s",
                  time.perf_counter() - start)
         return None
-    c1 = certificate(d1)
-    c2 = _search(d2, None, goal=c1.data)
-    log.info("iso: the certificate search decided: %s, in %.4f s",
+    c1 = _search(d1, None, stop=lambda data: True)
+    c2 = _search(d2, None, stop=c1.data.__eq__)
+    log.info("iso: the first-leaf search decided: %s, in %.4f s",
              "isomorphic" if c1.data == c2.data else "not isomorphic",
              time.perf_counter() - start)
     if c1.data != c2.data:

@@ -243,38 +243,46 @@ def leaf_bytes(v: int, b: int, k: int, rows, pcol) -> bytes:
     return header + b"".join(r.to_bytes(nbytes, "big") for r in rowints)
 
 
-def unpruned_certificate(design, max_leaves: int = 20_000):
-    """Individualization-refinement with no pruning: every child of every
-    node is searched, and the first least leaf in depth-first order is kept.
-    It uses the library's refinement and target-cell rule, so what it checks
-    in isomorph.certificate is the pruning alone.
-
-    Returns (data, labeling, automorphisms). Each leaf that encodes as the
-    least gives the automorphism carrying it onto the first such leaf, and
-    every automorphism arises from exactly one leaf, so the list is the
-    whole automorphism group, the identity first."""
+def unpruned_leaves(design, max_leaves: int = 20_000):
+    """Individualization-refinement with no pruning, from the one-color
+    root: every child of every node is searched, and every leaf is yielded
+    as (data, labeling) in depth-first order. It uses the library's
+    refinement and target-cell rule, so what it checks in isomorph's search
+    is the pruning, the backjumps and the root coloring of points in no
+    block. ValueError past max_leaves leaves."""
     from blockdesigns.isomorph import _individualize, _Refiner
 
     refiner = _Refiner(design)
-    leaves = []  # (data, labeling) in depth-first order
+    count = 0
 
     def search(pcol):
+        nonlocal count
         pcol = refiner.refine(pcol)
         labels = pcol.tolist()
         sizes = Counter(labels)
         cells = [c for c in sorted(sizes) if sizes[c] > 1]
         if not cells:
-            if len(leaves) == max_leaves:
+            if count == max_leaves:
                 raise ValueError(f"more than {max_leaves} leaves")
-            data = leaf_bytes(design.v, design.b, design.k, design.block_rows(), labels)
-            leaves.append((data, labels))
+            count += 1
+            yield leaf_bytes(design.v, design.b, design.k, design.block_rows(), labels), labels
             return
         target = min(cells, key=lambda c: (sizes[c], c))
         for x in range(design.v):
             if labels[x] == target:
-                search(_individualize(pcol, x))
+                yield from search(_individualize(pcol, x))
 
-    search(np.zeros(design.v, dtype=np.int64))
+    return search(np.zeros(design.v, dtype=np.int64))
+
+
+def unpruned_certificate(design, max_leaves: int = 20_000):
+    """The first least leaf of unpruned_leaves() in depth-first order.
+
+    Returns (data, labeling, automorphisms). Each leaf that encodes as the
+    least gives the automorphism carrying it onto the first such leaf, and
+    every automorphism arises from exactly one leaf, so the list is the
+    whole automorphism group, the identity first."""
+    leaves = list(unpruned_leaves(design, max_leaves))
     data = min(d for d, _ in leaves)
     first = next(lab for d, lab in leaves if d == data)
     inv_first = {c: p for p, c in enumerate(first)}
@@ -282,6 +290,20 @@ def unpruned_certificate(design, max_leaves: int = 20_000):
         Permutation([inv_first[c] for c in lab]) for d, lab in leaves if d == data
     ]
     return data, tuple(first), automorphisms
+
+
+def first_leaf_witness(d1, d2):
+    """The isomorphism d1 -> d2 from unpruned_leaves(): d1's first leaf in
+    depth-first order, and d2's first leaf that encodes like it, d2's
+    labeling inverted after d1's; None when no leaf of d2 does."""
+    if (d1.v, d1.b, d1.k) != (d2.v, d2.b, d2.k):
+        return None
+    data, labeling = next(unpruned_leaves(d1))
+    target = next((lab for d, lab in unpruned_leaves(d2) if d == data), None)
+    if target is None:
+        return None
+    inv2 = {c: p for p, c in enumerate(target)}
+    return Permutation([inv2[c] for c in labeling])
 
 
 def _lex_rank_rows(arr: np.ndarray) -> np.ndarray:

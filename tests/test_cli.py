@@ -533,7 +533,7 @@ class TestVerboseStages:
 
     def test_iso_names_what_decided(self, tmp_path, capsys):
         # rows 37 and 2 differ in their lambda_3 spectra; rows 2 and 42 share
-        # theirs, so only the certificate search tells them apart
+        # theirs, so only the first-leaf search tells them apart
         files = {}
         for row, base in (("37", "1,2,3,16,24,32"), ("2", "1,2,3,4,15,27"),
                           ("42", "1,2,3,18,30,31")):
@@ -542,8 +542,8 @@ class TestVerboseStages:
                      "-o", files[row]], capsys)
         decided = r"INFO blockdesigns\.isomorph: iso: the {} decided: {}, in \d+\.\d{{4}} s"
         cases = (("37", "2", 3, "lambda_3 spectra", "not isomorphic"),
-                 ("2", "42", 3, "certificate search", "not isomorphic"),
-                 ("37", "37", 0, "certificate search", "isomorphic"))
+                 ("2", "42", 3, "first-leaf search", "not isomorphic"),
+                 ("37", "37", 0, "first-leaf search", "isomorphic"))
         for a, b, code, by, answer in cases:
             quiet_out, quiet_err = self.run(["iso", files[a], files[b]], code)
             out, err = self.run(["iso", files[a], files[b], "-v"], code)
@@ -553,7 +553,8 @@ class TestVerboseStages:
 
     def test_iso_debug_logs_both_searches(self, tmp_path, capsys):
         # row 37 against a copy with its points reversed: -vv adds one line
-        # per certificate search before the line that says what decided
+        # per search, d1's to its first leaf and d2's to the leaf that
+        # encodes like it, before the line that says what decided
         row37 = tmp_path / "row37.json"
         run_cli(["construct", "--group", "psl28_paper36", "--base", "1,2,3,16,24,32",
                  "-o", str(row37)], capsys)
@@ -568,7 +569,7 @@ class TestVerboseStages:
         lines = err.splitlines()
         assert len(lines) == 3, err
         assert all(re.fullmatch(search, line) for line in lines[:2]), err
-        assert lines[2].startswith("INFO blockdesigns.isomorph: iso: the certificate search")
+        assert lines[2].startswith("INFO blockdesigns.isomorph: iso: the first-leaf search")
 
 
 class TestSieve:
@@ -810,6 +811,26 @@ class TestIso:
         assert out == ""
         assert err.startswith("error:")
         assert 'must hold a JSON object with "v" and "blocks"' in err
+
+    @pytest.mark.parametrize(
+        "record, reason",
+        [
+            ({"v": 5, "blocks": [[0, 1]]}, "block (0, 1) has a point outside 1..5"),
+            ({"v": 5, "blocks": [[2, 6]]}, "block (2, 6) has a point outside 1..5"),
+            ({"v": 5, "blocks": [[2, 2]]}, "point repeated in block (2, 2)"),
+            ({"v": 5, "blocks": None}, '"blocks" is null, not a list of blocks'),
+            ({"v": 5, "blocks": [1, 2]}, "block 1 is not a list of points"),
+            ({"v": 5}, "no 'blocks' key"),
+        ],
+    )
+    def test_invalid_record_names_the_files_points(self, record, reason, tmp_path, capsys):
+        # checked before the points are shifted to 0-based, so the error
+        # speaks the file's 1-based labels
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(record))
+        code, out, err = run_cli(["iso", str(bad), str(bad)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad} lacks a valid design record: {reason}\n"
 
     def test_missing_file(self, tmp_path, capsys):
         code, _, _ = run_cli(

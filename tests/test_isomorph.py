@@ -28,6 +28,7 @@ from blockdesigns.permcore import PermGroup, Permutation, parse_cycles
 
 from oracles import (
     brute_force_isomorphic,
+    first_leaf_witness,
     fixpoint_refine,
     leaf_bytes,
     two_certificate_witness,
@@ -195,16 +196,19 @@ class TestWitness:
         assert are_isomorphic(FANO, FANO)
 
     def test_map_that_is_not_an_isomorphism_raises(self, monkeypatch):
-        # a d2 labeling with two canonical labels swapped recovers a
-        # transposition, which is no automorphism of the Fano plane
-        labeling = list(certificate(FANO).labeling)
-        labeling[0], labeling[1] = labeling[1], labeling[0]
-        search = isomorph._search
+        # d2's matching leaf with two canonical labels swapped recovers the
+        # witness followed by a transposition, which is no automorphism of
+        # the Fano plane
+        search, calls = isomorph._search, []
 
-        def wrong_leaf(design, group, goal=None):
-            if goal is None:
-                return search(design, group)
-            return isomorph.Certificate(goal, tuple(labeling))
+        def wrong_leaf(design, group, stop=None):
+            leaf = search(design, group, stop)
+            calls.append(design)
+            if len(calls) == 1:
+                return leaf
+            labeling = list(leaf.labeling)
+            labeling[0], labeling[1] = labeling[1], labeling[0]
+            return isomorph.Certificate(leaf.data, tuple(labeling))
 
         monkeypatch.setattr(isomorph, "_search", wrong_leaf)
         with pytest.raises(AssertionError, match="not an isomorphism"):
@@ -212,9 +216,10 @@ class TestWitness:
 
 
 class TestGoalSearch:
-    """isomorphism_witness stops d2's search at the first leaf that encodes
-    like d1's certificate; the witness stays the one the two full
-    certificates give."""
+    """isomorphism_witness searches d1 only to its first leaf and d2 only
+    to its first leaf that encodes like it: the witness is the one the
+    unpruned search gives (first_leaf_witness), and it is None exactly when
+    the two full certificates differ."""
 
     @pytest.mark.parametrize("row", TABLE2_ROWS)
     def test_table2_relabelings_match_oracle(self, psl_group, row):
@@ -224,7 +229,7 @@ class TestGoalSearch:
             d1, d2 = relabeled(d, rng), relabeled(d, rng)
             w = isomorphism_witness(d1, d2)
             assert w is not None
-            assert w == two_certificate_witness(d1, d2)
+            assert w == first_leaf_witness(d1, d2)
 
     @pytest.mark.parametrize("d", [FANO, AG23], ids=["fano", "ag23"])
     @settings(max_examples=10)
@@ -233,12 +238,15 @@ class TestGoalSearch:
         d1, d2 = d.relabel(restricted(images, d.v)), d.relabel(restricted(other, d.v))
         w = isomorphism_witness(d1, d2)
         assert w is not None
-        assert w == two_certificate_witness(d1, d2)
+        assert w == first_leaf_witness(d1, d2)
 
     @given(small_designs(), small_designs(), st.permutations(range(9)))
     def test_small_designs_match_oracle(self, d, other, images):
+        # small_designs often leave points in no block
         for d2 in (d.relabel(restricted(images, d.v)), other):
-            assert isomorphism_witness(d, d2) == two_certificate_witness(d, d2)
+            w = isomorphism_witness(d, d2)
+            assert w == first_leaf_witness(d, d2)
+            assert (w is None) == (two_certificate_witness(d, d2) is None)
 
     def test_rows_37_and_2_are_not_isomorphic(self, psl_group):
         # same parameters (b = 504) but unequal lambda_3 spectra, so
@@ -255,7 +263,7 @@ class TestGoalSearch:
         d2 = relabeled(table2_design(psl_group, rows[1]), rng)
         goal = certificate(d1).data
         leaves = counting(monkeypatch, isomorph, "_leaf_bytes")
-        found = isomorph._search(d2, None, goal)
+        found = isomorph._search(d2, None, goal.__eq__)
         goal_leaves = leaves[0]
         full = certificate(d2)
         # the first leaf encoding like the goal is the certificate's leaf;
@@ -264,11 +272,41 @@ class TestGoalSearch:
         assert (found.data == goal) == (rows[0] == rows[1])
         assert 0 < goal_leaves <= leaves[0] - goal_leaves
 
+    @pytest.mark.parametrize("rows", [(r, r) for r in TABLE2_ROWS] + [(1, 41)])
+    def test_first_design_builds_one_leaf(self, psl_group, rows, monkeypatch):
+        # rows 2 and 42 share their lambda_3 spectra, so both are searched
+        d1 = table2_design(psl_group, rows[0])
+        d2 = relabeled(table2_design(psl_group, rows[1]), random.Random(sum(rows)))
+        leaves = counting(monkeypatch, isomorph, "_leaf_bytes")
+        search, per_search = isomorph._search, []
+
+        def recording(*args, **kwargs):
+            before = leaves[0]
+            found = search(*args, **kwargs)
+            per_search.append(leaves[0] - before)
+            return found
+
+        monkeypatch.setattr(isomorph, "_search", recording)
+        assert (isomorphism_witness(d1, d2) is None) == (rows[0] != rows[1])
+        assert len(per_search) == 2
+        assert per_search[0] == 1
+
+    def test_isomorphic_matching_in_few_nodes(self, monkeypatch):
+        # 80 interchangeable blocks: each search takes one path, a node per
+        # block and the root, where a full certificate's nodes grow as b**2
+        d = Design(160, [(2 * i, 2 * i + 1) for i in range(80)])
+        d2 = relabeled(d, random.Random(80))
+        nodes = counting(monkeypatch, isomorph._Refiner, "refine")
+        w = isomorphism_witness(d, d2)
+        assert w is not None
+        assert nodes[0] <= 2 * (d.b + 1)
+        assert w == first_leaf_witness(d, d2)
+
 
 class TestCoverageSpectrum:
     """isomorphism_witness answers "not isomorphic" from unequal lambda_3
-    spectra before any search; every other pair gets the same witness as
-    the two full certificates give."""
+    spectra before any search; every other pair gets the witness of the
+    unpruned first-leaf search."""
 
     @given(small_designs(), st.permutations(range(9)))
     def test_invariant_under_relabeling(self, d, images):
@@ -316,7 +354,9 @@ class TestCoverageSpectrum:
         monkeypatch.setattr(kcombs, "MAX_SUBSETS", 1)
         assert _coverage_spectrum(d1) is None
         searches = counting(monkeypatch, isomorph, "_search")
-        assert isomorphism_witness(d1, d2) == two_certificate_witness(d1, d2)
+        w = isomorphism_witness(d1, d2)
+        assert w == first_leaf_witness(d1, d2)
+        assert (w is None) == (two_certificate_witness(d1, d2) is None)
         assert searches[0] >= 1
 
     def test_skipped_over_block_triples_bound(self):
